@@ -134,8 +134,7 @@ def cmd_validate_numeric(args) -> int:
     model = load_model(args.model)
     system = _named(model.systems, args.system, "system")
     T = _named(model.densities, args.density, "density")
-    grid = GridSpec(length=args.length, points=args.points, dt=args.dt,
-                    t_end=args.t_end, epsilon=args.epsilon)
+    grid = args.grid
     ic = sech_squared_profile(grid, amplitude=args.amplitude, width=args.width)
     name = f"numeric {args.density} on {args.system} (eps={args.epsilon})"
     try:
@@ -239,10 +238,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(parser: argparse.ArgumentParser, args) -> None:
+    """Reject argument values argparse cannot check by itself (exit 2)."""
+    if (args.command == "check-recursion" and args.mode == "action"
+            and not args.seeds):
+        parser.error("check-recursion --mode action needs --seeds")
+    if args.command == "hierarchy" and args.steps < 0:
+        parser.error("hierarchy --steps must be non-negative")
+    if args.command == "validate-numeric":
+        try:
+            args.grid = GridSpec(length=args.length, points=args.points,
+                                 dt=args.dt, t_end=args.t_end,
+                                 epsilon=args.epsilon)
+        except ValueError as err:
+            parser.error(f"validate-numeric: {err}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Tuple
 
 from .errors import NotExact, Unsupported
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   diff_partial, dx_total, euler1, prolong_apply)
+                   _dx_monomial, diff_partial, euler1, prolong_apply)
 from .operators import (PseudoDiffOp, adjoint, apply_op, compose, frechet)
 from .ring import EpsPoly
 
@@ -132,10 +132,8 @@ class MultiVector:
                 acc[key] = coeff
 
         for (mon, wedge), coeff in self.terms.items():
-            poly = DiffPoly.monomial(mon, coeff, self.eps_order)
-            dpoly = dx_total(poly)
-            for m2, c2 in dpoly.terms.items():
-                add((m2, wedge), c2)
+            for factor, new in _dx_monomial(mon):
+                add((new, wedge), coeff if factor == 1 else coeff.scale(factor))
             for i, k in enumerate(wedge):
                 sign, new_wedge = _sort_wedge(wedge[:i] + (k + 1,) + wedge[i + 1:])
                 if sign == 0:
@@ -182,15 +180,11 @@ class MultiVector:
 
     def euler_theta(self) -> "MultiVector":
         """Graded Euler operator sum_k (-D_x)^k d/d(theta_k)."""
-        total = MultiVector.zero(self.eps_order)
-        for k in sorted(self.theta_orders()):
-            term = self.diff_theta(k)
-            for _ in range(k):
-                term = term.dx()
-            if k % 2:
-                term = -term
-            total = total + term
-        return total
+        top = max(self.theta_orders(), default=-1)
+        acc = self.diff_theta(top)  # zero when top is -1
+        for k in range(top - 1, -1, -1):
+            acc = self.diff_theta(k) - acc.dx()
+        return acc
 
     def is_exact(self) -> bool:
         """Vanishing modulo total x-derivatives (graded Euler test)."""
@@ -219,18 +213,15 @@ def prolong_theta(W: MultiVector, target: MultiVector) -> MultiVector:
     Each u-jet direction d/du_k in the coefficients of `target` is replaced
     by the k-th total derivative of W, wedged in from the left.
     """
+    jet_vars = sorted(target.jet_vars())
+    if any(comp != 0 for comp, _ in jet_vars):
+        raise Unsupported("multivector calculus is scalar in u")
+    tower = [W]
     out = MultiVector.zero(target.eps_order)
-    cache = {}
-    for var in sorted(target.jet_vars()):
-        comp, k = var
-        if comp != 0:
-            raise Unsupported("multivector calculus is scalar in u")
-        if k not in cache:
-            w = W
-            for _ in range(k):
-                w = w.dx()
-            cache[k] = w
-        out = out + cache[k].wedge(target.diff_jet(var))
+    for var in jet_vars:
+        while len(tower) <= var[1]:
+            tower.append(tower[-1].dx())
+        out = out + tower[var[1]].wedge(target.diff_jet(var))
     return out
 
 

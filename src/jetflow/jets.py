@@ -387,16 +387,37 @@ def diff_partial(P: DiffPoly, var) -> DiffPoly:
     return DiffPoly(terms, P.eps_order, P.num_components)
 
 
+def _dx_monomial(mon: Monomial):
+    """Chain rule on one monomial: the (factor, monomial) terms of D_x(mon).
+
+    x^a gives a*x^(a-1) and u_k^e gives e*u_k^(e-1)*u_(k+1); the results are
+    pairwise distinct monomials.
+    """
+    x, t, jets = mon
+    out = []
+    if x:
+        out.append((x, Monomial(x - 1, t, jets)))
+    for i, ((comp, k), e) in enumerate(jets):
+        head = jets[:i] + ((((comp, k), e - 1),) if e > 1 else ())
+        rest = jets[i + 1:]
+        bumped = (comp, k + 1)
+        # jets are sorted, so an existing u_(k+1) factor comes right after u_k
+        if rest and rest[0][0] == bumped:
+            new = head + ((bumped, rest[0][1] + 1),) + rest[1:]
+        else:
+            new = head + ((bumped, 1),) + rest
+        out.append((e, Monomial(x, t, new)))
+    return out
+
+
 def dx_total(P: DiffPoly) -> DiffPoly:
     """Total x-derivative: chain rule over x and every jet variable."""
-    out = diff_partial(P, "x")
-    for var in P.jet_vars():
-        comp, order = var
-        bumped = Monomial(0, 0, (((comp, order + 1), 1),))
-        shift = DiffPoly.monomial(bumped, EpsPoly.one(P.eps_order),
-                                  P.eps_order, P.num_components)
-        out = out + diff_partial(P, var) * shift
-    return out
+    terms: dict = {}
+    for mon, coeff in P.terms.items():
+        for factor, new in _dx_monomial(mon):
+            c = coeff if factor == 1 else coeff.scale(factor)
+            terms[new] = terms[new] + c if new in terms else c
+    return DiffPoly(terms, P.eps_order, P.num_components)
 
 
 def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
@@ -405,36 +426,35 @@ def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
     return P
 
 
+def _dx_tower(P: DiffPoly, n: int) -> list:
+    """[P, D_x P, ..., D_x^n P], each entry the derivative of the one before."""
+    tower = [P]
+    for _ in range(n):
+        tower.append(dx_total(tower[-1]))
+    return tower
+
+
 def dt_total(P: DiffPoly, sys: EvolutionSystem) -> DiffPoly:
     """Total t-derivative on solutions of u_t = K[u, eps]."""
     if P.eps_order != sys.eps_order:
         raise OrderMismatch("polynomial and system have different eps orders")
-    out = diff_partial(P, "t")
-    cache: dict = {}
-    for var in P.jet_vars():
-        comp, order = var
-        if var not in cache:
-            cache[var] = dx_total_n(sys.rhs[comp], order)
-        out = out + diff_partial(P, var) * cache[var]
-    return out
+    return diff_partial(P, "t") + prolong_apply(sys.rhs, P)
 
 
 def euler(P: DiffPoly) -> Tuple[DiffPoly, ...]:
     """Variational derivative, one component per dependent variable.
 
     Component alpha is sum_k (-D_x)^k (dP/du^alpha_k); it vanishes exactly
-    on total x-derivatives.
+    on total x-derivatives.  Evaluated in Horner form,
+    acc = dP/du^alpha_k - D_x(acc) from the top order down to 0.
     """
     out = []
     for alpha in range(P.num_components):
-        acc = DiffPoly.zero(P.eps_order, P.num_components)
-        orders = sorted({var[1] for var in P.jet_vars() if var[0] == alpha})
-        for k in orders:
-            term = diff_partial(P, (alpha, k))
-            term = dx_total_n(term, k)
-            if k % 2:
-                term = -term
-            acc = acc + term
+        top = max((var[1] for var in P.jet_vars() if var[0] == alpha),
+                  default=-1)
+        acc = diff_partial(P, (alpha, top))  # zero when top is -1
+        for k in range(top - 1, -1, -1):
+            acc = diff_partial(P, (alpha, k)) - dx_total(acc)
         out.append(acc)
     return tuple(out)
 
@@ -452,14 +472,14 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     """
     if isinstance(direction, DiffPoly):
         direction = (direction,)
+    tops: dict = {}
+    for comp, order in target.jet_vars():
+        tops[comp] = max(order, tops.get(comp, 0))
+    towers = {comp: _dx_tower(direction[comp], top) for comp, top in tops.items()}
     out = DiffPoly.zero(target.eps_order, target.num_components)
-    cache: dict = {}
     for var in target.jet_vars():
         comp, order = var
-        key = (comp, order)
-        if key not in cache:
-            cache[key] = dx_total_n(direction[comp], order)
-        out = out + diff_partial(target, var) * cache[key]
+        out = out + diff_partial(target, var) * towers[comp][order]
     return out
 
 

@@ -14,8 +14,8 @@ from math import comb
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch, Unsupported
-from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   diff_partial, dt_total, dx_total, dx_total_n, integrate_x)
+from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _dx_tower,
+                   diff_partial, dt_total, dx_total, integrate_x)
 from .ring import EpsPoly
 
 
@@ -209,8 +209,9 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
     out = DiffPoly.zero(Q.eps_order, Q.num_components)
+    tower = _dx_tower(Q, A.max_local_order())
     for j, c in A.local_terms.items():
-        out = out + c * dx_total_n(Q, j)
+        out = out + c * tower[j]
     for a, b in A.nonlocal_terms:
         out = out + a * integrate_x(b * Q)
     return out

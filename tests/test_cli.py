@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
 
@@ -152,3 +154,27 @@ def test_validate_numeric_divergence_fails(capsys):
                        "--system", "gardner", "--density", "M",
                        "--dt", "0.005", "--t-end", "0.05")
     assert code == 1
+
+
+def test_action_mode_without_seeds_is_usage_error(capsys):
+    code, _, err = run(capsys, "check-recursion", "gardner", "--op", "R",
+                       "--system", "gardner", "--mode", "action")
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--dt", "0"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--dt", "-1"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--points", "0"),
+    ("hierarchy", "gardner", "--op", "R", "--seed", "Kbar1", "--steps", "-1",
+     "--dop", "D"),
+])
+def test_bad_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+    assert "[PASS]" not in out

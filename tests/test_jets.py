@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from jetflow import (Context, EvolutionSystem, Functional, NotExact,
-                     NotVariational, OrderMismatch, dt_total, dx_total,
-                     euler1, helmholtz_selfadjoint, integrate_x, prolong_apply,
-                     reconstruct_density, apply_op, frechet)
+                     NotVariational, OrderMismatch, diff_partial, dt_total,
+                     dx_total, dx_total_n, euler1, helmholtz_selfadjoint,
+                     integrate_x, prolong_apply, reconstruct_density,
+                     apply_op, frechet)
 
 from conftest import diff_polys
 
@@ -140,3 +141,39 @@ def test_functional_equality_invariant_under_exact_shifts(p, r):
 @given(diff_polys(max_terms=2), diff_polys(max_terms=2))
 def test_prolongation_is_frechet_action(q, p):
     assert prolong_apply(q, p) == apply_op(frechet(p), q)
+
+
+# Reference forms written out term by term, independent of the derivative
+# towers, the Horner evaluation and the per-monomial chain rule.
+
+def _jet_orders(p):
+    return sorted(k for _, k in p.jet_vars())
+
+
+@settings(max_examples=200, deadline=None)
+@given(diff_polys())
+def test_dx_total_matches_chain_rule_oracle(p):
+    ctx = Context(eps_order=p.eps_order)
+    expected = diff_partial(p, "x")
+    for k in _jet_orders(p):
+        expected = expected + diff_partial(p, (0, k)) * ctx.u(k + 1)
+    assert dx_total(p) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(diff_polys())
+def test_euler_matches_alternating_sum_oracle(p):
+    expected = Context(eps_order=p.eps_order).zero
+    for k in _jet_orders(p):
+        term = dx_total_n(diff_partial(p, (0, k)), k)
+        expected = expected + (-term if k % 2 else term)
+    assert euler1(p) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_polys(max_terms=2), diff_polys(max_terms=2))
+def test_prolong_apply_matches_frechet_sum_oracle(q, p):
+    expected = Context(eps_order=p.eps_order).zero
+    for k in _jet_orders(p):
+        expected = expected + diff_partial(p, (0, k)) * dx_total_n(q, k)
+    assert prolong_apply(q, p) == expected
