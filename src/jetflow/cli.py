@@ -13,10 +13,12 @@ from typing import List, Optional
 
 from . import __version__
 from .dsl import ModelIR, parse_model, print_model
-from .engine import (CheckReport, check_conservation, check_recursion_operator,
-                     check_symmetry, generate_hierarchy, noether_inverse)
+from .engine import (CheckReport, HierarchyResult, check_conservation,
+                     check_recursion_operator, check_symmetry,
+                     generate_hierarchy, noether_inverse)
 from .errors import (ClosureError, Diverged, JetflowError, ModelError,
-                     NotInImage, NotVariational, ResourceLimit, Unsupported)
+                     NotASymmetry, NotInImage, NotVariational, ResourceLimit,
+                     Unsupported)
 from .fixtures import FIXTURES, fixture_names
 from .hamiltonian import pair_check
 from .numeric import (GridSpec, integrate_pde, max_drift, monitor_functional,
@@ -120,8 +122,12 @@ def cmd_hierarchy(args) -> int:
     D = _named(model.operators, args.dop, "operator")
     system = _named(model.systems, args.system, "system") if args.system \
         else next(iter(model.systems.values()))
-    result = generate_hierarchy(R, seed, args.steps, D, system,
-                                max_jet_order=model.max_jet_order)
+    try:
+        result = generate_hierarchy(R, seed, args.steps, D, system,
+                                    max_jet_order=model.max_jet_order)
+    except NotASymmetry as err:
+        result = HierarchyResult([seed], [], (0, err.obstruction), [
+            CheckReport("seed symmetry", False, err.obstruction)])
     summary = CheckReport(
         f"hierarchy {args.op} from {args.seed} ({args.steps} steps)",
         result.all_passed and result.stopped_at is None,

@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (ClosureError, NotExact, NotInImage, NotVariational,
-                     ResourceLimit)
+from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
+                     NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
                    diff_partial, dt_total, euler1, integrate_x,
                    prolong_apply)
@@ -301,11 +301,13 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     law; produced functionals are checked to be pairwise in involution under
     both brackets, and the flows to commute pairwise.  A failed inversion or
     a non-exact application stops the iteration and is recorded in
-    `stopped_at` together with its obstruction.
+    `stopped_at` together with its obstruction.  A seed that is not a
+    symmetry raises NotASymmetry carrying its residual.
     """
     seed_report = check_symmetry(seed, sys, "seed symmetry")
     if not seed_report.passed:
-        raise ValueError("hierarchy seed is not an approximate symmetry")
+        raise NotASymmetry("hierarchy seed is not an approximate symmetry",
+                           seed_report.residual)
     reports: List[CheckReport] = [seed_report]
     flows = [seed]
     functionals: List[Functional] = []

@@ -40,8 +40,25 @@ class NotInImage(JetflowError):
         self.obstruction = obstruction
 
 
-class Unsupported(JetflowError):
-    """The operation is outside the supported class (by design)."""
+class Unsupported(JetflowError, ValueError):
+    """The operation is outside the supported class (by design).
+
+    Also a ValueError, so that callers catching ValueError for a bad
+    argument, such as a non-skew-adjoint operator given to pair_check,
+    keep working.
+    """
+
+
+class NotASymmetry(JetflowError, ValueError):
+    """A characteristic required to be a symmetry (a hierarchy seed) is not.
+
+    Carries the symmetry residual.  Also a ValueError, so that callers
+    catching ValueError for a bad seed keep working.
+    """
+
+    def __init__(self, message, obstruction=None):
+        super().__init__(message)
+        self.obstruction = obstruction
 
 
 class ResourceLimit(JetflowError):

@@ -265,7 +265,7 @@ def pair_check(D: PseudoDiffOp, E: PseudoDiffOp) -> bool:
     if not (D.is_local() and E.is_local()):
         raise Unsupported("pair_check supports local operators only")
     if not (is_skew_adjoint(D) and is_skew_adjoint(E)):
-        raise ValueError("pair_check requires skew-adjoint operators")
+        raise Unsupported("pair_check requires skew-adjoint operators")
     theta_d = bivector_of(D)
     theta_e = bivector_of(E)
     trivector = (prolong_theta(op_theta(D), theta_e)

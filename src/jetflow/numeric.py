@@ -1,9 +1,11 @@
 """Numerical cross-check of approximate conservation.
 
-Integrates a perturbed evolution equation pseudo-spectrally (FFT derivatives,
-classical RK4 in time, periodic domain) with eps substituted by a concrete
-number, then monitors functional values along the trajectory.  Approximate
-conservation shows up as functional drift that shrinks with eps.
+Integrates a perturbed evolution equation pseudo-spectrally (classical RK4
+in time, periodic domain) with eps substituted by a concrete number, then
+monitors functional values along the trajectory.  Approximate conservation
+shows up as functional drift that shrinks with eps.  Space derivatives take
+one rfft and one batched irfft per evaluation (see _Evaluator); odd orders
+drop the Nyquist mode (Trefethen, Spectral Methods in MATLAB, ch. 3).
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import Diverged, Unsupported
+from .errors import Diverged, ResourceLimit, Unsupported
 from .jets import DiffPoly, EvolutionSystem, Functional
 
 MAX_RHS_JET_ORDER = 6
 MAX_DENSITY_JET_ORDER = 4
+MAX_POINTS = 2 ** 14
+MAX_STEPS = 10 ** 6
 
 
 @dataclass
@@ -33,8 +37,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points < 16 or self.points & (self.points - 1):
             raise ValueError("points must be a power of two, at least 16")
-        if self.dt <= 0 or self.length <= 0 or self.t_end <= 0:
-            raise ValueError("length, dt and t_end must be positive")
+        if not all(0 < v < np.inf for v in (self.dt, self.length, self.t_end)):
+            raise ValueError("length, dt and t_end must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -42,9 +46,6 @@ class GridSpec:
 
     def x_grid(self) -> np.ndarray:
         return np.arange(self.points) * self.dx
-
-    def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.dx)
 
 
 @dataclass
@@ -54,83 +55,85 @@ class Trajectory:
     grid: GridSpec
 
 
-def _compile_terms(poly: DiffPoly, eps_value: float):
-    """Flatten a differential polynomial into evaluatable terms."""
-    terms = []
-    for mon, coeff in poly.terms.items():
-        value = 0.0
-        for i, c in enumerate(coeff.coeffs):
-            value += float(c) * eps_value ** i
-        if value == 0.0:
-            continue
-        jets = []
-        for (comp, order), e in mon.jets:
-            if comp != 0:
+class _Evaluator:
+    """A differential polynomial compiled for one grid and eps value.
+
+    Called with a periodic sample u and a time t, it returns the polynomial
+    at every grid point.  It keeps the real-FFT multipliers (i k)^m of just
+    the derivative orders its terms use, so a call is one rfft of u, one
+    batched irfft for all of those orders, and a product per term.
+    """
+
+    def __init__(self, poly: DiffPoly, grid: GridSpec, eps_value: float,
+                 max_order: int, what: str):
+        order = max(poly.max_jet_order(), 0)
+        if order > max_order:
+            raise Unsupported(f"{what} jet order {order} exceeds {max_order}")
+        x = grid.x_grid()
+        self.terms = []
+        for mon, coeff in poly.terms.items():
+            value = sum(float(c) * eps_value ** i
+                        for i, c in enumerate(coeff.coeffs))
+            if value == 0.0:
+                continue
+            if any(comp for (comp, _), _ in mon.jets):
                 raise Unsupported("numeric evaluation is scalar in u")
-            jets.append((order, e))
-        terms.append((value, mon.x, mon.t, tuple(jets)))
-    return terms
+            self.terms.append((value, x ** mon.x if mon.x else None, mon.t,
+                               tuple((o, e) for (_, o), e in mon.jets)))
+        self.orders = sorted({o for *_, jets in self.terms for o, _ in jets}
+                             - {0})
+        # (i k)^m = i^m k^m; odd orders drop the Nyquist mode so that odd
+        # derivatives stay real and skew
+        m = np.array(self.orders, dtype=int).reshape(-1, 1)
+        k = 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.dx)
+        self.multipliers = np.array([1, 1j, -1, -1j])[m % 4] * k ** m
+        self.multipliers[m[:, 0] % 2 == 1, -1] = 0.0
+        self.points = grid.points
+
+    def __call__(self, u: np.ndarray, t: float) -> np.ndarray:
+        derivs = {0: u}
+        if self.orders:
+            derivs.update(zip(self.orders, np.fft.irfft(
+                self.multipliers * np.fft.rfft(u), self.points)))
+        total = None
+        for value, x_pow, t_exp, factors in self.terms:
+            acc = value * t ** t_exp if t_exp else value
+            if x_pow is not None:
+                acc = acc * x_pow
+            for order, e in factors:
+                acc = acc * (derivs[order] if e == 1 else derivs[order] ** e)
+            total = acc if total is None else total + acc
+        if total is None or np.ndim(total) == 0:
+            return np.full(self.points, total or 0.0)
+        return total
 
 
-def _max_order(poly: DiffPoly) -> int:
-    return max(poly.max_jet_order(), 0)
-
-
-def _derivatives(u: np.ndarray, k: np.ndarray, max_order: int):
-    """Spectral x-derivatives 0..max_order of a periodic sample."""
-    derivs = [u]
-    if max_order == 0:
-        return derivs
-    u_hat = np.fft.fft(u)
-    n = u.size
-    for m in range(1, max_order + 1):
-        factor = (1j * k) ** m
-        d_hat = factor * u_hat
-        if m % 2 == 1:
-            d_hat[n // 2] = 0.0  # keep odd derivatives real and skew
-        derivs.append(np.fft.ifft(d_hat).real)
-    return derivs
-
-
-def _evaluate_terms(terms, derivs, x: np.ndarray, t: float) -> np.ndarray:
-    total = np.zeros_like(x)
-    for value, x_exp, t_exp, jets in terms:
-        acc = np.full_like(x, value)
-        if x_exp:
-            acc = acc * x ** x_exp
-        if t_exp:
-            acc = acc * t ** t_exp
-        for order, e in jets:
-            acc = acc * derivs[order] ** e
-        total = total + acc
-    return total
+def _checked_steps(grid: GridSpec) -> int:
+    """RK4 steps to t_end; ResourceLimit past the point or step cap."""
+    steps = grid.t_end / grid.dt  # may be inf, so compare before rounding
+    if grid.points > MAX_POINTS or steps >= MAX_STEPS + 0.5:
+        raise ResourceLimit(f"grid of {grid.points} points and {steps:.6g} "
+                            f"steps exceeds the caps of {MAX_POINTS} points "
+                            f"and {MAX_STEPS} steps")
+    return int(round(steps))
 
 
 def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
                   save_every: Optional[int] = None) -> Trajectory:
     """March u_t = K[u, eps] with RK4 and spectral space derivatives.
 
-    Raises Diverged (with the offending step) as soon as a non-finite value
-    appears, which is how CFL violations surface.
+    Raises ResourceLimit before allocating anything when the grid exceeds
+    MAX_POINTS or MAX_STEPS, and Diverged (with the offending step) as soon
+    as a non-finite value appears, which is how CFL violations surface.
     """
-    rhs_poly = sys.rhs[0]
-    order = _max_order(rhs_poly)
-    if order > MAX_RHS_JET_ORDER:
-        raise Unsupported(f"right-hand side jet order {order} exceeds "
-                          f"{MAX_RHS_JET_ORDER}")
+    nsteps = _checked_steps(grid)
+    rhs = _Evaluator(sys.rhs[0], grid, grid.epsilon, MAX_RHS_JET_ORDER,
+                     "right-hand side")
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (grid.points,):
         raise ValueError("initial profile length must match the grid")
-    terms = _compile_terms(rhs_poly, grid.epsilon)
-    x = grid.x_grid()
-    k = grid.wavenumbers()
-    nsteps = int(round(grid.t_end / grid.dt))
     if save_every is None:
         save_every = max(1, nsteps // 200)
-
-    def rhs(u, t):
-        derivs = _derivatives(u, k, order)
-        return _evaluate_terms(terms, derivs, x, t)
 
     u = ic.copy()
     times = [0.0]
@@ -160,22 +163,15 @@ def monitor_functional(traj: Trajectory, T: Functional,
     Drift is relative to the initial value with a unit floor, so exactly
     conserved functionals report at the discretization noise level.
     """
-    density = T.density
-    order = _max_order(density)
-    if order > MAX_DENSITY_JET_ORDER:
-        raise Unsupported(f"density jet order {order} exceeds "
-                          f"{MAX_DENSITY_JET_ORDER}")
     if eps_value is None:
         eps_value = traj.grid.epsilon
-    terms = _compile_terms(density, eps_value)
-    x = traj.grid.x_grid()
-    k = traj.grid.wavenumbers()
+    density = _Evaluator(T.density, traj.grid, eps_value,
+                         MAX_DENSITY_JET_ORDER, "density")
     dx = traj.grid.dx
     rows = []
     initial = None
     for t, u in zip(traj.times, traj.profiles):
-        derivs = _derivatives(u, k, order)
-        value = float(np.sum(_evaluate_terms(terms, derivs, x, float(t)))) * dx
+        value = float(np.sum(density(u, float(t)))) * dx
         if initial is None:
             initial = value
         drift = abs(value - initial) / max(1.0, abs(initial))
@@ -191,6 +187,7 @@ def sech_squared_profile(grid: GridSpec, amplitude: float = 2.0,
                          width: float = 1.0,
                          center: Optional[float] = None) -> np.ndarray:
     """A KdV-type solitary pulse, the default numeric initial condition."""
+    _checked_steps(grid)  # the grid caps, before allocating
     if center is None:
         center = grid.length / 2.0
     x = grid.x_grid()

@@ -4,6 +4,7 @@ import pytest
 
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
+from jetflow.numeric import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -178,3 +179,45 @@ def test_bad_numbers_are_usage_errors(capsys, argv):
     assert code == 2
     assert "error:" in err
     assert "[PASS]" not in out
+
+
+NON_SKEW_MODEL = """set eps_order = 1;
+system S { rhs: u_xxx; }
+operator A { u*Dx }
+operator B { Dx }
+char Q = u^2;
+"""
+
+
+def test_check_pair_non_skew_operator_is_unsupported(capsys, tmp_path):
+    model = tmp_path / "pair.jf"
+    model.write_text(NON_SKEW_MODEL)
+    code, out, err = run(capsys, "check-pair", str(model),
+                         "--op1", "A", "--op2", "B")
+    assert code == 2
+    assert err.startswith("unsupported:")
+    assert "Traceback" not in err
+
+
+def test_hierarchy_seed_that_is_not_a_symmetry_fails(capsys, tmp_path):
+    model = tmp_path / "seed.jf"
+    model.write_text(NON_SKEW_MODEL)
+    code, out, err = run(capsys, "hierarchy", str(model), "--op", "B",
+                         "--seed", "Q", "--steps", "1", "--dop", "B",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    assert [c["verdict"] for c in checks] == ["fail", "fail"]
+    assert checks[1]["name"] == "seed symmetry"
+    stopped = checks[0]["certificates"]["hierarchy"]["stopped_at"]
+    assert stopped == {"index": 0, "obstruction": checks[1]["residual"]}
+
+
+def test_validate_numeric_caps_exit_3(capsys):
+    for flag, value in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS))):
+        code, out, err = run(capsys, "validate-numeric", "gardner",
+                             "--system", "gardner", "--density", "M",
+                             flag, value)
+        assert code == 3
+        assert err.startswith("resource limit:")

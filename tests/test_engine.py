@@ -6,6 +6,7 @@ from jetflow import (Context, EpsPoly, EvolutionSystem,
                      check_recursion_operator, check_symmetry, dt_total,
                      dx_total, euler1, generate_hierarchy, noether_inverse,
                      solve_operator_equation)
+from jetflow.errors import JetflowError, NotASymmetry
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,14 @@ def test_generate_hierarchy_guards(v, gardner, gardner_sys):
     with pytest.raises(ResourceLimit):
         generate_hierarchy(R, gardner.characteristics["Kbar1"], 2, D,
                            gardner_sys, max_jet_order=6)
+
+
+def test_hierarchy_seed_that_is_not_a_symmetry(v, gardner, gardner_sys):
+    residual = check_symmetry(v.u, gardner_sys).residual
+    with pytest.raises(NotASymmetry) as err:
+        generate_hierarchy(gardner.operators["R"], v.u, 1,
+                           gardner.operators["D"], gardner_sys)
+    assert not residual.is_zero()
+    assert err.value.obstruction == residual
+    assert isinstance(err.value, JetflowError)
+    assert isinstance(err.value, ValueError)

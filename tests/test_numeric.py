@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
-                     Unsupported, integrate_pde, max_drift,
+                     ResourceLimit, Unsupported, integrate_pde, max_drift,
                      monitor_functional, sech_squared_profile)
+from jetflow.numeric import MAX_POINTS, MAX_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -18,6 +19,13 @@ def test_grid_validation():
         GridSpec(points=8)
     with pytest.raises(ValueError):
         GridSpec(dt=-1e-4)
+
+
+@pytest.mark.parametrize("field", ["length", "dt", "t_end"])
+def test_grid_rejects_non_finite(field):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GridSpec(**{field: value})
 
 
 def test_zero_initial_data_stays_zero(gardner_sys, short_grid):
@@ -136,3 +144,87 @@ def test_explicit_x_t_in_density(gardner_sys):
     rows = monitor_functional(traj, Functional(ctx.eps * (3 * ctx.t * ctx.u(0) ** 2
                                                           + ctx.x * ctx.u(0))))
     assert all(np.isfinite(row["value"]) for row in rows)
+
+
+# (wavenumber, amplitude, phase) of 1/2 + cos x + 3 sin 2x + 1/4 cos(3x + 1)
+TRIG_MODES = ((0, 0.5, 0.0), (1, 1.0, 0.0), (2, 3.0, -np.pi / 2),
+              (3, 0.25, 1.0))
+
+
+def _trig_rk4_step(x, m, dt):
+    """One RK4 step of u_t = u_m from the trig polynomial, in closed form.
+
+    RK4 maps each Fourier mode by the degree-4 Taylor polynomial of exp at
+    z = dt * (i k)^m, where (i k)^m is the exact m-th derivative symbol.
+    """
+    out = np.zeros_like(x)
+    for k, a, phase in TRIG_MODES:
+        z = dt * (1j * k) ** m
+        gain = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+        out += (a * gain * np.exp(1j * (k * x + phase))).real
+    return out
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_spectral_derivatives_match_closed_form(m):
+    ctx = Context(eps_order=1)
+    # one step, with dt * k^m <= 1 up to the Nyquist wavenumber 8
+    dt = 8.0 ** -m
+    grid = GridSpec(length=2 * np.pi, points=16, dt=dt, t_end=dt)
+    x = grid.x_grid()
+    u0 = _trig_rk4_step(x, 0, 0.0)
+    traj = integrate_pde(EvolutionSystem(ctx.u(m)), grid, u0)
+    assert len(traj.times) == 2
+    # (u(dt) - u0) / dt = (i k)^m (1 + z/2 + z^2/6 + z^3/24) per mode
+    got = (traj.profiles[-1] - u0) / dt
+    want = (_trig_rk4_step(x, m, dt) - u0) / dt
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+    if m % 2:
+        # the Nyquist mode (-1)^j of an odd derivative is zero, so the
+        # flow leaves it exactly in place
+        nyquist = np.cos(8 * x)
+        traj = integrate_pde(EvolutionSystem(ctx.u(m)), grid, nyquist)
+        assert np.array_equal(traj.profiles[-1], nyquist)
+
+
+def _reference_gardner(grid, u0, eps):
+    """RK4 for u_t = 6(u + eps u^2) u_x - u_xxx with one complex FFT
+    derivative per order; odd orders drop the Nyquist mode."""
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points, d=grid.dx)
+
+    def derivative(u, m):
+        d_hat = (1j * k) ** m * np.fft.fft(u)
+        d_hat[grid.points // 2] = 0.0
+        return np.fft.ifft(d_hat).real
+
+    def rhs(u):
+        return 6.0 * (u + eps * u ** 2) * derivative(u, 1) - derivative(u, 3)
+
+    u, dt = u0.copy(), grid.dt
+    for _ in range(int(round(grid.t_end / dt))):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+def test_gardner_run_matches_per_order_fft_reference(gardner_sys):
+    grid = GridSpec(t_end=0.01, epsilon=1e-2)
+    u0 = sech_squared_profile(grid)
+    traj = integrate_pde(gardner_sys, grid, u0)
+    expected = _reference_gardner(grid, u0, 1e-2)
+    assert np.max(np.abs(traj.profiles[-1] - expected)) <= 1e-12
+
+
+def test_step_and_point_caps_raise_before_allocating(gardner_sys):
+    long_run = GridSpec(dt=1.0, t_end=MAX_STEPS + 1.0)
+    wave = np.sin(16 * np.pi * np.arange(long_run.points) / long_run.points)
+    with pytest.raises(ResourceLimit):
+        integrate_pde(gardner_sys, long_run, wave)
+    wide = GridSpec(points=4 * MAX_POINTS)
+    with pytest.raises(ResourceLimit):
+        sech_squared_profile(wide)
+    with pytest.raises(ResourceLimit):
+        integrate_pde(gardner_sys, wide, np.zeros(16))
