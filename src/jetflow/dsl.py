@@ -21,15 +21,30 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
-from .errors import JetflowError, ParseError, UnknownName
+from .errors import JetflowError, ParseError, ResourceLimit, UnknownName
 from .jets import Context, DiffPoly, EvolutionSystem, Functional
 from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
+
+# Term pairs that the products of one declaration may multiply in all (a
+# power counts each of its products), so that no model file parses for long.
+MAX_PRODUCT_PAIRS = 2 ** 14
 
 KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
 RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
 
 Value = Union[DiffPoly, PseudoDiffOp]
+
+
+def _size(value: Value) -> int:
+    """Terms a product pairs up.  For an operator these are the terms of its
+    coefficients, a*Dx^j counting j + 1 times for its Leibniz expansion."""
+    if isinstance(value, DiffPoly):
+        return len(value._flat)
+    return max(1, sum((j + 1) * len(c._flat)
+                      for j, c in value.local_terms.items())
+               + sum(len(a._flat) + len(b._flat)
+                     for a, b in value.nonlocal_terms))
 
 
 @dataclass(frozen=True)
@@ -215,6 +230,7 @@ class _Parser:
         if self.model.lookup(name) is not None:
             self.fail(f"name {name!r} is already declared", name_tok)
         self.declared = True
+        self.pairs = 0
         return name
 
     def parse_system(self):
@@ -291,7 +307,14 @@ class _Parser:
             exp_tok = self.expect("INT")
             exponent = int(exp_tok.text)
             try:
-                value = value ** exponent
+                result = (DiffPoly.constant(1, value.eps_order)
+                          if isinstance(value, DiffPoly)
+                          else PseudoDiffOp.identity(value.eps_order))
+                for _ in range(exponent):
+                    result = self.multiply(result, value)
+                value = result
+            except ResourceLimit:
+                raise
             except JetflowError as err:
                 self.fail(str(err), caret)
         return value
@@ -342,7 +365,7 @@ class _Parser:
             if op == "-":
                 return self.promote_pair(left, right, add=False)
             if op == "*":
-                return left * right
+                return self.multiply(left, right)
             if op == "/":
                 if not isinstance(right, DiffPoly):
                     self.fail("division only by rational constants")
@@ -350,11 +373,20 @@ class _Parser:
                 if r is None or r == 0:
                     self.fail("division only by nonzero rational constants")
                 return left / r
-        except ParseError:
+        except (ParseError, ResourceLimit):
             raise
         except JetflowError as err:
             self.fail(str(err))
         raise AssertionError(op)
+
+    def multiply(self, left: Value, right: Value) -> Value:
+        """left * right, or ResourceLimit before multiplying when the current
+        declaration would pair up more than MAX_PRODUCT_PAIRS terms."""
+        self.pairs += _size(left) * _size(right)
+        if self.pairs > MAX_PRODUCT_PAIRS:
+            raise ResourceLimit(f"products in one declaration pair up more "
+                                f"than {MAX_PRODUCT_PAIRS} terms")
+        return left * right
 
     def promote_pair(self, left: Value, right: Value, add: bool) -> Value:
         if isinstance(left, PseudoDiffOp) and isinstance(right, DiffPoly):

@@ -17,7 +17,6 @@ from .hamiltonian import poisson_bracket
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, helmholtz_selfadjoint, op_time_derivative,
                         reconstruct_density)
-from .ring import EpsPoly
 
 DEFAULT_MAX_JET_ORDER = 12
 
@@ -172,39 +171,28 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
     for order_bound in order_tiers:
         variables = ["x", "t"] + [(0, k) for k in range(order_bound + 1)]
         monomials = _monomial_basis(variables, degree_bound)
-        basis: List[DiffPoly] = []
+        basis: List[Tuple[Monomial, int]] = []
         images: List[DiffPoly] = []
         for e in range(p + 1):
-            coeff = EpsPoly.eps(p, e)
             for mon in monomials:
-                b = DiffPoly.monomial(mon, coeff, p)
+                b = DiffPoly._from_flat({(mon, e): Fraction(1)}, p)
                 try:
                     img = apply_op(D, b)
                 except NotExact:
                     continue
-                basis.append(b)
+                basis.append((mon, e))
                 images.append(img)
         # assemble coordinate equations: one row per (monomial, eps degree)
         rows_map: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
         for i, img in enumerate(images):
-            for mon, coeff in img.terms.items():
-                for e, value in enumerate(coeff.coeffs):
-                    if value != 0:
-                        rows_map.setdefault((mon, e), {})[i] = value
-        rhs_map: Dict[Tuple[Monomial, int], Fraction] = {}
-        for mon, coeff in Q.terms.items():
-            for e, value in enumerate(coeff.coeffs):
-                if value != 0:
-                    rhs_map[(mon, e)] = value
-        keys = sorted(set(rows_map) | set(rhs_map))
-        rows = [(rows_map.get(k, {}), rhs_map.get(k, Fraction(0))) for k in keys]
+            for key, value in img._flat.items():
+                rows_map.setdefault(key, {})[i] = value
+        keys = sorted(set(rows_map) | set(Q._flat))
+        rows = [(rows_map.get(k, {}), Q._flat.get(k, Fraction(0))) for k in keys]
         solution = _solve_rational_system(rows)
         if solution is None:
             continue
-        g = DiffPoly.zero(p)
-        for i, value in solution.items():
-            if value != 0:
-                g = g + basis[i] * value
+        g = DiffPoly._from_flat({basis[i]: v for i, v in solution.items() if v}, p)
         try:
             if apply_op(D, g) == Q:
                 return g

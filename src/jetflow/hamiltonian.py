@@ -11,17 +11,20 @@ respect to theta vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from types import MappingProxyType
+from typing import Mapping, Tuple
 
 from .errors import NotExact, Unsupported
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _dx_monomial, diff_partial, euler1, prolong_apply)
+                   _accumulate, _dx_monomial, _partial_monomial, euler1,
+                   prolong_apply)
 from .operators import (PseudoDiffOp, adjoint, apply_op, compose, frechet)
-from .ring import EpsPoly
+from .ring import EpsPoly, _as_fraction
 
-# A multivector term is a coefficient (plain differential polynomial) times a
-# wedge of theta jets, stored with strictly increasing jet orders; the Koszul
-# sign of sorting is absorbed into the coefficient.
+# A multivector is stored flat like a DiffPoly: one Fraction per
+# (coefficient monomial, wedge of theta jets, eps degree), the wedge with
+# strictly increasing jet orders; the Koszul sign of sorting is absorbed into
+# the coefficient.
 WedgeKey = Tuple[Monomial, Tuple[int, ...]]
 
 
@@ -45,138 +48,131 @@ class MultiVector:
     """A functional multivector: sum of f[u] * theta_{k1} ^ ... ^ theta_{kg}.
 
     Terms of different grades may coexist during intermediate arithmetic;
-    grade is reported as the maximum wedge length present.
+    grade is reported as the maximum wedge length present.  The constructor
+    takes {(Monomial, wedge): EpsPoly}; ``terms`` gives that form back as a
+    read-only view of the flat {(Monomial, wedge, e): Fraction} map.
     """
 
-    __slots__ = ("terms", "eps_order")
+    __slots__ = ("_flat", "eps_order")
 
     def __init__(self, terms: Mapping[WedgeKey, EpsPoly], eps_order: int):
-        clean = {}
-        for (mon, wedge), coeff in terms.items():
-            if not coeff.is_zero():
-                clean[(mon, wedge)] = coeff
-        object.__setattr__(self, "terms", clean)
+        flat = {(mon, wedge, e): c
+                for (mon, wedge), coeff in terms.items()
+                for e, c in enumerate(coeff.coeffs) if c}
+        object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
+
+    @classmethod
+    def _from_flat(cls, flat: dict, eps_order: int) -> "MultiVector":
+        self = object.__new__(cls)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "eps_order", eps_order)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
 
+    @property
+    def terms(self) -> Mapping[WedgeKey, EpsPoly]:
+        grouped: dict = {}
+        for (mon, wedge, e), c in self._flat.items():
+            grouped.setdefault((mon, wedge), [0] * (self.eps_order + 1))[e] = c
+        return MappingProxyType({k: EpsPoly(cs) for k, cs in grouped.items()})
+
     @classmethod
     def zero(cls, eps_order: int) -> "MultiVector":
-        return cls({}, eps_order)
+        return cls._from_flat({}, eps_order)
 
     @classmethod
     def from_poly(cls, P: DiffPoly, wedge: Tuple[int, ...] = ()) -> "MultiVector":
         sign, wedge = _sort_wedge(wedge)
-        if sign == 0:
-            return cls.zero(P.eps_order)
-        terms = {}
-        for mon, coeff in P.terms.items():
-            terms[(mon, wedge)] = coeff if sign > 0 else -coeff
-        return cls(terms, P.eps_order)
+        return cls._from_flat({(mon, wedge, e): c if sign > 0 else -c
+                               for (mon, e), c in P._flat.items() if sign},
+                              P.eps_order)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
 
     def grade(self) -> int:
-        return max((len(w) for _, w in self.terms), default=0)
+        return max((len(w) for _, w, _ in self._flat), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
-        return self.eps_order == other.eps_order and self.terms == other.terms
+        return self.eps_order == other.eps_order and self._flat == other._flat
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            terms[key] = terms[key] + coeff if key in terms else coeff
-        return MultiVector(terms, self.eps_order)
+        flat = dict(self._flat)
+        for key, c in other._flat.items():
+            _accumulate(flat, key, c)
+        return MultiVector._from_flat(flat, self.eps_order)
 
     def __neg__(self):
-        return MultiVector({k: -c for k, c in self.terms.items()}, self.eps_order)
+        return MultiVector._from_flat({k: -c for k, c in self._flat.items()},
+                                      self.eps_order)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, r) -> "MultiVector":
-        return MultiVector({k: c.scale(r) for k, c in self.terms.items()},
-                           self.eps_order)
+        r = _as_fraction(r)
+        return MultiVector._from_flat(
+            {k: c * r for k, c in self._flat.items()} if r else {},
+            self.eps_order)
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         """Exterior product; coefficients multiply, wedges concatenate."""
-        out: Dict[WedgeKey, EpsPoly] = {}
-        for (m1, w1), c1 in self.terms.items():
-            for (m2, w2), c2 in other.terms.items():
+        p = self.eps_order
+        flat: dict = {}
+        for (m1, w1, e1), c1 in self._flat.items():
+            for (m2, w2, e2), c2 in other._flat.items():
+                if e1 + e2 > p:
+                    continue
                 sign, wedge = _sort_wedge(w1 + w2)
-                if sign == 0:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                if c.is_zero():
-                    continue
-                key = (m1.mul(m2), wedge)
-                out[key] = out[key] + c if key in out else c
-        return MultiVector(out, self.eps_order)
+                if sign:
+                    _accumulate(flat, (m1.mul(m2), wedge, e1 + e2),
+                                c1 * c2 if sign > 0 else -(c1 * c2))
+        return MultiVector._from_flat(flat, p)
 
     # -- calculus ----------------------------------------------------------
 
     def dx(self) -> "MultiVector":
         """Total x-derivative, acting on coefficients and theta jets alike."""
-        acc: Dict[WedgeKey, EpsPoly] = {}
-
-        def add(key, coeff):
-            if key in acc:
-                acc[key] = acc[key] + coeff
-            else:
-                acc[key] = coeff
-
-        for (mon, wedge), coeff in self.terms.items():
+        flat: dict = {}
+        for (mon, wedge, e), c in self._flat.items():
             for factor, new in _dx_monomial(mon):
-                add((new, wedge), coeff if factor == 1 else coeff.scale(factor))
+                _accumulate(flat, (new, wedge, e), c if factor == 1 else c * factor)
             for i, k in enumerate(wedge):
                 sign, new_wedge = _sort_wedge(wedge[:i] + (k + 1,) + wedge[i + 1:])
-                if sign == 0:
-                    continue
-                add((mon, new_wedge), coeff if sign > 0 else -coeff)
-        return MultiVector(acc, self.eps_order)
+                if sign:
+                    _accumulate(flat, (mon, new_wedge, e), c if sign > 0 else -c)
+        return MultiVector._from_flat(flat, self.eps_order)
 
     def diff_theta(self, k: int) -> "MultiVector":
         """Graded left derivative with respect to theta_k."""
-        acc: Dict[WedgeKey, EpsPoly] = {}
-        for (mon, wedge), coeff in self.terms.items():
+        flat: dict = {}
+        for (mon, wedge, e), c in self._flat.items():
             for i, w in enumerate(wedge):
-                if w != k:
-                    continue
-                rest = wedge[:i] + wedge[i + 1:]
-                c = coeff if i % 2 == 0 else -coeff
-                key = (mon, rest)
-                acc[key] = acc[key] + c if key in acc else c
-        return MultiVector(acc, self.eps_order)
+                if w == k:
+                    _accumulate(flat, (mon, wedge[:i] + wedge[i + 1:], e),
+                                c if i % 2 == 0 else -c)
+        return MultiVector._from_flat(flat, self.eps_order)
 
     def diff_jet(self, var) -> "MultiVector":
         """Partial derivative of the coefficients with respect to a u jet."""
-        acc: Dict[WedgeKey, EpsPoly] = {}
-        for (mon, wedge), coeff in self.terms.items():
-            poly = DiffPoly.monomial(mon, coeff, self.eps_order)
-            d = diff_partial(poly, var)
-            for m2, c2 in d.terms.items():
-                key = (m2, wedge)
-                acc[key] = acc[key] + c2 if key in acc else c2
-        return MultiVector(acc, self.eps_order)
+        flat: dict = {}
+        for (mon, wedge, e), c in self._flat.items():
+            d = _partial_monomial(mon, var)
+            if d is not None:
+                factor, new = d
+                _accumulate(flat, (new, wedge, e), c if factor == 1 else c * factor)
+        return MultiVector._from_flat(flat, self.eps_order)
 
     def theta_orders(self) -> set:
-        out = set()
-        for _, wedge in self.terms:
-            out.update(wedge)
-        return out
+        return {k for _, wedge, _ in self._flat for k in wedge}
 
     def jet_vars(self) -> set:
-        out = set()
-        for mon, _ in self.terms:
-            for var, _e in mon.jets:
-                out.add(var)
-        return out
+        return {var for mon, _, _ in self._flat for var, _ in mon.jets}
 
     def euler_theta(self) -> "MultiVector":
         """Graded Euler operator sum_k (-D_x)^k d/d(theta_k)."""

@@ -3,18 +3,27 @@
 A jet variable ``(alpha, k)`` stands for the k-th x-derivative of the
 dependent variable ``u^alpha`` (``u_0 = u``, ``u_1 = u_x``, ...).  A
 :class:`DiffPoly` is a finite sum of monomials in ``x``, ``t`` and jet
-variables with :class:`~jetflow.ring.EpsPoly` coefficients.  Total
-derivatives, the Euler operator, prolongation and formal integration all
-live here.
+variables with coefficients in Q[eps]/(eps^(p+1)).  Total derivatives, the
+Euler operator, prolongation and formal integration all live here.
+
+Coefficients are stored flat: a polynomial is one map
+``{(Monomial, e): Fraction}`` from a monomial and an eps degree e <= p to a
+nonzero rational.  Every primitive here (and the operator, Hamiltonian,
+engine and numeric layers above) works on that map, and products drop
+degree pairs above p before multiplying.  :class:`~jetflow.ring.EpsPoly`
+stays the public scalar type: ``DiffPoly(terms, p)`` accepts a
+``{Monomial: EpsPoly}`` mapping and ``DiffPoly.terms`` gives one back as a
+derived read-only view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import NotExact, OrderMismatch
-from .ring import EpsPoly
+from .ring import EpsPoly, _as_fraction
 
 JetVar = Tuple[int, int]  # (component, number of x-derivatives)
 
@@ -60,45 +69,90 @@ class Monomial(NamedTuple):
 ONE_MONOMIAL = Monomial(0, 0, ())
 
 
+def _accumulate(flat: dict, key, c: Fraction) -> None:
+    """flat[key] += c, deleting the key when the sum cancels."""
+    prev = flat.get(key)
+    if prev is None:
+        flat[key] = c
+    else:
+        c += prev
+        if c:
+            flat[key] = c
+        else:
+            del flat[key]
+
+
 class DiffPoly:
     """A differential polynomial with coefficients in Q[eps]/(eps^(p+1)).
 
-    Treated as immutable: every operation returns a new value, zero
-    coefficients are never stored, and equality is term-map equality.
+    Treated as immutable: every operation returns a new value, and equality
+    is term-map equality.  The terms are stored flat, one Fraction per
+    (monomial, eps degree) in a private map ``{(Monomial, e): Fraction}``
+    holding nonzero values only, so a term of a single eps degree costs one
+    rational and a product skips every pair of degrees above p.  ``terms``
+    groups that map into a read-only ``{Monomial: EpsPoly}`` view, built on
+    each access, for printing and for callers outside the package.
     """
 
-    __slots__ = ("terms", "eps_order", "num_components")
+    __slots__ = ("_flat", "eps_order", "num_components")
 
     def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int,
                  num_components: int = 1):
-        clean = {}
+        flat = {}
         for mon, coeff in terms.items():
             if coeff.order != eps_order:
                 raise OrderMismatch(
                     f"coefficient order {coeff.order} != polynomial order {eps_order}"
                 )
-            if not coeff.is_zero():
-                clean[mon] = coeff
-        object.__setattr__(self, "terms", clean)
+            for e, c in enumerate(coeff.coeffs):
+                if c:
+                    flat[mon, e] = c
+        object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
         object.__setattr__(self, "num_components", num_components)
 
+    @classmethod
+    def _from_flat(cls, flat: dict, eps_order: int,
+                   num_components: int = 1) -> "DiffPoly":
+        """Wrap a {(Monomial, e): Fraction} map of nonzero values as is."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "eps_order", eps_order)
+        object.__setattr__(self, "num_components", num_components)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
+
+    def _grouped(self) -> dict:
+        """{Monomial: [Fraction per eps degree]}, in first-appearance order."""
+        grouped: dict = {}
+        zeros = [Fraction(0)] * (self.eps_order + 1)
+        for (mon, e), c in self._flat.items():
+            if mon not in grouped:
+                grouped[mon] = list(zeros)
+            grouped[mon][e] = c
+        return grouped
+
+    @property
+    def terms(self) -> Mapping[Monomial, EpsPoly]:
+        """The terms as a read-only {Monomial: EpsPoly} view."""
+        return MappingProxyType({mon: EpsPoly(cs)
+                                 for mon, cs in self._grouped().items()})
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, eps_order: int, num_components: int = 1) -> "DiffPoly":
-        return cls({}, eps_order, num_components)
+        return cls._from_flat({}, eps_order, num_components)
 
     @classmethod
     def constant(cls, value, eps_order: int, num_components: int = 1) -> "DiffPoly":
         if isinstance(value, EpsPoly):
-            coeff = value
-        else:
-            coeff = EpsPoly.from_rational(value, eps_order)
-        return cls({ONE_MONOMIAL: coeff}, eps_order, num_components)
+            return cls({ONE_MONOMIAL: value}, eps_order, num_components)
+        value = _as_fraction(value)
+        return cls._from_flat({(ONE_MONOMIAL, 0): value} if value else {},
+                              eps_order, num_components)
 
     @classmethod
     def monomial(cls, mon: Monomial, coeff: EpsPoly, eps_order: int,
@@ -108,51 +162,40 @@ class DiffPoly:
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._flat
 
     def is_constant(self) -> bool:
-        return all(m == ONE_MONOMIAL for m in self.terms)
+        return all(m == ONE_MONOMIAL for m, _ in self._flat)
 
     def constant_value(self) -> EpsPoly:
         """The coefficient of the empty monomial."""
-        return self.terms.get(ONE_MONOMIAL, EpsPoly.zero(self.eps_order))
+        return EpsPoly([self._flat.get((ONE_MONOMIAL, e), 0)
+                        for e in range(self.eps_order + 1)])
 
     def rational_constant(self) -> Optional[Fraction]:
         """This polynomial as a pure rational number, or None."""
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
+        if any(key != (ONE_MONOMIAL, 0) for key in self._flat):
             return None
-        coeff = self.constant_value()
-        if any(c != 0 for c in coeff.coeffs[1:]):
-            return None
-        return coeff.coeffs[0]
+        return self._flat.get((ONE_MONOMIAL, 0), Fraction(0))
 
     def max_jet_order(self) -> int:
         """Highest derivative order present (-1 when jet-free)."""
-        return max((m.max_jet_order() for m in self.terms), default=-1)
+        return max((m.max_jet_order() for m, _ in self._flat), default=-1)
 
     def total_degree(self) -> int:
-        return max((m.degree() for m in self.terms), default=0)
+        return max((m.degree() for m, _ in self._flat), default=0)
 
     def jet_vars(self) -> set:
-        out = set()
-        for m in self.terms:
-            for var, _ in m.jets:
-                out.add(var)
-        return out
+        return {var for m, _ in self._flat for var, _ in m.jets}
 
     def has_jets(self) -> bool:
-        return any(m.jets for m in self.terms)
+        return any(m.jets for m, _ in self._flat)
 
     def eps_component(self, degree: int) -> "DiffPoly":
         """The coefficient of eps^degree, as a polynomial of the same order."""
-        out = {}
-        for mon, coeff in self.terms.items():
-            c = coeff.coeffs[degree]
-            if c != 0:
-                out[mon] = EpsPoly.from_rational(c, self.eps_order)
-        return DiffPoly(out, self.eps_order, self.num_components)
+        return DiffPoly._from_flat(
+            {(m, 0): c for (m, e), c in self._flat.items() if e == degree},
+            self.eps_order, self.num_components)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -175,19 +218,16 @@ class DiffPoly:
         if other is None:
             return NotImplemented
         q = self._check_compat(other)
-        terms = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            if mon in terms:
-                terms[mon] = terms[mon] + coeff
-            else:
-                terms[mon] = coeff
-        return DiffPoly(terms, self.eps_order, q)
+        flat = dict(self._flat)
+        for key, c in other._flat.items():
+            _accumulate(flat, key, c)
+        return DiffPoly._from_flat(flat, self.eps_order, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()},
-                        self.eps_order, self.num_components)
+        return DiffPoly._from_flat({k: -c for k, c in self._flat.items()},
+                                   self.eps_order, self.num_components)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -201,31 +241,30 @@ class DiffPoly:
             return NotImplemented
         return other + (-self)
 
+    def _scaled(self, r: Fraction) -> "DiffPoly":
+        flat = {k: c * r for k, c in self._flat.items()} if r else {}
+        return DiffPoly._from_flat(flat, self.eps_order, self.num_components)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(_as_fraction(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         q = self._check_compat(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                mon = m1.mul(m2)
-                if mon in terms:
-                    terms[mon] = terms[mon] + c
-                else:
-                    terms[mon] = c
-        return DiffPoly(terms, self.eps_order, q)
+        p = self.eps_order
+        flat: dict = {}
+        for (m1, e1), c1 in self._flat.items():
+            for (m2, e2), c2 in other._flat.items():
+                if e1 + e2 <= p:
+                    _accumulate(flat, (m1.mul(m2), e1 + e2), c1 * c2)
+        return DiffPoly._from_flat(flat, p, q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            r = Fraction(1, 1) / Fraction(other)
-            return DiffPoly({m: c.scale(r) for m, c in self.terms.items()},
-                            self.eps_order, self.num_components)
+            return self._scaled(1 / Fraction(other))
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -240,7 +279,7 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.eps_order == other.eps_order and self.terms == other.terms
+        return self.eps_order == other.eps_order and self._flat == other._flat
 
     def __repr__(self):
         from .printing import format_poly
@@ -249,7 +288,7 @@ class DiffPoly:
 
     def sort_key(self):
         """Deterministic structural key, used to canonicalize collections."""
-        return tuple(sorted((m, c.coeffs) for m, c in self.terms.items()))
+        return tuple(sorted((m, tuple(cs)) for m, cs in self._grouped().items()))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +307,8 @@ class Context:
         self.num_components = num_components
 
     def _mono(self, mon: Monomial) -> DiffPoly:
-        return DiffPoly.monomial(mon, EpsPoly.one(self.eps_order),
-                                 self.eps_order, self.num_components)
+        return DiffPoly._from_flat({(mon, 0): Fraction(1)}, self.eps_order,
+                                   self.num_components)
 
     @property
     def x(self) -> DiffPoly:
@@ -359,32 +398,25 @@ class Functional:
 # Calculus
 
 
+def _partial_monomial(mon: Monomial, var):
+    """d(mon)/d(var) as (factor, monomial), or None when var is absent."""
+    if var == "x":
+        return (mon.x, Monomial(mon.x - 1, mon.t, mon.jets)) if mon.x else None
+    if var == "t":
+        return (mon.t, Monomial(mon.x, mon.t - 1, mon.jets)) if mon.t else None
+    e = mon.exponent(var)
+    return (e, mon.with_exponent(var, e - 1)) if e else None
+
+
 def diff_partial(P: DiffPoly, var) -> DiffPoly:
     """Partial derivative with respect to 'x', 't' or a jet variable."""
-    terms: dict = {}
-    for mon, coeff in P.terms.items():
-        if var == "x":
-            if mon.x == 0:
-                continue
-            new = Monomial(mon.x - 1, mon.t, mon.jets)
-            factor = mon.x
-        elif var == "t":
-            if mon.t == 0:
-                continue
-            new = Monomial(mon.x, mon.t - 1, mon.jets)
-            factor = mon.t
-        else:
-            e = mon.exponent(var)
-            if e == 0:
-                continue
-            new = mon.with_exponent(var, e - 1)
-            factor = e
-        c = coeff.scale(factor)
-        if new in terms:
-            terms[new] = terms[new] + c
-        else:
-            terms[new] = c
-    return DiffPoly(terms, P.eps_order, P.num_components)
+    flat: dict = {}
+    for (mon, e), c in P._flat.items():
+        d = _partial_monomial(mon, var)
+        if d is not None:
+            factor, new = d
+            _accumulate(flat, (new, e), c if factor == 1 else c * factor)
+    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
 
 def _dx_monomial(mon: Monomial):
@@ -412,12 +444,11 @@ def _dx_monomial(mon: Monomial):
 
 def dx_total(P: DiffPoly) -> DiffPoly:
     """Total x-derivative: chain rule over x and every jet variable."""
-    terms: dict = {}
-    for mon, coeff in P.terms.items():
+    flat: dict = {}
+    for (mon, e), c in P._flat.items():
         for factor, new in _dx_monomial(mon):
-            c = coeff if factor == 1 else coeff.scale(factor)
-            terms[new] = terms[new] + c if new in terms else c
-    return DiffPoly(terms, P.eps_order, P.num_components)
+            _accumulate(flat, (new, e), c if factor == 1 else c * factor)
+    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
 
 def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
@@ -484,19 +515,17 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
 
 
 def _integrate_explicit_x(P: DiffPoly) -> DiffPoly:
-    terms = {}
-    for mon, coeff in P.terms.items():
-        new = Monomial(mon.x + 1, mon.t, mon.jets)
-        terms[new] = coeff.scale(Fraction(1, mon.x + 1))
-    return DiffPoly(terms, P.eps_order, P.num_components)
+    flat = {(Monomial(mon.x + 1, mon.t, mon.jets), e): c / (mon.x + 1)
+            for (mon, e), c in P._flat.items()}
+    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
 
 def _antiderivative_in(P: DiffPoly, var: JetVar) -> DiffPoly:
-    terms = {}
-    for mon, coeff in P.terms.items():
-        e = mon.exponent(var)
-        terms[mon.with_exponent(var, e + 1)] = coeff.scale(Fraction(1, e + 1))
-    return DiffPoly(terms, P.eps_order, P.num_components)
+    flat = {}
+    for (mon, e), c in P._flat.items():
+        k = mon.exponent(var)
+        flat[mon.with_exponent(var, k + 1), e] = c / (k + 1)
+    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
 
 def integrate_x(P: DiffPoly) -> DiffPoly:
@@ -521,7 +550,7 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
             raise NotExact("u-dependent remainder at jet order 0", P)
         var = (comp, order)
         lead = diff_partial(P, var)
-        if not all(m.exponent(var) == 0 for m in lead.terms):
+        if any(m.exponent(var) for m, _ in lead._flat):
             raise NotExact("nonlinear in the top-order jet", P)
         piece = _antiderivative_in(lead, (comp, order - 1))
         result = result + piece

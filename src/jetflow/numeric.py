@@ -22,6 +22,7 @@ MAX_RHS_JET_ORDER = 6
 MAX_DENSITY_JET_ORDER = 4
 MAX_POINTS = 2 ** 14
 MAX_STEPS = 10 ** 6
+MAX_SAVED_VALUES = 2 ** 24  # saved profiles x points: 128 MiB of float64
 
 
 @dataclass
@@ -69,11 +70,12 @@ class _Evaluator:
         order = max(poly.max_jet_order(), 0)
         if order > max_order:
             raise Unsupported(f"{what} jet order {order} exceeds {max_order}")
+        values: dict = {}
+        for (mon, e), c in poly._flat.items():
+            values[mon] = values.get(mon, 0.0) + float(c) * eps_value ** e
         x = grid.x_grid()
         self.terms = []
-        for mon, coeff in poly.terms.items():
-            value = sum(float(c) * eps_value ** i
-                        for i, c in enumerate(coeff.coeffs))
+        for mon, value in values.items():
             if value == 0.0:
                 continue
             if any(comp for (comp, _), _ in mon.jets):
@@ -122,18 +124,27 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
                   save_every: Optional[int] = None) -> Trajectory:
     """March u_t = K[u, eps] with RK4 and spectral space derivatives.
 
-    Raises ResourceLimit before allocating anything when the grid exceeds
-    MAX_POINTS or MAX_STEPS, and Diverged (with the offending step) as soon
+    A profile is kept every `save_every` steps (default: about 200 in all),
+    plus the first and the last.  Raises ValueError when `save_every` is
+    below 1, ResourceLimit before allocating anything when the grid exceeds
+    MAX_POINTS or MAX_STEPS or the kept profiles would hold more than
+    MAX_SAVED_VALUES floats, and Diverged (with the offending step) as soon
     as a non-finite value appears, which is how CFL violations surface.
     """
     nsteps = _checked_steps(grid)
+    if save_every is None:
+        save_every = max(1, nsteps // 200)
+    if save_every < 1:
+        raise ValueError("save_every must be at least 1")
+    saved = 1 + -(-nsteps // save_every)  # step 0, every save_every-th, the last
+    if saved * grid.points > MAX_SAVED_VALUES:
+        raise ResourceLimit(f"{saved} saved profiles of {grid.points} points "
+                            f"exceed the cap of {MAX_SAVED_VALUES} values")
     rhs = _Evaluator(sys.rhs[0], grid, grid.epsilon, MAX_RHS_JET_ORDER,
                      "right-hand side")
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (grid.points,):
         raise ValueError("initial profile length must match the grid")
-    if save_every is None:
-        save_every = max(1, nsteps // 200)
 
     u = ic.copy()
     times = [0.0]

@@ -27,12 +27,12 @@ def _normalize_nonlocal(pairs, eps_order):
     for a, b in pairs:
         if a.is_zero() or b.is_zero():
             continue
-        lead_mon = min(b.terms)
-        r = b.terms[lead_mon].lowest_coefficient()
+        # the coefficient of the smallest monomial at its lowest eps degree
+        r = b._flat[min(b._flat)]
         if r != 1:
             b = b / r
             a = a * r
-        key = tuple(sorted((m, c.coeffs) for m, c in b.terms.items()))
+        key = b.sort_key()
         if key in merged:
             prev_a, _ = merged[key]
             merged[key] = (prev_a + a, b)
@@ -164,8 +164,6 @@ class PseudoDiffOp:
 
         Constants commute with Dx^-1, so this is safe for nonlocal terms.
         """
-        if isinstance(factor, (int, Fraction)):
-            factor = EpsPoly.from_rational(factor, self.eps_order)
         return PseudoDiffOp({j: c * factor for j, c in self.local_terms.items()},
                             tuple((a * factor, b) for a, b in self.nonlocal_terms),
                             self.eps_order)
@@ -365,13 +363,8 @@ def reconstruct_density(g: DiffPoly) -> Functional:
     if not helmholtz_selfadjoint(g):
         obstruction = frechet(g) - adjoint(frechet(g))
         raise NotVariational("linearization is not self-adjoint", obstruction)
-    u = DiffPoly.monomial(Monomial(0, 0, (((0, 0), 1),)),
-                          EpsPoly.one(g.eps_order), g.eps_order,
-                          g.num_components)
-    density = DiffPoly.zero(g.eps_order, g.num_components)
-    for mon, coeff in g.terms.items():
-        share = Fraction(1, mon.jet_degree() + 1)
-        piece = DiffPoly.monomial(mon, coeff.scale(share), g.eps_order,
-                                  g.num_components)
-        density = density + u * piece
-    return Functional(density)
+    u = Monomial(0, 0, (((0, 0), 1),))
+    density = {(u.mul(mon), e): c / (mon.jet_degree() + 1)
+               for (mon, e), c in g._flat.items()}
+    return Functional(DiffPoly._from_flat(density, g.eps_order,
+                                          g.num_components))

@@ -114,27 +114,25 @@ def _term_str(mon: Monomial, coeff: EpsPoly, latex=False):
 
 def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
-    if P.is_zero():
+    terms = P.terms
+    if not terms:
         return "0"
     # factor a common pure eps^k out front when every term carries it
     degrees = set()
-    for coeff in P.terms.values():
+    for coeff in terms.values():
         single = _single_degree(coeff)
         degrees.add(single[0] if single else -1)
     prefix = ""
-    if len(P.terms) > 1 and len(degrees) == 1 and degrees != {-1} and degrees != {0}:
+    if len(terms) > 1 and len(degrees) == 1 and degrees != {-1} and degrees != {0}:
         k = degrees.pop()
         eps = "\\varepsilon" if latex else "eps"
         power = eps if k == 1 else (f"{eps}^{{{k}}}" if latex else f"{eps}^{k}")
         prefix = power + ("(" if latex else "*(")
-        stripped = {}
-        for mon, coeff in P.terms.items():
-            _, val = _single_degree(coeff)
-            stripped[mon] = EpsPoly.from_rational(val, P.eps_order)
-        P = DiffPoly(stripped, P.eps_order, P.num_components)
+        terms = {mon: EpsPoly.from_rational(_single_degree(coeff)[1], P.eps_order)
+                 for mon, coeff in terms.items()}
     out = []
-    for mon in sorted(P.terms):
-        neg, text = _term_str(mon, P.terms[mon], latex)
+    for mon in sorted(terms):
+        neg, text = _term_str(mon, terms[mon], latex)
         if not out:
             out.append(("-" if neg else "") + text)
         else:
@@ -147,8 +145,9 @@ def format_poly(P: DiffPoly, latex=False) -> str:
 
 def _coeff_factor(P: DiffPoly, latex=False):
     """A polynomial as a multiplicative factor: (negated, text)."""
-    if len(P.terms) == 1:
-        ((mon, coeff),) = P.terms.items()
+    terms = P.terms
+    if len(terms) == 1:
+        ((mon, coeff),) = terms.items()
         if _single_degree(coeff) is not None:
             return _term_str(mon, coeff, latex)
     return False, f"({format_poly(P, latex)})"

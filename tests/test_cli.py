@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -221,3 +222,14 @@ def test_validate_numeric_caps_exit_3(capsys):
                              flag, value)
         assert code == 3
         assert err.startswith("resource limit:")
+
+
+def test_parse_time_product_cap_exit_3(capsys, tmp_path):
+    model = tmp_path / "power.jf"
+    model.write_text(GARDNER_SOURCE + "char Q = (u + u_x + 1)^400;\n")
+    start = time.process_time()
+    code, _, err = run(capsys, "check-symmetry", str(model),
+                       "--char", "Q", "--system", "gardner")
+    assert code == 3
+    assert err.startswith("resource limit:")
+    assert time.process_time() - start < 5.0

@@ -1,7 +1,7 @@
 import pytest
 
-from jetflow import (ParseError, PseudoDiffOp, UnknownName, compose,
-                     parse_model, print_model)
+from jetflow import (ParseError, PseudoDiffOp, ResourceLimit, UnknownName,
+                     compose, parse_model, print_model)
 from jetflow.fixtures import FIXTURES, load_fixture
 
 
@@ -117,3 +117,14 @@ def test_fixture_round_trip(name):
 def test_print_deterministic():
     model = load_fixture("gardner")
     assert print_model(model) == print_model(load_fixture("gardner"))
+
+
+@pytest.mark.parametrize("text", [
+    "char Q = (u + u_x + 1)^400;",
+    "char Q = " + "*".join(["(u + u_x + 1)"] * 300) + ";",  # spelt out
+    "char Q = 2^100000;",
+    "operator A { Dx^100000 }",
+])
+def test_parse_time_products_are_capped(text):
+    with pytest.raises(ResourceLimit):
+        parse_model(text)

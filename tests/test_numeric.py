@@ -4,7 +4,7 @@ import pytest
 from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
                      ResourceLimit, Unsupported, integrate_pde, max_drift,
                      monitor_functional, sech_squared_profile)
-from jetflow.numeric import MAX_POINTS, MAX_STEPS
+from jetflow.numeric import MAX_POINTS, MAX_SAVED_VALUES, MAX_STEPS
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +228,16 @@ def test_step_and_point_caps_raise_before_allocating(gardner_sys):
         sech_squared_profile(wide)
     with pytest.raises(ResourceLimit):
         integrate_pde(gardner_sys, wide, np.zeros(16))
+
+
+def test_save_every_is_checked_before_allocating(gardner_sys, short_grid):
+    ic = sech_squared_profile(short_grid)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="save_every"):
+            integrate_pde(gardner_sys, short_grid, ic, save_every=bad)
+    # one profile more than the cap allows; the cap trips before the initial
+    # profile (here of the wrong length) is even looked at
+    steps = MAX_SAVED_VALUES // MAX_POINTS
+    grid = GridSpec(points=MAX_POINTS, dt=1.0, t_end=float(steps))
+    with pytest.raises(ResourceLimit):
+        integrate_pde(gardner_sys, grid, np.zeros(16), save_every=1)

@@ -1,0 +1,63 @@
+"""Metamorphic truncation property.
+
+Truncating Q[eps]/(eps^(p+1)) to Q[eps]/(eps^(q+1)) is a ring map, so every
+operation must commute with it: computing at p = 3 and truncating to q must
+equal computing at q from the truncated inputs.  The rest of the suite runs
+at p = 1 only.
+"""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from jetflow import (DiffPoly, NotExact, PseudoDiffOp, apply_op, compose,
+                     dx_total, euler1)
+
+from conftest import diff_polys, local_ops, nonlocal_ops
+
+HIGH = 3
+lower_orders = st.integers(0, HIGH - 1)
+
+
+def truncate(P, q):
+    return DiffPoly({m: c.truncate(q) for m, c in P.terms.items()}, q)
+
+
+def truncate_op(A, q):
+    return PseudoDiffOp(
+        {j: truncate(c, q) for j, c in A.local_terms.items()},
+        [(truncate(a, q), truncate(b, q)) for a, b in A.nonlocal_terms], q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_polys(order=HIGH), diff_polys(order=HIGH), lower_orders)
+def test_product_commutes_with_truncation(a, b, q):
+    assert truncate(a * b, q) == truncate(a, q) * truncate(b, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_polys(order=HIGH), lower_orders)
+def test_dx_total_commutes_with_truncation(p, q):
+    assert truncate(dx_total(p), q) == dx_total(truncate(p, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diff_polys(order=HIGH), lower_orders)
+def test_euler_commutes_with_truncation(p, q):
+    assert truncate(euler1(p), q) == euler1(truncate(p, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlocal_ops(order=HIGH), diff_polys(max_terms=2, order=HIGH),
+       lower_orders)
+def test_apply_op_commutes_with_truncation(A, p, q):
+    try:
+        image = apply_op(A, p)
+    except NotExact:
+        assume(False)
+    assert truncate(image, q) == apply_op(truncate_op(A, q), truncate(p, q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_ops(order=HIGH), nonlocal_ops(order=HIGH), lower_orders)
+def test_compose_commutes_with_truncation(A, B, q):
+    assert (truncate_op(compose(A, B), q)
+            == compose(truncate_op(A, q), truncate_op(B, q)))
