@@ -18,6 +18,7 @@ in operator position acts by multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
@@ -29,6 +30,15 @@ from .printing import format_operator, format_poly
 # Term pairs that the products of one declaration may multiply in all (a
 # power counts each of its products), so that no model file parses for long.
 MAX_PRODUCT_PAIRS = 2 ** 14
+# Bits that the largest numerator plus the largest denominator of the two
+# factors of one product may have together, so that no coefficient grows
+# huge; the fixtures' coefficients have a few bits each.
+MAX_COEFF_BITS = 2 ** 12
+# Digits of one integer literal (Python refuses to convert 4300 or more).
+MAX_LITERAL_DIGITS = 1000
+# The highest `set eps_order`: `eps` and every EpsPoly view of a coefficient
+# hold one slot per degree.
+MAX_EPS_ORDER = 64
 
 KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
 RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
@@ -40,11 +50,35 @@ def _size(value: Value) -> int:
     """Terms a product pairs up.  For an operator these are the terms of its
     coefficients, a*Dx^j counting j + 1 times for its Leibniz expansion."""
     if isinstance(value, DiffPoly):
-        return len(value._flat)
+        return max(1, len(value._flat))
     return max(1, sum((j + 1) * len(c._flat)
                       for j, c in value.local_terms.items())
                + sum(len(a._flat) + len(b._flat)
                      for a, b in value.nonlocal_terms))
+
+
+def _bits(value: Value) -> int:
+    """Bit length of the largest numerator plus that of the largest
+    denominator among the coefficients of a value."""
+    polys = ((value,) if isinstance(value, DiffPoly)
+             else (*value.local_terms.values(), *chain(*value.nonlocal_terms)))
+    top, den = 0, 1
+    for P in polys:
+        for c in P._flat.values():
+            if type(c) is not int:
+                den = max(den, c.denominator)
+                c = c.numerator
+            if abs(c) > top:
+                top = abs(c)
+    return top.bit_length() + den.bit_length()
+
+
+def _digits(text: str, line: int, column: int) -> str:
+    """An integer literal's digits, or ResourceLimit when there are too many."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        raise ResourceLimit(f"line {line}, column {column}: integer literal "
+                            f"longer than {MAX_LITERAL_DIGITS} digits")
+    return text
 
 
 @dataclass(frozen=True)
@@ -79,7 +113,8 @@ def tokenize(text: str) -> List[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
+            tokens.append(Token("INT", _digits(text[i:j], line, start_col),
+                                line, start_col))
             col += j - i
             i = j
             continue
@@ -97,7 +132,8 @@ def tokenize(text: str) -> List[Token]:
                     j += 1
                 if j == i + 1 or j >= n or text[j] != "}":
                     raise ParseError("malformed jet index after 'u{'", line, start_col)
-                tokens.append(Token("JET", text[i + 1:j], line, start_col))
+                index = _digits(text[i + 1:j], line, start_col)
+                tokens.append(Token("JET", index, line, start_col))
                 col += j + 1 - i
                 i = j + 1
                 continue
@@ -213,6 +249,10 @@ class _Parser:
                 self.fail("set eps_order must precede all declarations", key)
             if value < 0:
                 self.fail("eps_order must be non-negative", value_tok)
+            if value > MAX_EPS_ORDER:
+                raise ResourceLimit(f"line {value_tok.line}, column "
+                                    f"{value_tok.column}: eps_order {value} "
+                                    f"exceeds the cap {MAX_EPS_ORDER}")
             self.model.eps_order = value
             self.ctx = Context(eps_order=value)
         elif key.text == "max_jet_order":
@@ -381,11 +421,15 @@ class _Parser:
 
     def multiply(self, left: Value, right: Value) -> Value:
         """left * right, or ResourceLimit before multiplying when the current
-        declaration would pair up more than MAX_PRODUCT_PAIRS terms."""
+        declaration would pair up more than MAX_PRODUCT_PAIRS terms or the
+        coefficients of the factors have more than MAX_COEFF_BITS bits."""
         self.pairs += _size(left) * _size(right)
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise ResourceLimit(f"products in one declaration pair up more "
                                 f"than {MAX_PRODUCT_PAIRS} terms")
+        if _bits(left) + _bits(right) > MAX_COEFF_BITS:
+            raise ResourceLimit(f"the coefficients of a product have more "
+                                f"than {MAX_COEFF_BITS} bits")
         return left * right
 
     def promote_pair(self, left: Value, right: Value, add: bool) -> Value:

@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   diff_partial, dt_total, euler1, integrate_x,
+                   _exact, diff_partial, dt_total, euler1, integrate_x,
                    prolong_apply)
 from .hamiltonian import poisson_bracket
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
@@ -68,9 +68,16 @@ def check_symmetry(Q: DiffPoly, sys: EvolutionSystem, name: str = "symmetry") ->
     The residual is dQ/dt + D_Q(K) - D_K(Q); it vanishes modulo eps^(p+1)
     exactly when v_Q is an approximate symmetry.
     """
-    K = sys.rhs[0]
-    residual = diff_partial(Q, "t") + prolong_apply(K, Q) - prolong_apply(Q, K)
+    residual = _symmetry_residual([Q], [sys.rhs[0]])
     return CheckReport(name, residual.is_zero(), residual)
+
+
+def _symmetry_residual(q_tower: list, k_tower: list) -> DiffPoly:
+    """The check_symmetry residual of Q for u_t = K, from the D_x towers of
+    Q and K (lists starting at Q and at K, grown in place as needed)."""
+    Q, K = q_tower[0], k_tower[0]
+    return (diff_partial(Q, "t") + prolong_apply((k_tower,), Q)
+            - prolong_apply((q_tower,), K))
 
 
 def check_conservation(T: Functional, sys: EvolutionSystem,
@@ -115,14 +122,16 @@ def _monomial_basis(variables: Sequence, max_degree: int):
 def _solve_rational_system(rows):
     """Sparse Gaussian elimination over Fraction.
 
-    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->Fraction.
+    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational.
     Returns an index->Fraction solution with free variables at zero, or None
-    when the system is inconsistent.
+    when the system is inconsistent.  Entries are made Fractions on entry,
+    so that the divisions by pivots stay exact.
     """
     pivots: List[Tuple[int, Dict[int, Fraction], Fraction]] = []
     pivot_cols: Dict[int, int] = {}
     for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
+        coeffs = {c: Fraction(v) for c, v in coeffs.items()}
+        rhs = Fraction(rhs)
         for col, position in pivot_cols.items():
             if col in coeffs:
                 factor = coeffs.pop(col)
@@ -175,7 +184,7 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
         images: List[DiffPoly] = []
         for e in range(p + 1):
             for mon in monomials:
-                b = DiffPoly._from_flat({(mon, e): Fraction(1)}, p)
+                b = DiffPoly._from_flat({(mon, e): 1}, p)
                 try:
                     img = apply_op(D, b)
                 except NotExact:
@@ -188,11 +197,12 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
             for key, value in img._flat.items():
                 rows_map.setdefault(key, {})[i] = value
         keys = sorted(set(rows_map) | set(Q._flat))
-        rows = [(rows_map.get(k, {}), Q._flat.get(k, Fraction(0))) for k in keys]
+        rows = [(rows_map.get(k, {}), Q._flat.get(k, 0)) for k in keys]
         solution = _solve_rational_system(rows)
         if solution is None:
             continue
-        g = DiffPoly._from_flat({basis[i]: v for i, v in solution.items() if v}, p)
+        g = DiffPoly._from_flat({basis[i]: _exact(v)
+                                 for i, v in solution.items() if v}, p)
         try:
             if apply_op(D, g) == Q:
                 return g
@@ -291,8 +301,19 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     a non-exact application stops the iteration and is recorded in
     `stopped_at` together with its obstruction.  A seed that is not a
     symmetry raises NotASymmetry carrying its residual.
+
+    The D_x tower of each flow and of the system right-hand side is kept
+    (``towers[i]`` belongs to ``flows[i]``) and shared by every symmetry and
+    commutation check that uses it.
     """
-    seed_report = check_symmetry(seed, sys, "seed symmetry")
+    rhs_tower = [sys.rhs[0]]
+    towers = [[seed]]
+
+    def symmetry(i: int, k_tower: list, name: str) -> CheckReport:
+        residual = _symmetry_residual(towers[i], k_tower)
+        return CheckReport(name, residual.is_zero(), residual)
+
+    seed_report = symmetry(0, rhs_tower, "seed symmetry")
     if not seed_report.passed:
         raise NotASymmetry("hierarchy seed is not an approximate symmetry",
                            seed_report.residual)
@@ -334,7 +355,8 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
                     f"jet order {K.max_jet_order()} exceeds the cap {max_jet_order}"
                 )
             flows.append(K)
-            reports.append(check_symmetry(K, sys, f"symmetry K[{i}]"))
+            towers.append([K])
+            reports.append(symmetry(i, rhs_tower, f"symmetry K[{i}]"))
             if not invert(K, i):
                 break
 
@@ -346,10 +368,8 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
             reports.append(CheckReport(
                 f"involution_E {{H[{i}],H[{j}]}}",
                 poisson_bracket(F, G, second_op).is_null()))
-    for (i, F), (j, G) in combinations(enumerate(flows), 2):
-        reports.append(check_symmetry(
-            F, EvolutionSystem(G, name=f"flow K[{j}]"),
-            f"commutation [v[{i}],v[{j}]]"))
+    for i, j in combinations(range(len(flows)), 2):
+        reports.append(symmetry(i, towers[j], f"commutation [v[{i}],v[{j}]]"))
 
     return HierarchyResult(flows, functionals, stopped_at, reports,
                            assumptions=(NONDEGENERACY_ASSUMPTION,))

@@ -16,15 +16,15 @@ from typing import Mapping, Tuple
 
 from .errors import NotExact, Unsupported
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _accumulate, _dx_monomial, _partial_monomial, euler1,
-                   prolong_apply)
+                   _accumulate, _dx_monomial, _exact, _partial_monomial,
+                   euler1, prolong_apply)
 from .operators import (PseudoDiffOp, adjoint, apply_op, compose, frechet)
 from .ring import EpsPoly, _as_fraction
 
-# A multivector is stored flat like a DiffPoly: one Fraction per
-# (coefficient monomial, wedge of theta jets, eps degree), the wedge with
-# strictly increasing jet orders; the Koszul sign of sorting is absorbed into
-# the coefficient.
+# A multivector is stored flat like a DiffPoly: one rational (an int when
+# integral, else a Fraction) per (coefficient monomial, wedge of theta jets,
+# eps degree), the wedge with strictly increasing jet orders; the Koszul sign
+# of sorting is absorbed into the coefficient.
 WedgeKey = Tuple[Monomial, Tuple[int, ...]]
 
 
@@ -50,13 +50,13 @@ class MultiVector:
     Terms of different grades may coexist during intermediate arithmetic;
     grade is reported as the maximum wedge length present.  The constructor
     takes {(Monomial, wedge): EpsPoly}; ``terms`` gives that form back as a
-    read-only view of the flat {(Monomial, wedge, e): Fraction} map.
+    read-only view of the flat {(Monomial, wedge, e): rational} map.
     """
 
     __slots__ = ("_flat", "eps_order")
 
     def __init__(self, terms: Mapping[WedgeKey, EpsPoly], eps_order: int):
-        flat = {(mon, wedge, e): c
+        flat = {(mon, wedge, e): _exact(c)
                 for (mon, wedge), coeff in terms.items()
                 for e, c in enumerate(coeff.coeffs) if c}
         object.__setattr__(self, "_flat", flat)
@@ -115,9 +115,9 @@ class MultiVector:
         return self + (-other)
 
     def scale(self, r) -> "MultiVector":
-        r = _as_fraction(r)
+        r = _exact(_as_fraction(r))
         return MultiVector._from_flat(
-            {k: c * r for k, c in self._flat.items()} if r else {},
+            {k: _exact(c * r) for k, c in self._flat.items()} if r else {},
             self.eps_order)
 
     def wedge(self, other: "MultiVector") -> "MultiVector":

@@ -7,13 +7,17 @@ variables with coefficients in Q[eps]/(eps^(p+1)).  Total derivatives, the
 Euler operator, prolongation and formal integration all live here.
 
 Coefficients are stored flat: a polynomial is one map
-``{(Monomial, e): Fraction}`` from a monomial and an eps degree e <= p to a
-nonzero rational.  Every primitive here (and the operator, Hamiltonian,
-engine and numeric layers above) works on that map, and products drop
-degree pairs above p before multiplying.  :class:`~jetflow.ring.EpsPoly`
-stays the public scalar type: ``DiffPoly(terms, p)`` accepts a
-``{Monomial: EpsPoly}`` mapping and ``DiffPoly.terms`` gives one back as a
-derived read-only view.
+``{(Monomial, e): c}`` from a monomial and an eps degree e <= p to a
+nonzero rational c.  A coefficient is a Python ``int`` whenever it is
+integral and a ``Fraction`` with denominator > 1 otherwise, never a float,
+so the common integer case skips Fraction arithmetic.  Every division
+builds a ``Fraction`` first, because ``int / int`` is a float.  Every
+primitive here (and the operator, Hamiltonian, engine and numeric layers
+above) works on that map, and products drop degree pairs above p before
+multiplying.  :class:`~jetflow.ring.EpsPoly` stays the public scalar type:
+``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping and
+``DiffPoly.terms`` gives one back, Fraction-valued, as a derived read-only
+view.
 """
 
 from __future__ import annotations
@@ -69,29 +73,34 @@ class Monomial(NamedTuple):
 ONE_MONOMIAL = Monomial(0, 0, ())
 
 
-def _accumulate(flat: dict, key, c: Fraction) -> None:
+def _exact(c):
+    """A nonzero rational in stored form: an int when integral, else the
+    Fraction itself."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _accumulate(flat: dict, key, c) -> None:
     """flat[key] += c, deleting the key when the sum cancels."""
     prev = flat.get(key)
-    if prev is None:
-        flat[key] = c
-    else:
+    if prev is not None:
         c += prev
-        if c:
-            flat[key] = c
-        else:
+        if not c:
             del flat[key]
+            return
+    flat[key] = _exact(c)
 
 
 class DiffPoly:
     """A differential polynomial with coefficients in Q[eps]/(eps^(p+1)).
 
     Treated as immutable: every operation returns a new value, and equality
-    is term-map equality.  The terms are stored flat, one Fraction per
-    (monomial, eps degree) in a private map ``{(Monomial, e): Fraction}``
-    holding nonzero values only, so a term of a single eps degree costs one
-    rational and a product skips every pair of degrees above p.  ``terms``
-    groups that map into a read-only ``{Monomial: EpsPoly}`` view, built on
-    each access, for printing and for callers outside the package.
+    is term-map equality.  The terms are stored flat, one rational per
+    (monomial, eps degree) in a private map ``{(Monomial, e): c}`` holding
+    nonzero values only, each an int when integral and a Fraction
+    otherwise, so a term of a single eps degree costs one number and a
+    product skips every pair of degrees above p.  ``terms`` groups that map
+    into a read-only ``{Monomial: EpsPoly}`` view, built on each access, for
+    printing and for callers outside the package.
     """
 
     __slots__ = ("_flat", "eps_order", "num_components")
@@ -106,7 +115,7 @@ class DiffPoly:
                 )
             for e, c in enumerate(coeff.coeffs):
                 if c:
-                    flat[mon, e] = c
+                    flat[mon, e] = _exact(c)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
         object.__setattr__(self, "num_components", num_components)
@@ -114,7 +123,7 @@ class DiffPoly:
     @classmethod
     def _from_flat(cls, flat: dict, eps_order: int,
                    num_components: int = 1) -> "DiffPoly":
-        """Wrap a {(Monomial, e): Fraction} map of nonzero values as is."""
+        """Wrap a {(Monomial, e): c} map of nonzero stored values as is."""
         self = object.__new__(cls)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
@@ -125,7 +134,7 @@ class DiffPoly:
         raise AttributeError("DiffPoly is immutable")
 
     def _grouped(self) -> dict:
-        """{Monomial: [Fraction per eps degree]}, in first-appearance order."""
+        """{Monomial: [value per eps degree]}, in first-appearance order."""
         grouped: dict = {}
         zeros = [Fraction(0)] * (self.eps_order + 1)
         for (mon, e), c in self._flat.items():
@@ -150,7 +159,8 @@ class DiffPoly:
     def constant(cls, value, eps_order: int, num_components: int = 1) -> "DiffPoly":
         if isinstance(value, EpsPoly):
             return cls({ONE_MONOMIAL: value}, eps_order, num_components)
-        value = _as_fraction(value)
+        if type(value) is not int:
+            value = _exact(_as_fraction(value))
         return cls._from_flat({(ONE_MONOMIAL, 0): value} if value else {},
                               eps_order, num_components)
 
@@ -176,7 +186,7 @@ class DiffPoly:
         """This polynomial as a pure rational number, or None."""
         if any(key != (ONE_MONOMIAL, 0) for key in self._flat):
             return None
-        return self._flat.get((ONE_MONOMIAL, 0), Fraction(0))
+        return Fraction(self._flat.get((ONE_MONOMIAL, 0), 0))
 
     def max_jet_order(self) -> int:
         """Highest derivative order present (-1 when jet-free)."""
@@ -241,13 +251,14 @@ class DiffPoly:
             return NotImplemented
         return other + (-self)
 
-    def _scaled(self, r: Fraction) -> "DiffPoly":
-        flat = {k: c * r for k, c in self._flat.items()} if r else {}
+    def _scaled(self, r) -> "DiffPoly":
+        r = _exact(r)
+        flat = {k: _exact(c * r) for k, c in self._flat.items()} if r else {}
         return DiffPoly._from_flat(flat, self.eps_order, self.num_components)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(_as_fraction(other))
+            return self._scaled(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -307,7 +318,7 @@ class Context:
         self.num_components = num_components
 
     def _mono(self, mon: Monomial) -> DiffPoly:
-        return DiffPoly._from_flat({(mon, 0): Fraction(1)}, self.eps_order,
+        return DiffPoly._from_flat({(mon, 0): 1}, self.eps_order,
                                    self.num_components)
 
     @property
@@ -457,10 +468,15 @@ def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
     return P
 
 
-def _dx_tower(P: DiffPoly, n: int) -> list:
-    """[P, D_x P, ..., D_x^n P], each entry the derivative of the one before."""
-    tower = [P]
-    for _ in range(n):
+def _dx_tower(P: DiffPoly, n: int, tower: Optional[list] = None) -> list:
+    """[P, D_x P, ..., D_x^n P], each entry the derivative of the one before.
+
+    A given tower (a list starting at P) is grown in place to order n at
+    least and returned, so that its derivatives are computed only once.
+    """
+    if tower is None:
+        tower = [P]
+    while len(tower) <= n:
         tower.append(dx_total(tower[-1]))
     return tower
 
@@ -499,14 +515,19 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     """Apply the Frechet derivative of `target` to `direction`.
 
     Equals the action of the prolonged evolutionary field with
-    characteristic `direction` on `target`.
+    characteristic `direction` on `target`.  `direction` is one polynomial
+    or one per component; a component may also be given as its D_x tower,
+    a list as `_dx_tower` builds it, which grows in place to the jet
+    orders `target` needs, so that callers can share it.
     """
     if isinstance(direction, DiffPoly):
         direction = (direction,)
+    towers = [P if isinstance(P, list) else [P] for P in direction]
     tops: dict = {}
     for comp, order in target.jet_vars():
         tops[comp] = max(order, tops.get(comp, 0))
-    towers = {comp: _dx_tower(direction[comp], top) for comp, top in tops.items()}
+    for comp, top in tops.items():
+        _dx_tower(towers[comp][0], top, towers[comp])
     out = DiffPoly.zero(target.eps_order, target.num_components)
     for var in target.jet_vars():
         comp, order = var
@@ -515,7 +536,8 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
 
 
 def _integrate_explicit_x(P: DiffPoly) -> DiffPoly:
-    flat = {(Monomial(mon.x + 1, mon.t, mon.jets), e): c / (mon.x + 1)
+    flat = {(Monomial(mon.x + 1, mon.t, mon.jets), e):
+            _exact(Fraction(c, mon.x + 1)) if mon.x else c
             for (mon, e), c in P._flat.items()}
     return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
@@ -524,7 +546,8 @@ def _antiderivative_in(P: DiffPoly, var: JetVar) -> DiffPoly:
     flat = {}
     for (mon, e), c in P._flat.items():
         k = mon.exponent(var)
-        flat[mon.with_exponent(var, k + 1), e] = c / (k + 1)
+        flat[mon.with_exponent(var, k + 1), e] = (
+            _exact(Fraction(c, k + 1)) if k else c)
     return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
 
 

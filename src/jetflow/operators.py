@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch, Unsupported
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _dx_tower,
-                   diff_partial, dt_total, dx_total, integrate_x)
+                   _exact, diff_partial, dt_total, dx_total, integrate_x)
 from .ring import EpsPoly
 
 
@@ -224,7 +224,7 @@ def _compose_local_local(j: int, a: DiffPoly, k: int, b: DiffPoly) -> Dict[int, 
     out: Dict[int, DiffPoly] = {}
     db = b
     for m in range(j + 1):
-        coeff = a * db if m == 0 else a * db * Fraction(comb(j, m))
+        coeff = a * db if m == 0 else a * db * comb(j, m)
         exp = j - m + k
         out[exp] = out.get(exp, DiffPoly.zero(a.eps_order)) + coeff
         db = dx_total(db)
@@ -306,7 +306,7 @@ def adjoint(A: PseudoDiffOp) -> PseudoDiffOp:
     local: Dict[int, DiffPoly] = {}
     for j, a in A.local_terms.items():
         # (-1)^j Dx^j o a expanded to coefficient-first normal form
-        sign = Fraction(-1) ** j
+        sign = (-1) ** j
         da = a
         for m in range(j + 1):
             coeff = da * (sign * comb(j, m))
@@ -364,7 +364,7 @@ def reconstruct_density(g: DiffPoly) -> Functional:
         obstruction = frechet(g) - adjoint(frechet(g))
         raise NotVariational("linearization is not self-adjoint", obstruction)
     u = Monomial(0, 0, (((0, 0), 1),))
-    density = {(u.mul(mon), e): c / (mon.jet_degree() + 1)
+    density = {(u.mul(mon), e): _exact(Fraction(c, mon.jet_degree() + 1))
                for (mon, e), c in g._flat.items()}
     return Functional(DiffPoly._from_flat(density, g.eps_order,
                                           g.num_components))

@@ -37,8 +37,11 @@ def burgers_sys(burgers):
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 
-rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
-                         max_denominator=3)
+# The 33 rationals in [-4, 4] with denominator at most 3, simplest first so
+# that examples shrink towards 0 (sampling is much cheaper than st.fractions).
+rationals = st.sampled_from(sorted(
+    {Fraction(n, d) for d in (1, 2, 3) for n in range(-4 * d, 4 * d + 1)},
+    key=lambda r: (r.denominator, abs(r), r < 0)))
 
 
 def eps_polys(order=P, nonzero=False):
@@ -58,14 +61,12 @@ def monomials(draw, max_jet_order=4, max_degree=3, with_xt=True):
         degree_budget -= x
         t = draw(st.integers(0, min(1, degree_budget)))
         degree_budget -= t
+    # the jet orders, one per factor, drawn as a single tuple
+    n = draw(st.integers(0, degree_budget))
+    orders = draw(st.tuples(*[st.integers(0, max_jet_order)] * n))
     jets = {}
-    while degree_budget > 0:
-        stop = draw(st.booleans())
-        if stop:
-            break
-        k = draw(st.integers(0, max_jet_order))
+    for k in orders:
         jets[(0, k)] = jets.get((0, k), 0) + 1
-        degree_budget -= 1
     return Monomial(x, t, tuple(sorted(jets.items())))
 
 

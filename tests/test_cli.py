@@ -233,3 +233,20 @@ def test_parse_time_product_cap_exit_3(capsys, tmp_path):
     assert code == 3
     assert err.startswith("resource limit:")
     assert time.process_time() - start < 5.0
+
+
+@pytest.mark.parametrize("line", [
+    "char Q = " + "1" * 5000 + "*u_x;",   # past Python's int-string limit
+    "set eps_order = 100000;",
+], ids=["long-literal", "huge-eps-order"])
+def test_parse_time_literal_and_eps_order_caps_exit_3(capsys, tmp_path, line):
+    model = tmp_path / "caps.jf"
+    source = GARDNER_SOURCE.replace("set eps_order = 1;", "")
+    model.write_text(line + "\n" + source)
+    start = time.process_time()
+    code, _, err = run(capsys, "check-symmetry", str(model),
+                       "--char", "Q3", "--system", "gardner")
+    assert code == 3
+    assert err.startswith("resource limit:")
+    assert "Traceback" not in err
+    assert time.process_time() - start < 2.0

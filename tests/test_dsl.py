@@ -2,6 +2,7 @@ import pytest
 
 from jetflow import (ParseError, PseudoDiffOp, ResourceLimit, UnknownName,
                      compose, parse_model, print_model)
+from jetflow import dsl
 from jetflow.fixtures import FIXTURES, load_fixture
 
 
@@ -128,3 +129,34 @@ def test_print_deterministic():
 def test_parse_time_products_are_capped(text):
     with pytest.raises(ResourceLimit):
         parse_model(text)
+
+
+def test_parse_time_coefficient_size_is_capped(monkeypatch):
+    # the last product of (2^3)^4 = 2^12 has 2^9 and 2^3 as factors, with
+    # 10 + 1 and 4 + 1 bits of numerator + denominator: 16 in all
+    monkeypatch.setattr(dsl, "MAX_COEFF_BITS", 16)
+    assert (parse_model("char Q = (2^3)^4*u;")
+            == parse_model("char Q = 4096*u;"))
+    assert parse_model("char Q = (2/3)^3;") == parse_model("char Q = 8/27;")
+    for text in ("char Q = (2^3)^5*u;", "char Q = (2/3)^6;",
+                 "operator A { (2^3)^5*Dx }"):
+        with pytest.raises(ResourceLimit):
+            parse_model(text)
+
+
+def test_zero_powers_are_capped():
+    # a zero factor has no terms, but each product still counts a pair
+    with pytest.raises(ResourceLimit):
+        parse_model("char Q = 0^100000;")
+
+
+def test_literals_and_eps_order_are_capped():
+    long = "1" * (dsl.MAX_LITERAL_DIGITS + 1)
+    for text in (f"char Q = {long}*u_x;", f"char Q = u{{{long}}};",
+                 f"set eps_order = {dsl.MAX_EPS_ORDER + 1};"):
+        with pytest.raises(ResourceLimit):
+            parse_model(text)
+    short = "1" * dsl.MAX_LITERAL_DIGITS
+    assert parse_model(f"char Q = {short}*u_x;") is not None
+    top = parse_model(f"set eps_order = {dsl.MAX_EPS_ORDER};")
+    assert top.eps_order == dsl.MAX_EPS_ORDER

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from jetflow import (Context, EpsPoly, EvolutionSystem,
@@ -209,3 +211,46 @@ def test_hierarchy_seed_that_is_not_a_symmetry(v, gardner, gardner_sys):
     assert err.value.obstruction == residual
     assert isinstance(err.value, JetflowError)
     assert isinstance(err.value, ValueError)
+
+
+def _fresh_symmetry_reports(flows, sys):
+    """The hierarchy's symmetry and commutation reports, each from a fresh
+    public check_symmetry call."""
+    names = ["seed symmetry"] + [f"symmetry K[{i}]"
+                                 for i in range(1, len(flows))]
+    reports = [check_symmetry(K, sys, name) for K, name in zip(flows, names)]
+    for (i, F), (j, G) in combinations(enumerate(flows), 2):
+        reports.append(check_symmetry(F, EvolutionSystem(G),
+                                      f"commutation [v[{i}],v[{j}]]"))
+    return reports
+
+
+def _assert_reports_match_fresh_checks(result, sys):
+    got = {r.name: r for r in result.reports}
+    for expected in _fresh_symmetry_reports(result.flows, sys):
+        report = got[expected.name]
+        assert report.passed == expected.passed, expected.name
+        assert report.residual == expected.residual, expected.name
+
+
+def test_hierarchy_tower_reuse_matches_fresh_checks(gardner, gardner_sys):
+    result = generate_hierarchy(gardner.operators["R"],
+                                gardner.characteristics["Kbar1"], 4,
+                                gardner.operators["D"], gardner_sys)
+    assert len(result.flows) == 5
+    _assert_reports_match_fresh_checks(result, gardner_sys)
+
+
+def test_hierarchy_tower_reuse_with_failing_checks(v):
+    # R = Dx o x o Dxi maps D_x(x^n u) to D_x(x^(n+1) u): every flow inverts
+    # through D_x, but no two flows commute and only the seed is a symmetry
+    # of u_t = u_xxx, so every residual but the seed's is nonzero and tells
+    # the flows apart.
+    R = PseudoDiffOp.from_poly(v.x) + PseudoDiffOp.dxi(1)
+    sys = EvolutionSystem(v.u3)
+    result = generate_hierarchy(R, v.u1, 3, v.Dx, sys)
+    assert result.flows[1] == v.u + v.x * v.u1
+    residuals = [r.residual for r in result.reports
+                 if r.name.startswith(("symmetry", "commutation"))]
+    assert sum(not r.is_zero() for r in residuals) == 9
+    _assert_reports_match_fresh_checks(result, sys)

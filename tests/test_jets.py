@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetflow import (Context, EvolutionSystem, Functional, NotExact,
                      NotVariational, OrderMismatch, diff_partial, dt_total,
                      dx_total, dx_total_n, euler1, helmholtz_selfadjoint,
                      integrate_x, prolong_apply, reconstruct_density,
-                     apply_op, frechet)
+                     apply_op, frechet, noether_inverse,
+                     solve_operator_equation)
 
 from conftest import diff_polys
 
@@ -177,3 +181,31 @@ def test_prolong_apply_matches_frechet_sum_oracle(q, p):
     for k in _jet_orders(p):
         expected = expected + diff_partial(p, (0, k)) * dx_total_n(q, k)
     assert prolong_apply(q, p) == expected
+
+
+# Stored coefficients are canonical: a nonzero int when integral, otherwise
+# a Fraction with denominator > 1, and never a float.
+
+def _canonical(P):
+    return all((type(c) is int and c != 0)
+               or (type(c) is Fraction and c.denominator > 1)
+               for c in P._flat.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_polys(), diff_polys(), st.integers(1, 6))
+def test_stored_coefficients_are_canonical(p, q, k):
+    results = [p, p * q, p + q, p - q, p / k, dx_total(p),
+               diff_partial(p, "x"), diff_partial(p, (0, 1)), euler1(p),
+               integrate_x(dx_total(p)),
+               reconstruct_density(euler1(p)).density]
+    for P in results:
+        assert _canonical(P), P._flat
+
+
+def test_ansatz_solution_coefficients_are_canonical(gardner):
+    # the bounded ansatz of `noether gardner --char Q2 --op E`
+    Q2, E = gardner.characteristics["Q2"], gardner.operators["E"]
+    g = solve_operator_equation(E, Q2)
+    assert g is not None and _canonical(g)
+    assert _canonical(noether_inverse(Q2, E).density)
