@@ -39,6 +39,12 @@ MAX_LITERAL_DIGITS = 1000
 # The highest `set eps_order`: `eps` and every EpsPoly view of a coefficient
 # hold one slot per degree.
 MAX_EPS_ORDER = 64
+# The highest jet order `u{k}` or `u_x...x` may name: a check builds D_x
+# towers up to the orders its operands hold, so a huge one would run for
+# minutes.  It leaves room for printed hierarchy flows to parse back: they
+# stay within `set max_jet_order` (12 by default, 24 for a seven-step
+# Gardner hierarchy).
+MAX_JET_INDEX = 64
 
 KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
 RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
@@ -364,7 +370,7 @@ class _Parser:
         if tok.kind == "INT":
             return self.ctx.const(int(tok.text))
         if tok.kind == "JET":
-            return self.ctx.u(int(tok.text))
+            return self.jet(int(tok.text), tok)
         if tok.kind == "PUNCT" and tok.text == "(":
             value = self.parse_expr()
             self.expect("PUNCT", ")")
@@ -380,7 +386,7 @@ class _Parser:
             if name == "u":
                 return self.ctx.u(0)
             if name.startswith("u_") and name[2:] and set(name[2:]) == {"x"}:
-                return self.ctx.u(len(name) - 2)
+                return self.jet(len(name) - 2, tok)
             if name == "Dx":
                 return PseudoDiffOp.dx(self.model.eps_order)
             if name == "Dxi":
@@ -391,12 +397,19 @@ class _Parser:
             if value is None:
                 raise UnknownName(name, tok.line, tok.column)
             if isinstance(value, EvolutionSystem):
-                return value.rhs[0]
+                return value.rhs
             if isinstance(value, Functional):
                 return value.density
             return value
         self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
                   tok, expected={"an expression"})
+
+    def jet(self, order: int, tok: Token) -> DiffPoly:
+        """u_order, or ResourceLimit above MAX_JET_INDEX."""
+        if order > MAX_JET_INDEX:
+            raise ResourceLimit(f"line {tok.line}, column {tok.column}: jet "
+                                f"order {order} exceeds the cap {MAX_JET_INDEX}")
+        return self.ctx.u(order)
 
     def binary(self, op: str, left: Value, right: Value) -> Value:
         try:
@@ -450,7 +463,7 @@ def print_model(model: ModelIR) -> str:
     lines = [f"set eps_order = {model.eps_order};",
              f"set max_jet_order = {model.max_jet_order};"]
     for name, system in model.systems.items():
-        lines.append(f"system {name} {{ rhs: {format_poly(system.rhs[0])}; }}")
+        lines.append(f"system {name} {{ rhs: {format_poly(system.rhs)}; }}")
     for name, op in model.operators.items():
         lines.append(f"operator {name} {{ {format_operator(op)} }}")
     for name, poly in model.characteristics.items():

@@ -68,7 +68,7 @@ def check_symmetry(Q: DiffPoly, sys: EvolutionSystem, name: str = "symmetry") ->
     The residual is dQ/dt + D_Q(K) - D_K(Q); it vanishes modulo eps^(p+1)
     exactly when v_Q is an approximate symmetry.
     """
-    residual = _symmetry_residual([Q], [sys.rhs[0]])
+    residual = _symmetry_residual([Q], [sys.rhs])
     return CheckReport(name, residual.is_zero(), residual)
 
 
@@ -76,8 +76,8 @@ def _symmetry_residual(q_tower: list, k_tower: list) -> DiffPoly:
     """The check_symmetry residual of Q for u_t = K, from the D_x towers of
     Q and K (lists starting at Q and at K, grown in place as needed)."""
     Q, K = q_tower[0], k_tower[0]
-    return (diff_partial(Q, "t") + prolong_apply((k_tower,), Q)
-            - prolong_apply((q_tower,), K))
+    return (diff_partial(Q, "t") + prolong_apply(k_tower, Q)
+            - prolong_apply(q_tower, K))
 
 
 def check_conservation(T: Functional, sys: EvolutionSystem,
@@ -178,7 +178,7 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
     else:
         order_tiers = [max_order]
     for order_bound in order_tiers:
-        variables = ["x", "t"] + [(0, k) for k in range(order_bound + 1)]
+        variables = ["x", "t", *range(order_bound + 1)]
         monomials = _monomial_basis(variables, degree_bound)
         basis: List[Tuple[Monomial, int]] = []
         images: List[DiffPoly] = []
@@ -253,7 +253,7 @@ def check_recursion_operator(R: PseudoDiffOp, sys: EvolutionSystem,
     operator equation; in action mode each seed characteristic is mapped
     through R and the image is checked to be a symmetry.
     """
-    K = sys.rhs[0]
+    K = sys.rhs
     if mode == "operator":
         DK = frechet(K)
         try:
@@ -306,7 +306,7 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     (``towers[i]`` belongs to ``flows[i]``) and shared by every symmetry and
     commutation check that uses it.
     """
-    rhs_tower = [sys.rhs[0]]
+    rhs_tower = [sys.rhs]
     towers = [[seed]]
 
     def symmetry(i: int, k_tower: list, name: str) -> CheckReport:

@@ -11,7 +11,6 @@ respect to theta vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Tuple
 
 from .errors import NotExact, Unsupported
@@ -49,8 +48,8 @@ class MultiVector:
 
     Terms of different grades may coexist during intermediate arithmetic;
     grade is reported as the maximum wedge length present.  The constructor
-    takes {(Monomial, wedge): EpsPoly}; ``terms`` gives that form back as a
-    read-only view of the flat {(Monomial, wedge, e): rational} map.
+    takes {(Monomial, wedge): EpsPoly} and stores it as a flat
+    {(Monomial, wedge, e): rational} map.
     """
 
     __slots__ = ("_flat", "eps_order")
@@ -71,13 +70,6 @@ class MultiVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
-
-    @property
-    def terms(self) -> Mapping[WedgeKey, EpsPoly]:
-        grouped: dict = {}
-        for (mon, wedge, e), c in self._flat.items():
-            grouped.setdefault((mon, wedge), [0] * (self.eps_order + 1))[e] = c
-        return MappingProxyType({k: EpsPoly(cs) for k, cs in grouped.items()})
 
     @classmethod
     def zero(cls, eps_order: int) -> "MultiVector":
@@ -158,11 +150,11 @@ class MultiVector:
                                 c if i % 2 == 0 else -c)
         return MultiVector._from_flat(flat, self.eps_order)
 
-    def diff_jet(self, var) -> "MultiVector":
-        """Partial derivative of the coefficients with respect to a u jet."""
+    def diff_jet(self, order: int) -> "MultiVector":
+        """Partial derivative of the coefficients with respect to u_order."""
         flat: dict = {}
         for (mon, wedge, e), c in self._flat.items():
-            d = _partial_monomial(mon, var)
+            d = _partial_monomial(mon, order)
             if d is not None:
                 factor, new = d
                 _accumulate(flat, (new, wedge, e), c if factor == 1 else c * factor)
@@ -172,7 +164,7 @@ class MultiVector:
         return {k for _, wedge, _ in self._flat for k in wedge}
 
     def jet_vars(self) -> set:
-        return {var for mon, _, _ in self._flat for var, _ in mon.jets}
+        return {k for mon, _, _ in self._flat for k, _ in mon.jets}
 
     def euler_theta(self) -> "MultiVector":
         """Graded Euler operator sum_k (-D_x)^k d/d(theta_k)."""
@@ -209,15 +201,12 @@ def prolong_theta(W: MultiVector, target: MultiVector) -> MultiVector:
     Each u-jet direction d/du_k in the coefficients of `target` is replaced
     by the k-th total derivative of W, wedged in from the left.
     """
-    jet_vars = sorted(target.jet_vars())
-    if any(comp != 0 for comp, _ in jet_vars):
-        raise Unsupported("multivector calculus is scalar in u")
     tower = [W]
     out = MultiVector.zero(target.eps_order)
-    for var in jet_vars:
-        while len(tower) <= var[1]:
+    for k in sorted(target.jet_vars()):
+        while len(tower) <= k:
             tower.append(tower[-1].dx())
-        out = out + tower[var[1]].wedge(target.diff_jet(var))
+        out = out + tower[k].wedge(target.diff_jet(k))
     return out
 
 
@@ -277,7 +266,7 @@ def flow_derivative_identity(D: PseudoDiffOp, sys: EvolutionSystem,
     mismatch is reported as False.
     """
     K = ham_vector_field(D, H)
-    if K != sys.rhs[0]:
+    if K != sys.rhs:
         return False
     DK = frechet(K)
     rhs = compose(DK, D) + compose(D, adjoint(DK))

@@ -1,10 +1,10 @@
 """Differential polynomials on the jet space of one spatial variable.
 
-A jet variable ``(alpha, k)`` stands for the k-th x-derivative of the
-dependent variable ``u^alpha`` (``u_0 = u``, ``u_1 = u_x``, ...).  A
-:class:`DiffPoly` is a finite sum of monomials in ``x``, ``t`` and jet
-variables with coefficients in Q[eps]/(eps^(p+1)).  Total derivatives, the
-Euler operator, prolongation and formal integration all live here.
+A jet variable is an int k, the k-th x-derivative of the dependent variable
+u (``u_0 = u``, ``u_1 = u_x``, ...).  A :class:`DiffPoly` is a finite sum
+of monomials in ``x``, ``t`` and jet variables with coefficients in
+Q[eps]/(eps^(p+1)).  Total derivatives, the Euler operator, prolongation
+and formal integration all live here.
 
 Coefficients are stored flat: a polynomial is one map
 ``{(Monomial, e): c}`` from a monomial and an eps degree e <= p to a
@@ -12,10 +12,10 @@ nonzero rational c.  A coefficient is a Python ``int`` whenever it is
 integral and a ``Fraction`` with denominator > 1 otherwise, never a float,
 so the common integer case skips Fraction arithmetic.  Every division
 builds a ``Fraction`` first, because ``int / int`` is a float.  Every
-primitive here (and the operator, Hamiltonian, engine and numeric layers
-above) works on that map, and products drop degree pairs above p before
-multiplying.  :class:`~jetflow.ring.EpsPoly` stays the public scalar type:
-``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping and
+primitive here (and the operator, Hamiltonian, engine, numeric and printing
+layers above) works on that map, and products drop degree pairs above p
+before multiplying.  :class:`~jetflow.ring.EpsPoly` stays the public scalar
+type: ``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping and
 ``DiffPoly.terms`` gives one back, Fraction-valued, as a derived read-only
 view.
 """
@@ -24,26 +24,30 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .errors import NotExact, OrderMismatch
 from .ring import EpsPoly, _as_fraction
 
-JetVar = Tuple[int, int]  # (component, number of x-derivatives)
+JetVar = int  # number of x-derivatives of u
 
 
 class Monomial(NamedTuple):
-    """x^a * t^b * product of jet-variable powers (sorted, exponents > 0)."""
+    """x^a * t^b * product of jet-variable powers.
+
+    ``jets`` is ``((order, exp), ...)`` with strictly increasing orders and
+    exponents > 0.
+    """
 
     x: int
     t: int
-    jets: Tuple[Tuple[JetVar, int], ...]
+    jets: Tuple[Tuple[int, int], ...]
 
     def mul(self, other: "Monomial") -> "Monomial":
         merged = dict(self.jets)
-        for var, e in other.jets:
-            merged[var] = merged.get(var, 0) + e
-        jets = tuple(sorted((v, e) for v, e in merged.items() if e))
+        for k, e in other.jets:
+            merged[k] = merged.get(k, 0) + e
+        jets = tuple(sorted((k, e) for k, e in merged.items() if e))
         return Monomial(self.x + other.x, self.t + other.t, jets)
 
     def degree(self) -> int:
@@ -53,20 +57,20 @@ class Monomial(NamedTuple):
         return sum(e for _, e in self.jets)
 
     def max_jet_order(self) -> int:
-        return max((var[1] for var, _ in self.jets), default=-1)
+        return self.jets[-1][0] if self.jets else -1
 
-    def exponent(self, var: JetVar) -> int:
-        for v, e in self.jets:
-            if v == var:
+    def exponent(self, order: int) -> int:
+        for k, e in self.jets:
+            if k == order:
                 return e
         return 0
 
-    def with_exponent(self, var: JetVar, exp: int) -> "Monomial":
+    def with_exponent(self, order: int, exp: int) -> "Monomial":
         jets = dict(self.jets)
         if exp:
-            jets[var] = exp
+            jets[order] = exp
         else:
-            jets.pop(var, None)
+            jets.pop(order, None)
         return Monomial(self.x, self.t, tuple(sorted(jets.items())))
 
 
@@ -100,13 +104,12 @@ class DiffPoly:
     otherwise, so a term of a single eps degree costs one number and a
     product skips every pair of degrees above p.  ``terms`` groups that map
     into a read-only ``{Monomial: EpsPoly}`` view, built on each access, for
-    printing and for callers outside the package.
+    callers outside the package.
     """
 
-    __slots__ = ("_flat", "eps_order", "num_components")
+    __slots__ = ("_flat", "eps_order")
 
-    def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int,
-                 num_components: int = 1):
+    def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int):
         flat = {}
         for mon, coeff in terms.items():
             if coeff.order != eps_order:
@@ -118,25 +121,23 @@ class DiffPoly:
                     flat[mon, e] = _exact(c)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
-        object.__setattr__(self, "num_components", num_components)
 
     @classmethod
-    def _from_flat(cls, flat: dict, eps_order: int,
-                   num_components: int = 1) -> "DiffPoly":
+    def _from_flat(cls, flat: dict, eps_order: int) -> "DiffPoly":
         """Wrap a {(Monomial, e): c} map of nonzero stored values as is."""
         self = object.__new__(cls)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
-        object.__setattr__(self, "num_components", num_components)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
 
     def _grouped(self) -> dict:
-        """{Monomial: [value per eps degree]}, in first-appearance order."""
+        """{Monomial: [value per eps degree, 0 where absent]}, in
+        first-appearance order."""
         grouped: dict = {}
-        zeros = [Fraction(0)] * (self.eps_order + 1)
+        zeros = [0] * (self.eps_order + 1)
         for (mon, e), c in self._flat.items():
             if mon not in grouped:
                 grouped[mon] = list(zeros)
@@ -152,35 +153,22 @@ class DiffPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, eps_order: int, num_components: int = 1) -> "DiffPoly":
-        return cls._from_flat({}, eps_order, num_components)
+    def zero(cls, eps_order: int) -> "DiffPoly":
+        return cls._from_flat({}, eps_order)
 
     @classmethod
-    def constant(cls, value, eps_order: int, num_components: int = 1) -> "DiffPoly":
+    def constant(cls, value, eps_order: int) -> "DiffPoly":
         if isinstance(value, EpsPoly):
-            return cls({ONE_MONOMIAL: value}, eps_order, num_components)
+            return cls({ONE_MONOMIAL: value}, eps_order)
         if type(value) is not int:
             value = _exact(_as_fraction(value))
         return cls._from_flat({(ONE_MONOMIAL, 0): value} if value else {},
-                              eps_order, num_components)
-
-    @classmethod
-    def monomial(cls, mon: Monomial, coeff: EpsPoly, eps_order: int,
-                 num_components: int = 1) -> "DiffPoly":
-        return cls({mon: coeff}, eps_order, num_components)
+                              eps_order)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._flat
-
-    def is_constant(self) -> bool:
-        return all(m == ONE_MONOMIAL for m, _ in self._flat)
-
-    def constant_value(self) -> EpsPoly:
-        """The coefficient of the empty monomial."""
-        return EpsPoly([self._flat.get((ONE_MONOMIAL, e), 0)
-                        for e in range(self.eps_order + 1)])
 
     def rational_constant(self) -> Optional[Fraction]:
         """This polynomial as a pure rational number, or None."""
@@ -196,48 +184,45 @@ class DiffPoly:
         return max((m.degree() for m, _ in self._flat), default=0)
 
     def jet_vars(self) -> set:
-        return {var for m, _ in self._flat for var, _ in m.jets}
-
-    def has_jets(self) -> bool:
-        return any(m.jets for m, _ in self._flat)
+        """The jet orders present."""
+        return {k for m, _ in self._flat for k, _ in m.jets}
 
     def eps_component(self, degree: int) -> "DiffPoly":
         """The coefficient of eps^degree, as a polynomial of the same order."""
         return DiffPoly._from_flat(
             {(m, 0): c for (m, e), c in self._flat.items() if e == degree},
-            self.eps_order, self.num_components)
+            self.eps_order)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compat(self, other: "DiffPoly") -> int:
+    def _check_compat(self, other: "DiffPoly") -> None:
         if self.eps_order != other.eps_order:
             raise OrderMismatch(
                 f"mixed truncation orders {self.eps_order} and {other.eps_order}"
             )
-        return max(self.num_components, other.num_components)
 
     def _coerce(self, other):
         if isinstance(other, DiffPoly):
             return other
         if isinstance(other, (int, Fraction, EpsPoly)):
-            return DiffPoly.constant(other, self.eps_order, self.num_components)
+            return DiffPoly.constant(other, self.eps_order)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        q = self._check_compat(other)
+        self._check_compat(other)
         flat = dict(self._flat)
         for key, c in other._flat.items():
             _accumulate(flat, key, c)
-        return DiffPoly._from_flat(flat, self.eps_order, q)
+        return DiffPoly._from_flat(flat, self.eps_order)
 
     __radd__ = __add__
 
     def __neg__(self):
         return DiffPoly._from_flat({k: -c for k, c in self._flat.items()},
-                                   self.eps_order, self.num_components)
+                                   self.eps_order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -254,7 +239,7 @@ class DiffPoly:
     def _scaled(self, r) -> "DiffPoly":
         r = _exact(r)
         flat = {k: _exact(c * r) for k, c in self._flat.items()} if r else {}
-        return DiffPoly._from_flat(flat, self.eps_order, self.num_components)
+        return DiffPoly._from_flat(flat, self.eps_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -262,14 +247,14 @@ class DiffPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        q = self._check_compat(other)
+        self._check_compat(other)
         p = self.eps_order
         flat: dict = {}
         for (m1, e1), c1 in self._flat.items():
             for (m2, e2), c2 in other._flat.items():
                 if e1 + e2 <= p:
                     _accumulate(flat, (m1.mul(m2), e1 + e2), c1 * c2)
-        return DiffPoly._from_flat(flat, p, q)
+        return DiffPoly._from_flat(flat, p)
 
     __rmul__ = __mul__
 
@@ -281,7 +266,7 @@ class DiffPoly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = DiffPoly.constant(1, self.eps_order, self.num_components)
+        result = DiffPoly.constant(1, self.eps_order)
         for _ in range(n):
             result = result * self
         return result
@@ -309,17 +294,13 @@ class DiffPoly:
 class Context:
     """Factory for the atoms of the algebra at a fixed truncation order."""
 
-    def __init__(self, eps_order: int = 1, num_components: int = 1):
+    def __init__(self, eps_order: int = 1):
         if eps_order < 0:
             raise ValueError("eps_order must be non-negative")
-        if num_components < 1:
-            raise ValueError("need at least one dependent variable")
         self.eps_order = eps_order
-        self.num_components = num_components
 
     def _mono(self, mon: Monomial) -> DiffPoly:
-        return DiffPoly._from_flat({(mon, 0): 1}, self.eps_order,
-                                   self.num_components)
+        return DiffPoly._from_flat({(mon, 0): 1}, self.eps_order)
 
     @property
     def x(self) -> DiffPoly:
@@ -331,18 +312,15 @@ class Context:
 
     @property
     def eps(self) -> DiffPoly:
-        return DiffPoly.constant(EpsPoly.eps(self.eps_order),
-                                 self.eps_order, self.num_components)
+        return DiffPoly.constant(EpsPoly.eps(self.eps_order), self.eps_order)
 
-    def u(self, order: int = 0, component: int = 0) -> DiffPoly:
+    def u(self, order: int = 0) -> DiffPoly:
         if order < 0:
             raise ValueError("jet order must be non-negative")
-        if not 0 <= component < self.num_components:
-            raise ValueError("component index out of range")
-        return self._mono(Monomial(0, 0, (((component, order), 1),)))
+        return self._mono(Monomial(0, 0, ((order, 1),)))
 
     def const(self, value) -> DiffPoly:
-        return DiffPoly.constant(value, self.eps_order, self.num_components)
+        return DiffPoly.constant(value, self.eps_order)
 
     @property
     def one(self) -> DiffPoly:
@@ -350,7 +328,7 @@ class Context:
 
     @property
     def zero(self) -> DiffPoly:
-        return DiffPoly.zero(self.eps_order, self.num_components)
+        return DiffPoly.zero(self.eps_order)
 
 
 # ---------------------------------------------------------------------------
@@ -358,25 +336,14 @@ class Context:
 
 
 class EvolutionSystem:
-    """u_t = K[u, eps] with a differential-polynomial right-hand side."""
+    """u_t = K[u, eps] with one differential polynomial K as right-hand side."""
 
-    def __init__(self, rhs: Union[DiffPoly, Sequence[DiffPoly]], name: str = ""):
-        if isinstance(rhs, DiffPoly):
-            rhs = (rhs,)
-        rhs = tuple(rhs)
-        if not rhs:
-            raise ValueError("an evolution system needs at least one equation")
-        p = rhs[0].eps_order
-        for k in rhs:
-            if k.eps_order != p:
-                raise OrderMismatch("all right-hand sides must share the eps order")
+    def __init__(self, rhs: DiffPoly, name: str = ""):
+        if not isinstance(rhs, DiffPoly):
+            raise TypeError("the right-hand side must be one DiffPoly")
         self.rhs = rhs
-        self.eps_order = p
-        self.num_components = len(rhs)
+        self.eps_order = rhs.eps_order
         self.name = name
-
-    def component(self, alpha: int = 0) -> DiffPoly:
-        return self.rhs[alpha]
 
 
 class Functional:
@@ -392,11 +359,10 @@ class Functional:
 
     def equivalent(self, other: "Functional") -> bool:
         """Equality modulo im D_x, decided by the Euler operator."""
-        diff = self.density - other.density
-        return all(c.is_zero() for c in euler(diff))
+        return euler(self.density - other.density).is_zero()
 
     def is_null(self) -> bool:
-        return all(c.is_zero() for c in euler(self.density))
+        return euler(self.density).is_zero()
 
     def __repr__(self):
         from .printing import format_poly
@@ -420,14 +386,14 @@ def _partial_monomial(mon: Monomial, var):
 
 
 def diff_partial(P: DiffPoly, var) -> DiffPoly:
-    """Partial derivative with respect to 'x', 't' or a jet variable."""
+    """Partial derivative with respect to 'x', 't' or a jet order."""
     flat: dict = {}
     for (mon, e), c in P._flat.items():
         d = _partial_monomial(mon, var)
         if d is not None:
             factor, new = d
             _accumulate(flat, (new, e), c if factor == 1 else c * factor)
-    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
+    return DiffPoly._from_flat(flat, P.eps_order)
 
 
 def _dx_monomial(mon: Monomial):
@@ -440,15 +406,14 @@ def _dx_monomial(mon: Monomial):
     out = []
     if x:
         out.append((x, Monomial(x - 1, t, jets)))
-    for i, ((comp, k), e) in enumerate(jets):
-        head = jets[:i] + ((((comp, k), e - 1),) if e > 1 else ())
+    for i, (k, e) in enumerate(jets):
+        head = jets[:i] + (((k, e - 1),) if e > 1 else ())
         rest = jets[i + 1:]
-        bumped = (comp, k + 1)
         # jets are sorted, so an existing u_(k+1) factor comes right after u_k
-        if rest and rest[0][0] == bumped:
-            new = head + ((bumped, rest[0][1] + 1),) + rest[1:]
+        if rest and rest[0][0] == k + 1:
+            new = head + ((k + 1, rest[0][1] + 1),) + rest[1:]
         else:
-            new = head + ((bumped, 1),) + rest
+            new = head + ((k + 1, 1),) + rest
         out.append((e, Monomial(x, t, new)))
     return out
 
@@ -459,7 +424,7 @@ def dx_total(P: DiffPoly) -> DiffPoly:
     for (mon, e), c in P._flat.items():
         for factor, new in _dx_monomial(mon):
             _accumulate(flat, (new, e), c if factor == 1 else c * factor)
-    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
+    return DiffPoly._from_flat(flat, P.eps_order)
 
 
 def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
@@ -488,50 +453,35 @@ def dt_total(P: DiffPoly, sys: EvolutionSystem) -> DiffPoly:
     return diff_partial(P, "t") + prolong_apply(sys.rhs, P)
 
 
-def euler(P: DiffPoly) -> Tuple[DiffPoly, ...]:
-    """Variational derivative, one component per dependent variable.
+def euler(P: DiffPoly) -> DiffPoly:
+    """Variational derivative sum_k (-D_x)^k (dP/du_k).
 
-    Component alpha is sum_k (-D_x)^k (dP/du^alpha_k); it vanishes exactly
-    on total x-derivatives.  Evaluated in Horner form,
-    acc = dP/du^alpha_k - D_x(acc) from the top order down to 0.
+    It vanishes exactly on total x-derivatives.  Evaluated in Horner form,
+    acc = dP/du_k - D_x(acc) from the top order down to 0.
     """
-    out = []
-    for alpha in range(P.num_components):
-        top = max((var[1] for var in P.jet_vars() if var[0] == alpha),
-                  default=-1)
-        acc = diff_partial(P, (alpha, top))  # zero when top is -1
-        for k in range(top - 1, -1, -1):
-            acc = diff_partial(P, (alpha, k)) - dx_total(acc)
-        out.append(acc)
-    return tuple(out)
+    top = P.max_jet_order()
+    acc = diff_partial(P, top)  # zero when top is -1
+    for k in range(top - 1, -1, -1):
+        acc = diff_partial(P, k) - dx_total(acc)
+    return acc
 
 
-def euler1(P: DiffPoly) -> DiffPoly:
-    """Euler operator for the scalar (single-component) case."""
-    return euler(P)[0]
+euler1 = euler  # public alias
 
 
 def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     """Apply the Frechet derivative of `target` to `direction`.
 
     Equals the action of the prolonged evolutionary field with
-    characteristic `direction` on `target`.  `direction` is one polynomial
-    or one per component; a component may also be given as its D_x tower,
-    a list as `_dx_tower` builds it, which grows in place to the jet
-    orders `target` needs, so that callers can share it.
+    characteristic `direction` on `target`.  `direction` may also be given
+    as its D_x tower, a list as `_dx_tower` builds it, which grows in place
+    to the jet order `target` needs, so that callers can share it.
     """
-    if isinstance(direction, DiffPoly):
-        direction = (direction,)
-    towers = [P if isinstance(P, list) else [P] for P in direction]
-    tops: dict = {}
-    for comp, order in target.jet_vars():
-        tops[comp] = max(order, tops.get(comp, 0))
-    for comp, top in tops.items():
-        _dx_tower(towers[comp][0], top, towers[comp])
-    out = DiffPoly.zero(target.eps_order, target.num_components)
-    for var in target.jet_vars():
-        comp, order = var
-        out = out + diff_partial(target, var) * towers[comp][order]
+    tower = direction if isinstance(direction, list) else [direction]
+    _dx_tower(tower[0], target.max_jet_order(), tower)
+    out = DiffPoly.zero(target.eps_order)
+    for k in sorted(target.jet_vars()):
+        out = out + diff_partial(target, k) * tower[k]
     return out
 
 
@@ -539,16 +489,16 @@ def _integrate_explicit_x(P: DiffPoly) -> DiffPoly:
     flat = {(Monomial(mon.x + 1, mon.t, mon.jets), e):
             _exact(Fraction(c, mon.x + 1)) if mon.x else c
             for (mon, e), c in P._flat.items()}
-    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
+    return DiffPoly._from_flat(flat, P.eps_order)
 
 
-def _antiderivative_in(P: DiffPoly, var: JetVar) -> DiffPoly:
+def _antiderivative_in(P: DiffPoly, order: int) -> DiffPoly:
     flat = {}
     for (mon, e), c in P._flat.items():
-        k = mon.exponent(var)
-        flat[mon.with_exponent(var, k + 1), e] = (
+        k = mon.exponent(order)
+        flat[mon.with_exponent(order, k + 1), e] = (
             _exact(Fraction(c, k + 1)) if k else c)
-    return DiffPoly._from_flat(flat, P.eps_order, P.num_components)
+    return DiffPoly._from_flat(flat, P.eps_order)
 
 
 def integrate_x(P: DiffPoly) -> DiffPoly:
@@ -559,26 +509,19 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
     lowers the top order.  The jet-free remainder integrates termwise in x.
     """
     obstruction = euler(P)
-    if any(not c.is_zero() for c in obstruction):
-        raise NotExact("not a total x-derivative",
-                       obstruction[0] if len(obstruction) == 1 else obstruction)
-    result = DiffPoly.zero(P.eps_order, P.num_components)
+    if not obstruction.is_zero():
+        raise NotExact("not a total x-derivative", obstruction)
+    result = DiffPoly.zero(P.eps_order)
     while True:
-        top = max(((var[1], var[0]) for var in P.jet_vars()), default=None)
-        if top is None:
+        top = P.max_jet_order()
+        if top == -1:
             return result + _integrate_explicit_x(P)
-        order, comp = top
-        if order == 0:
+        if top == 0:
             # with a vanishing Euler operator this is unreachable; guard anyway
             raise NotExact("u-dependent remainder at jet order 0", P)
-        var = (comp, order)
-        lead = diff_partial(P, var)
-        if any(m.exponent(var) for m, _ in lead._flat):
+        lead = diff_partial(P, top)
+        if any(m.exponent(top) for m, _ in lead._flat):
             raise NotExact("nonlinear in the top-order jet", P)
-        piece = _antiderivative_in(lead, (comp, order - 1))
+        piece = _antiderivative_in(lead, top - 1)
         result = result + piece
         P = P - dx_total(piece)
-
-
-def max_jet_order(*polys: DiffPoly) -> int:
-    return max((p.max_jet_order() for p in polys), default=-1)

@@ -78,10 +78,8 @@ class _Evaluator:
         for mon, value in values.items():
             if value == 0.0:
                 continue
-            if any(comp for (comp, _), _ in mon.jets):
-                raise Unsupported("numeric evaluation is scalar in u")
             self.terms.append((value, x ** mon.x if mon.x else None, mon.t,
-                               tuple((o, e) for (_, o), e in mon.jets)))
+                               mon.jets))
         self.orders = sorted({o for *_, jets in self.terms for o, _ in jets}
                              - {0})
         # (i k)^m = i^m k^m; odd orders drop the Nyquist mode so that odd
@@ -140,7 +138,7 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
     if saved * grid.points > MAX_SAVED_VALUES:
         raise ResourceLimit(f"{saved} saved profiles of {grid.points} points "
                             f"exceed the cap of {MAX_SAVED_VALUES} values")
-    rhs = _Evaluator(sys.rhs[0], grid, grid.epsilon, MAX_RHS_JET_ORDER,
+    rhs = _Evaluator(sys.rhs, grid, grid.epsilon, MAX_RHS_JET_ORDER,
                      "right-hand side")
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (grid.points,):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .errors import ClosureError, NotVariational, OrderMismatch, Unsupported
+from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _dx_tower,
                    _exact, diff_partial, dt_total, dx_total, integrate_x)
 from .ring import EpsPoly
@@ -64,8 +64,6 @@ class PseudoDiffOp:
         for c in coeffs:
             if c.eps_order != eps_order:
                 raise OrderMismatch("operator coefficients must share the eps order")
-            if c.num_components != 1 or any(v[0] != 0 for v in c.jet_vars()):
-                raise Unsupported("operators are scalar: single-component coefficients only")
         clean = {j: c for j, c in local.items() if not c.is_zero()}
         if any(j < 0 for j in clean):
             raise ValueError("local exponents must be non-negative; use Dxi for Dx^-1")
@@ -206,7 +204,7 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     """
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
-    out = DiffPoly.zero(Q.eps_order, Q.num_components)
+    out = DiffPoly.zero(Q.eps_order)
     tower = _dx_tower(Q, A.max_local_order())
     for j, c in A.local_terms.items():
         out = out + c * tower[j]
@@ -338,13 +336,7 @@ def op_time_derivative(A: PseudoDiffOp, sys: EvolutionSystem) -> PseudoDiffOp:
 
 def frechet(P: DiffPoly) -> PseudoDiffOp:
     """The linearization sum_k (dP/du_k) Dx^k as a local operator."""
-    if P.num_components != 1 or any(v[0] != 0 for v in P.jet_vars()):
-        raise Unsupported("frechet operators are implemented for scalar u only")
-    local = {}
-    for var in P.jet_vars():
-        _, k = var
-        c = diff_partial(P, var)
-        local[k] = local.get(k, DiffPoly.zero(P.eps_order)) + c
+    local = {k: diff_partial(P, k) for k in sorted(P.jet_vars())}
     return PseudoDiffOp(local, (), P.eps_order)
 
 
@@ -363,8 +355,7 @@ def reconstruct_density(g: DiffPoly) -> Functional:
     if not helmholtz_selfadjoint(g):
         obstruction = frechet(g) - adjoint(frechet(g))
         raise NotVariational("linearization is not self-adjoint", obstruction)
-    u = Monomial(0, 0, (((0, 0), 1),))
+    u = Monomial(0, 0, ((0, 1),))
     density = {(u.mul(mon), e): _exact(Fraction(c, mon.jet_degree() + 1))
                for (mon, e), c in g._flat.items()}
-    return Functional(DiffPoly._from_flat(density, g.eps_order,
-                                          g.num_components))
+    return Functional(DiffPoly._from_flat(density, g.eps_order))

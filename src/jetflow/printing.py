@@ -6,26 +6,20 @@ parsing it back yields the same value.  Term order is deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .jets import DiffPoly, Monomial
 from .ring import EpsPoly
 
 
-def _jet_name(var, ascii_style=True):
-    comp, order = var
-    if comp == 0:
-        if order == 0:
-            return "u"
-        if not ascii_style:
-            return "u_x" if order == 1 else "u_{" + "x" * order + "}"
-        return "u_" + "x" * order if order <= 4 else f"u{{{order}}}"
-    # multi-component values never reach the DSL; label them unambiguously
-    base = f"u[{comp}]"
-    return base if order == 0 else f"{base}_{order}"
+def _jet_name(order, ascii_style=True):
+    if order == 0:
+        return "u"
+    if not ascii_style:
+        return "u_x" if order == 1 else "u_{" + "x" * order + "}"
+    return "u_" + "x" * order if order <= 4 else f"u{{{order}}}"
 
 
-def _frac_str(r: Fraction, latex=False) -> str:
+def _frac_str(r, latex=False) -> str:
+    """An int or a Fraction; str(n) == str(Fraction(n)) for an int n."""
     if latex and r.denominator != 1:
         sign = "-" if r < 0 else ""
         return f"{sign}\\frac{{{abs(r.numerator)}}}{{{r.denominator}}}"
@@ -34,9 +28,14 @@ def _frac_str(r: Fraction, latex=False) -> str:
 
 def format_eps_poly(c: EpsPoly, latex=False) -> str:
     """Render an eps polynomial, e.g. '8 + 22*eps' or '3/2'."""
+    return _format_coeffs(c.coeffs, latex)
+
+
+def _format_coeffs(coeffs, latex=False) -> str:
+    """Render the values of eps^0, eps^1, ... as one eps polynomial."""
     eps = "\\varepsilon" if latex else "eps"
     parts = []
-    for i, a in enumerate(c.coeffs):
+    for i, a in enumerate(coeffs):
         if a == 0:
             continue
         if i == 0:
@@ -67,16 +66,16 @@ def _monomial_factors(mon: Monomial, latex=False):
         factors.append("x" + (caret(mon.x) if mon.x > 1 else ""))
     if mon.t:
         factors.append("t" + (caret(mon.t) if mon.t > 1 else ""))
-    for var, e in mon.jets:
-        name = _jet_name(var, ascii_style=not latex)
+    for order, e in mon.jets:
+        name = _jet_name(order, ascii_style=not latex)
         factors.append(name + (caret(e) if e > 1 else ""))
     return factors
 
 
-def _single_degree(c: EpsPoly):
+def _single_degree(coeffs):
     """(degree, value) when exactly one eps coefficient is nonzero, else None."""
     found = None
-    for i, a in enumerate(c.coeffs):
+    for i, a in enumerate(coeffs):
         if a != 0:
             if found is not None:
                 return None
@@ -84,13 +83,14 @@ def _single_degree(c: EpsPoly):
     return found
 
 
-def _term_str(mon: Monomial, coeff: EpsPoly, latex=False):
-    """Render one term as (negated, text-without-sign)."""
+def _term_str(mon: Monomial, coeffs, latex=False):
+    """Render one term, given its value per eps degree, as
+    (negated, text-without-sign)."""
     mul = "" if latex else "*"
     factors = _monomial_factors(mon, latex)
-    single = _single_degree(coeff)
+    single = _single_degree(coeffs)
     if single is None:
-        inner = format_eps_poly(coeff, latex)
+        inner = _format_coeffs(coeffs, latex)
         core = f"({inner})"
         if factors:
             core += mul + mul.join(factors) if latex else "*" + "*".join(factors)
@@ -114,13 +114,13 @@ def _term_str(mon: Monomial, coeff: EpsPoly, latex=False):
 
 def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
-    terms = P.terms
+    terms = P._grouped()
     if not terms:
         return "0"
     # factor a common pure eps^k out front when every term carries it
     degrees = set()
-    for coeff in terms.values():
-        single = _single_degree(coeff)
+    for coeffs in terms.values():
+        single = _single_degree(coeffs)
         degrees.add(single[0] if single else -1)
     prefix = ""
     if len(terms) > 1 and len(degrees) == 1 and degrees != {-1} and degrees != {0}:
@@ -128,8 +128,8 @@ def format_poly(P: DiffPoly, latex=False) -> str:
         eps = "\\varepsilon" if latex else "eps"
         power = eps if k == 1 else (f"{eps}^{{{k}}}" if latex else f"{eps}^{k}")
         prefix = power + ("(" if latex else "*(")
-        terms = {mon: EpsPoly.from_rational(_single_degree(coeff)[1], P.eps_order)
-                 for mon, coeff in terms.items()}
+        terms = {mon: (_single_degree(coeffs)[1],)
+                 for mon, coeffs in terms.items()}
     out = []
     for mon in sorted(terms):
         neg, text = _term_str(mon, terms[mon], latex)
@@ -145,11 +145,11 @@ def format_poly(P: DiffPoly, latex=False) -> str:
 
 def _coeff_factor(P: DiffPoly, latex=False):
     """A polynomial as a multiplicative factor: (negated, text)."""
-    terms = P.terms
+    terms = P._grouped()
     if len(terms) == 1:
-        ((mon, coeff),) = terms.items()
-        if _single_degree(coeff) is not None:
-            return _term_str(mon, coeff, latex)
+        ((mon, coeffs),) = terms.items()
+        if _single_degree(coeffs) is not None:
+            return _term_str(mon, coeffs, latex)
     return False, f"({format_poly(P, latex)})"
 
 
@@ -166,15 +166,15 @@ def format_operator(A, latex=False) -> str:
             parts.append((text.startswith("-"), text.lstrip("-")))
             continue
         op = dx if j == 1 else (f"{dx}^{{{j}}}" if latex else f"{dx}^{j}")
-        if coeff == DiffPoly.constant(1, coeff.eps_order, coeff.num_components):
+        if coeff == DiffPoly.constant(1, coeff.eps_order):
             parts.append((False, op))
-        elif coeff == DiffPoly.constant(-1, coeff.eps_order, coeff.num_components):
+        elif coeff == DiffPoly.constant(-1, coeff.eps_order):
             parts.append((True, op))
         else:
             neg, text = _coeff_factor(coeff, latex)
             parts.append((neg, text + mul + op))
     for a, b in A.nonlocal_terms:
-        one = DiffPoly.constant(1, a.eps_order, a.num_components)
+        one = DiffPoly.constant(1, a.eps_order)
         neg = False
         text = dxi
         if a != one:

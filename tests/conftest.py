@@ -66,7 +66,7 @@ def monomials(draw, max_jet_order=4, max_degree=3, with_xt=True):
     orders = draw(st.tuples(*[st.integers(0, max_jet_order)] * n))
     jets = {}
     for k in orders:
-        jets[(0, k)] = jets.get((0, k), 0) + 1
+        jets[k] = jets.get(k, 0) + 1
     return Monomial(x, t, tuple(sorted(jets.items())))
 
 

@@ -58,7 +58,7 @@ def test_criterion_01_gardner_hamiltonian_forms(V):
     with criterion(1, "Gardner Hamiltonian forms (both structures, exact)"):
         density = V.u ** 3 + V.eps / 2 * V.u ** 4 + V.u1 ** 2 / 2
         grad = euler1(density)
-        K = V.gsys.rhs[0]
+        K = V.gsys.rhs
         assert grad == 3 * V.u ** 2 + 2 * V.eps * V.u ** 3 - V.u2
         assert dx_total(grad) == K
         assert apply_op(V.E, V.u) == K
@@ -110,7 +110,7 @@ def test_criterion_05_generated_hamiltonian_symmetry(V):
 def test_criterion_06_potential_burgers_recursion(V):
     with criterion(6, "potential Burgers: commutator identity, recursion "
                       "operators R1, R2, eps*R1, and R1(Q12), all exact"):
-        K = V.bsys.rhs[0]
+        K = V.bsys.rhs
         R1 = V.pb.operators["R1"]
         R2 = V.pb.operators["R2"]
         eps_u3 = PseudoDiffOp.from_poly(V.eps * V.u3)
@@ -158,7 +158,7 @@ def test_criterion_08_barred_hierarchy(V):
 def test_criterion_09_unbarred_hierarchy_obstruction(V):
     with criterion(9, "hierarchy from the Gardner RHS yields the printed K2 "
                       "and stops with a non-exactness obstruction"):
-        result = generate_hierarchy(V.R, V.gsys.rhs[0], 2,
+        result = generate_hierarchy(V.R, V.gsys.rhs, 2,
                                     V.g.operators["D"], V.gsys)
         assert len(result.flows) == 2
         assert result.flows[1].eps_component(1) == (

@@ -250,3 +250,16 @@ def test_parse_time_literal_and_eps_order_caps_exit_3(capsys, tmp_path, line):
     assert err.startswith("resource limit:")
     assert "Traceback" not in err
     assert time.process_time() - start < 2.0
+
+
+@pytest.mark.parametrize("atom", ["u{3000}", "u_" + "x" * 3000],
+                         ids=["indexed", "spelt-out"])
+def test_jet_index_cap_exit_3(capsys, tmp_path, atom):
+    model = tmp_path / "jet.jf"
+    model.write_text(GARDNER_SOURCE + f"char Qbig = {atom};\n")
+    start = time.process_time()
+    code, _, err = run(capsys, "check-symmetry", str(model),
+                       "--char", "Qbig", "--system", "gardner")
+    assert code == 3
+    assert err.startswith("resource limit:")
+    assert time.process_time() - start < 2.0

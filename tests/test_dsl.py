@@ -10,7 +10,7 @@ def test_parse_system_matches_handbuilt():
     model = parse_model("system gardner { rhs: 6*(u + eps*u^2)*u_x - u_xxx; }")
     ctx = model.context
     u, u1, u3, eps = ctx.u(0), ctx.u(1), ctx.u(3), ctx.eps
-    assert model.systems["gardner"].rhs[0] == 6 * (u + eps * u ** 2) * u1 - u3
+    assert model.systems["gardner"].rhs == 6 * (u + eps * u ** 2) * u1 - u3
 
 
 def test_parse_operator_matches_handbuilt():
@@ -160,3 +160,13 @@ def test_literals_and_eps_order_are_capped():
     assert parse_model(f"char Q = {short}*u_x;") is not None
     top = parse_model(f"set eps_order = {dsl.MAX_EPS_ORDER};")
     assert top.eps_order == dsl.MAX_EPS_ORDER
+
+
+def test_jet_index_is_capped(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_JET_INDEX", 3)
+    assert (parse_model("char Q = u{3} + u_xxx;")
+            == parse_model("char Q = 2*u_xxx;"))
+    for text in ("char Q = u{4};", "char Q = u_xxxx;",
+                 "operator A { u{4}*Dx }"):
+        with pytest.raises(ResourceLimit):
+            parse_model(text)

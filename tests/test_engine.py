@@ -39,7 +39,7 @@ def test_check_conservation(v, gardner, gardner_sys):
     # D_t(u_x) = D_x(u_t) makes u_x trivially conserved with flux -K
     r3 = check_conservation(Functional(v.u1), gardner_sys)
     assert r3.passed
-    assert r3.certificates["flux"] == -gardner_sys.rhs[0]
+    assert r3.certificates["flux"] == -gardner_sys.rhs
     # a density that is not conserved
     bad = check_conservation(Functional(v.u ** 3), gardner_sys)
     assert not bad.passed
@@ -105,7 +105,7 @@ def test_check_recursion_operator_modes(v, burgers, burgers_sys, gardner,
     seeds = [gardner.characteristics[n] for n in ("Q1", "Q4", "Kbar1")]
     report = check_recursion_operator(R, gardner_sys, mode="action", seeds=seeds)
     assert report.passed
-    assert report.certificates["images"][0] == gardner_sys.rhs[0]
+    assert report.certificates["images"][0] == gardner_sys.rhs
     with pytest.raises(ValueError):
         check_recursion_operator(R, gardner_sys, mode="action", seeds=[])
     with pytest.raises(ValueError):
@@ -149,7 +149,7 @@ def test_generate_hierarchy_barred(v, gardner, gardner_sys):
 def test_generate_hierarchy_unbarred_stops(v, gardner, gardner_sys):
     R = gardner.operators["R"]
     D = gardner.operators["D"]
-    result = generate_hierarchy(R, gardner_sys.rhs[0], 2, D, gardner_sys)
+    result = generate_hierarchy(R, gardner_sys.rhs, 2, D, gardner_sys)
     assert len(result.flows) == 2
     eps_terms = result.flows[1].eps_component(1)
     assert eps_terms == (55 * v.u ** 3 * v.u1 - 39 * v.u * v.u1 * v.u2

@@ -29,7 +29,7 @@ def test_is_skew_adjoint(v, gardner):
 
 def test_ham_vector_field(v, gardner):
     E = gardner.operators["E"]
-    K = gardner.systems["gardner"].rhs[0]
+    K = gardner.systems["gardner"].rhs
     assert ham_vector_field(E, Functional(v.u ** 2 / 2)) == K
     H1 = Functional(v.u ** 3 + v.eps / 2 * v.u ** 4 + v.u1 ** 2 / 2)
     assert ham_vector_field(v.Dx, H1) == K

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from jetflow import (ClosureError, Context, EpsPoly,
-                     EvolutionSystem, NotExact, PseudoDiffOp, Unsupported,
+                     EvolutionSystem, NotExact, PseudoDiffOp,
                      adjoint, apply_op, commutator, compose, euler1,
                      frechet, op_time_derivative)
 
@@ -118,9 +118,11 @@ def test_nonlocal_normalization_merges_rational_multiples(v):
 
 
 def test_scalar_only(v):
-    multi = Context(eps_order=1, num_components=2)
-    with pytest.raises(Unsupported):
-        PseudoDiffOp.from_poly(multi.u(0, component=1))
+    with pytest.raises(TypeError):
+        Context(eps_order=1, num_components=2)
+    K = 6 * v.u * v.u1 - v.u3
+    with pytest.raises(TypeError):
+        EvolutionSystem([K, K])
 
 
 def test_operator_linear_structure(v):

@@ -25,7 +25,7 @@ def to_sympy(P):
     expr = sympy.Integer(0)
     for mon, coeff in P.terms.items():
         term = X ** mon.x * T ** mon.t
-        for (_, k), e in mon.jets:
+        for k, e in mon.jets:
             term *= sympy.diff(U, X, k) ** e
         expr += term * sum(sympy.Rational(c.numerator, c.denominator) * EPS ** i
                            for i, c in enumerate(coeff.coeffs))
