@@ -78,7 +78,7 @@ def cmd_noether(args) -> int:
     try:
         functional = noether_inverse(Q, D)
     except (NotInImage, NotVariational) as err:
-        report = CheckReport(name, False, getattr(err, "obstruction", None))
+        report = CheckReport(name, False, err.obstruction)
         return _finish([report], model, args)
     claws = []
     for sysname, system in model.systems.items():

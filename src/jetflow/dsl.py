@@ -39,11 +39,12 @@ MAX_LITERAL_DIGITS = 1000
 # The highest `set eps_order`: `eps` and every EpsPoly view of a coefficient
 # hold one slot per degree.
 MAX_EPS_ORDER = 64
-# The highest jet order `u{k}` or `u_x...x` may name: a check builds D_x
-# towers up to the orders its operands hold, so a huge one would run for
-# minutes.  It leaves room for printed hierarchy flows to parse back: they
-# stay within `set max_jet_order` (12 by default, 24 for a seven-step
-# Gardner hierarchy).
+# The highest jet order `u{k}` or `u_x...x` may name, and the highest
+# `set max_jet_order`: a check builds D_x towers up to the orders its
+# operands hold, so a huge one would run for minutes, and a flow of a higher
+# order could not be printed back into a model that parses.  It leaves room
+# for printed hierarchy flows (12 by default, 24 for a seven-step Gardner
+# hierarchy).
 MAX_JET_INDEX = 64
 
 KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
@@ -264,6 +265,10 @@ class _Parser:
         elif key.text == "max_jet_order":
             if value < 1:
                 self.fail("max_jet_order must be positive", value_tok)
+            if value > MAX_JET_INDEX:
+                raise ResourceLimit(f"line {value_tok.line}, column "
+                                    f"{value_tok.column}: max_jet_order {value} "
+                                    f"exceeds the cap {MAX_JET_INDEX}")
             self.model.max_jet_order = value
         else:
             self.fail(f"unknown setting {key.text!r}", key,

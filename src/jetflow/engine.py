@@ -19,6 +19,9 @@ from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         reconstruct_density)
 
 DEFAULT_MAX_JET_ORDER = 12
+# The most steps one hierarchy run may take.  Each Gardner step costs about
+# 2.7x the one before; ten steps from Kbar1 took 10.6 s of CPU (2-vCPU Xeon).
+MAX_HIERARCHY_STEPS = 10
 
 
 @dataclass
@@ -304,8 +307,12 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
 
     The D_x tower of each flow and of the system right-hand side is kept
     (``towers[i]`` belongs to ``flows[i]``) and shared by every symmetry and
-    commutation check that uses it.
+    commutation check that uses it.  More than MAX_HIERARCHY_STEPS steps
+    raise ResourceLimit before any work.
     """
+    if steps > MAX_HIERARCHY_STEPS:
+        raise ResourceLimit(f"{steps} hierarchy steps exceed the cap "
+                            f"{MAX_HIERARCHY_STEPS}")
     rhs_tower = [sys.rhs]
     towers = [[seed]]
 
@@ -333,7 +340,7 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         try:
             H = noether_inverse(K, D)
         except (NotInImage, NotVariational) as err:
-            stopped_at = (index, getattr(err, "obstruction", None))
+            stopped_at = (index, err.obstruction)
             return False
         H.name = f"H[{index}]"
         functionals.append(H)

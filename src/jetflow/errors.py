@@ -9,35 +9,31 @@ class OrderMismatch(JetflowError):
     """Arithmetic between values truncated at different epsilon orders."""
 
 
-class NotExact(JetflowError):
-    """An expression is not a total x-derivative.
-
-    Carries the Euler-operator obstruction when one is available.
-    """
+class _Obstructed(JetflowError):
+    """A failed check that carries its obstruction when one is available."""
 
     def __init__(self, message, obstruction=None):
         super().__init__(message)
         self.obstruction = obstruction
+
+
+class NotExact(_Obstructed):
+    """An expression is not a total x-derivative.
+
+    Carries the Euler-operator obstruction when one is available.
+    """
 
 
 class ClosureError(JetflowError):
     """An operator composition leaves the representable class."""
 
 
-class NotVariational(JetflowError):
+class NotVariational(_Obstructed):
     """A tuple of differential functions is not a variational derivative."""
 
-    def __init__(self, message, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
 
-
-class NotInImage(JetflowError):
+class NotInImage(_Obstructed):
     """A characteristic does not lie in the image of the given operator."""
-
-    def __init__(self, message, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
 
 
 class Unsupported(JetflowError, ValueError):
@@ -49,16 +45,12 @@ class Unsupported(JetflowError, ValueError):
     """
 
 
-class NotASymmetry(JetflowError, ValueError):
+class NotASymmetry(_Obstructed, ValueError):
     """A characteristic required to be a symmetry (a hierarchy seed) is not.
 
     Carries the symmetry residual.  Also a ValueError, so that callers
     catching ValueError for a bad seed keep working.
     """
-
-    def __init__(self, message, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
 
 
 class ResourceLimit(JetflowError):

@@ -15,15 +15,11 @@ from typing import Mapping, Tuple
 
 from .errors import NotExact, Unsupported
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _accumulate, _dx_monomial, _exact, _partial_monomial,
-                   euler1, prolong_apply)
-from .operators import (PseudoDiffOp, adjoint, apply_op, compose, frechet)
-from .ring import EpsPoly, _as_fraction
+                   diff_partial, dx_total, euler1, prolong_apply)
+from .operators import (PseudoDiffOp, _derive_coefficients, adjoint,
+                        apply_op, compose, frechet)
+from .ring import EpsPoly
 
-# A multivector is stored flat like a DiffPoly: one rational (an int when
-# integral, else a Fraction) per (coefficient monomial, wedge of theta jets,
-# eps degree), the wedge with strictly increasing jet orders; the Koszul sign
-# of sorting is absorbed into the coefficient.
 WedgeKey = Tuple[Monomial, Tuple[int, ...]]
 
 
@@ -46,25 +42,40 @@ def _sort_wedge(orders):
 class MultiVector:
     """A functional multivector: sum of f[u] * theta_{k1} ^ ... ^ theta_{kg}.
 
-    Terms of different grades may coexist during intermediate arithmetic;
-    grade is reported as the maximum wedge length present.  The constructor
-    takes {(Monomial, wedge): EpsPoly} and stores it as a flat
-    {(Monomial, wedge, e): rational} map.
+    Stored as a map {wedge: DiffPoly} holding one nonzero coefficient
+    polynomial per wedge of theta jet orders, each wedge strictly
+    increasing; the Koszul sign of sorting a wedge is folded into its
+    coefficient.  All arithmetic goes through DiffPoly.  Terms of different
+    grades may coexist during intermediate arithmetic.  The constructor
+    takes {(Monomial, wedge): EpsPoly}.
     """
 
-    __slots__ = ("_flat", "eps_order")
+    __slots__ = ("_parts", "eps_order")
 
     def __init__(self, terms: Mapping[WedgeKey, EpsPoly], eps_order: int):
-        flat = {(mon, wedge, e): _exact(c)
-                for (mon, wedge), coeff in terms.items()
-                for e, c in enumerate(coeff.coeffs) if c}
-        object.__setattr__(self, "_flat", flat)
+        by_wedge: dict = {}
+        for (mon, wedge), coeff in terms.items():
+            by_wedge.setdefault(wedge, {})[mon] = coeff
+        summed = MultiVector._summed(
+            ((1, wedge, DiffPoly(t, eps_order)) for wedge, t in by_wedge.items()),
+            eps_order)
+        object.__setattr__(self, "_parts", summed._parts)
         object.__setattr__(self, "eps_order", eps_order)
 
     @classmethod
-    def _from_flat(cls, flat: dict, eps_order: int) -> "MultiVector":
+    def _summed(cls, pieces, eps_order: int) -> "MultiVector":
+        """The sum of (sign, unsorted wedge, DiffPoly) pieces."""
+        parts: dict = {}
+        for sign, wedge, P in pieces:
+            wedge_sign, wedge = _sort_wedge(wedge)
+            if not wedge_sign or P.is_zero():
+                continue
+            if sign * wedge_sign < 0:
+                P = -P
+            parts[wedge] = parts[wedge] + P if wedge in parts else P
         self = object.__new__(cls)
-        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "_parts", {w: P for w, P in parts.items()
+                                            if not P.is_zero()})
         object.__setattr__(self, "eps_order", eps_order)
         return self
 
@@ -73,98 +84,76 @@ class MultiVector:
 
     @classmethod
     def zero(cls, eps_order: int) -> "MultiVector":
-        return cls._from_flat({}, eps_order)
+        return cls._summed((), eps_order)
 
     @classmethod
     def from_poly(cls, P: DiffPoly, wedge: Tuple[int, ...] = ()) -> "MultiVector":
-        sign, wedge = _sort_wedge(wedge)
-        return cls._from_flat({(mon, wedge, e): c if sign > 0 else -c
-                               for (mon, e), c in P._flat.items() if sign},
-                              P.eps_order)
+        return cls._summed([(1, wedge, P)], P.eps_order)
+
+    def _pieces(self, sign: int = 1):
+        return ((sign, wedge, P) for wedge, P in self._parts.items())
 
     def is_zero(self) -> bool:
-        return not self._flat
-
-    def grade(self) -> int:
-        return max((len(w) for _, w, _ in self._flat), default=0)
+        return not self._parts
 
     def __eq__(self, other):
         if not isinstance(other, MultiVector):
             return NotImplemented
-        return self.eps_order == other.eps_order and self._flat == other._flat
+        return self.eps_order == other.eps_order and self._parts == other._parts
 
     def __add__(self, other: "MultiVector") -> "MultiVector":
-        flat = dict(self._flat)
-        for key, c in other._flat.items():
-            _accumulate(flat, key, c)
-        return MultiVector._from_flat(flat, self.eps_order)
+        return MultiVector._summed([*self._pieces(), *other._pieces()],
+                                   self.eps_order)
 
     def __neg__(self):
-        return MultiVector._from_flat({k: -c for k, c in self._flat.items()},
-                                      self.eps_order)
+        return MultiVector._summed(self._pieces(-1), self.eps_order)
 
     def __sub__(self, other):
-        return self + (-other)
+        return MultiVector._summed([*self._pieces(), *other._pieces(-1)],
+                                   self.eps_order)
 
     def scale(self, r) -> "MultiVector":
-        r = _exact(_as_fraction(r))
-        return MultiVector._from_flat(
-            {k: _exact(c * r) for k, c in self._flat.items()} if r else {},
-            self.eps_order)
+        return MultiVector._summed(((1, w, P * r) for w, P in self._parts.items()),
+                                   self.eps_order)
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         """Exterior product; coefficients multiply, wedges concatenate."""
-        p = self.eps_order
-        flat: dict = {}
-        for (m1, w1, e1), c1 in self._flat.items():
-            for (m2, w2, e2), c2 in other._flat.items():
-                if e1 + e2 > p:
-                    continue
-                sign, wedge = _sort_wedge(w1 + w2)
-                if sign:
-                    _accumulate(flat, (m1.mul(m2), wedge, e1 + e2),
-                                c1 * c2 if sign > 0 else -(c1 * c2))
-        return MultiVector._from_flat(flat, p)
+        return MultiVector._summed(
+            ((1, w1 + w2, P1 * P2)
+             for w1, P1 in self._parts.items()
+             for w2, P2 in other._parts.items() if set(w1).isdisjoint(w2)),
+            self.eps_order)
 
     # -- calculus ----------------------------------------------------------
 
     def dx(self) -> "MultiVector":
         """Total x-derivative, acting on coefficients and theta jets alike."""
-        flat: dict = {}
-        for (mon, wedge, e), c in self._flat.items():
-            for factor, new in _dx_monomial(mon):
-                _accumulate(flat, (new, wedge, e), c if factor == 1 else c * factor)
-            for i, k in enumerate(wedge):
-                sign, new_wedge = _sort_wedge(wedge[:i] + (k + 1,) + wedge[i + 1:])
-                if sign:
-                    _accumulate(flat, (mon, new_wedge, e), c if sign > 0 else -c)
-        return MultiVector._from_flat(flat, self.eps_order)
+        pieces = []
+        for wedge, P in self._parts.items():
+            pieces.append((1, wedge, dx_total(P)))
+            pieces.extend((1, wedge[:i] + (k + 1,) + wedge[i + 1:], P)
+                          for i, k in enumerate(wedge))
+        return MultiVector._summed(pieces, self.eps_order)
 
     def diff_theta(self, k: int) -> "MultiVector":
         """Graded left derivative with respect to theta_k."""
-        flat: dict = {}
-        for (mon, wedge, e), c in self._flat.items():
-            for i, w in enumerate(wedge):
-                if w == k:
-                    _accumulate(flat, (mon, wedge[:i] + wedge[i + 1:], e),
-                                c if i % 2 == 0 else -c)
-        return MultiVector._from_flat(flat, self.eps_order)
+        return MultiVector._summed(
+            ((-1 if i % 2 else 1, wedge[:i] + wedge[i + 1:], P)
+             for wedge, P in self._parts.items()
+             for i, w in enumerate(wedge) if w == k),
+            self.eps_order)
 
     def diff_jet(self, order: int) -> "MultiVector":
         """Partial derivative of the coefficients with respect to u_order."""
-        flat: dict = {}
-        for (mon, wedge, e), c in self._flat.items():
-            d = _partial_monomial(mon, order)
-            if d is not None:
-                factor, new = d
-                _accumulate(flat, (new, wedge, e), c if factor == 1 else c * factor)
-        return MultiVector._from_flat(flat, self.eps_order)
+        return MultiVector._summed(
+            ((1, wedge, diff_partial(P, order)) for wedge, P in self._parts.items()),
+            self.eps_order)
 
     def theta_orders(self) -> set:
-        return {k for _, wedge, _ in self._flat for k in wedge}
+        return {k for wedge in self._parts for k in wedge}
 
     def jet_vars(self) -> set:
-        return {k for mon, _, _ in self._flat for k, _ in mon.jets}
+        return set().union(*(P.jet_vars() for P in self._parts.values()))
 
     def euler_theta(self) -> "MultiVector":
         """Graded Euler operator sum_k (-D_x)^k d/d(theta_k)."""
@@ -183,10 +172,8 @@ def op_theta(A: PseudoDiffOp) -> MultiVector:
     """The grade-1 multivector A(theta) for a local operator."""
     if not A.is_local():
         raise Unsupported("multivector calculus supports local operators only")
-    out = MultiVector.zero(A.eps_order)
-    for j, c in A.local_terms.items():
-        out = out + MultiVector.from_poly(c, (j,))
-    return out
+    return MultiVector._summed(((1, (j,), c) for j, c in A.local_terms.items()),
+                               A.eps_order)
 
 
 def bivector_of(A: PseudoDiffOp) -> MultiVector:
@@ -270,10 +257,6 @@ def flow_derivative_identity(D: PseudoDiffOp, sys: EvolutionSystem,
         return False
     DK = frechet(K)
     rhs = compose(DK, D) + compose(D, adjoint(DK))
-    local = {j: prolong_apply(K, c) for j, c in D.local_terms.items()}
-    nonlocal_terms = []
-    for a, b in D.nonlocal_terms:
-        nonlocal_terms.append((prolong_apply(K, a), b))
-        nonlocal_terms.append((a, prolong_apply(K, b)))
-    lhs = PseudoDiffOp(local, nonlocal_terms, D.eps_order)
+    tower = [K]
+    lhs = _derive_coefficients(D, lambda c: prolong_apply(tower, c))
     return lhs == rhs

@@ -12,12 +12,13 @@ nonzero rational c.  A coefficient is a Python ``int`` whenever it is
 integral and a ``Fraction`` with denominator > 1 otherwise, never a float,
 so the common integer case skips Fraction arithmetic.  Every division
 builds a ``Fraction`` first, because ``int / int`` is a float.  Every
-primitive here (and the operator, Hamiltonian, engine, numeric and printing
-layers above) works on that map, and products drop degree pairs above p
-before multiplying.  :class:`~jetflow.ring.EpsPoly` stays the public scalar
-type: ``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping and
-``DiffPoly.terms`` gives one back, Fraction-valued, as a derived read-only
-view.
+primitive here works on that map, and products drop degree pairs above p
+before multiplying.  The operator, engine, numeric and printing layers
+read it; the multivector calculus is a map ``{wedge: DiffPoly}`` and does
+all of its arithmetic through DiffPoly.  :class:`~jetflow.ring.EpsPoly`
+stays the public scalar type: ``DiffPoly(terms, p)`` accepts a
+``{Monomial: EpsPoly}`` mapping and ``DiffPoly.terms`` gives one back,
+Fraction-valued, as a derived read-only view.
 """
 
 from __future__ import annotations
@@ -375,23 +376,18 @@ class Functional:
 # Calculus
 
 
-def _partial_monomial(mon: Monomial, var):
-    """d(mon)/d(var) as (factor, monomial), or None when var is absent."""
-    if var == "x":
-        return (mon.x, Monomial(mon.x - 1, mon.t, mon.jets)) if mon.x else None
-    if var == "t":
-        return (mon.t, Monomial(mon.x, mon.t - 1, mon.jets)) if mon.t else None
-    e = mon.exponent(var)
-    return (e, mon.with_exponent(var, e - 1)) if e else None
-
-
 def diff_partial(P: DiffPoly, var) -> DiffPoly:
     """Partial derivative with respect to 'x', 't' or a jet order."""
     flat: dict = {}
     for (mon, e), c in P._flat.items():
-        d = _partial_monomial(mon, var)
-        if d is not None:
-            factor, new = d
+        if var == "x":
+            factor, new = mon.x, Monomial(mon.x - 1, mon.t, mon.jets)
+        elif var == "t":
+            factor, new = mon.t, Monomial(mon.x, mon.t - 1, mon.jets)
+        else:
+            factor = mon.exponent(var)
+            new = mon.with_exponent(var, factor - 1) if factor else None
+        if factor:
             _accumulate(flat, (new, e), c if factor == 1 else c * factor)
     return DiffPoly._from_flat(flat, P.eps_order)
 

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _dx_tower,
-                   _exact, diff_partial, dt_total, dx_total, integrate_x)
+                   _exact, diff_partial, dt_total, integrate_x)
 from .ring import EpsPoly
 
 
@@ -217,102 +217,79 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
 # Composition
 
 
-def _compose_local_local(j: int, a: DiffPoly, k: int, b: DiffPoly) -> Dict[int, DiffPoly]:
-    """(a Dx^j) o (b Dx^k) by the Leibniz rule."""
-    out: Dict[int, DiffPoly] = {}
-    db = b
-    for m in range(j + 1):
-        coeff = a * db if m == 0 else a * db * comb(j, m)
-        exp = j - m + k
-        out[exp] = out.get(exp, DiffPoly.zero(a.eps_order)) + coeff
-        db = dx_total(db)
-    return out
+def _leibniz(j: int, b: DiffPoly):
+    """Dx^j o b = sum_m C(j, m) (D_x^m b) Dx^(j-m), as (j - m, coefficient)
+    pairs from one D_x tower of b."""
+    tower = _dx_tower(b, j)
+    return [(j - m, tower[m] * comb(j, m) if 0 < m < j else tower[m])
+            for m in range(j + 1)]
+
+
+def _collect(pairs) -> Dict[int, DiffPoly]:
+    """Sum (exponent, coefficient) pairs into {exponent: coefficient}."""
+    local: Dict[int, DiffPoly] = {}
+    for exp, coeff in pairs:
+        local[exp] = local[exp] + coeff if exp in local else coeff
+    return local
 
 
 def _compose_local_nonlocal(j: int, c: DiffPoly, a: DiffPoly, b: DiffPoly):
-    """(c Dx^j) o (a Dx^-1 b) -> (local dict, nonlocal list).
+    """(c Dx^j) o (a Dx^-1 b) -> (local pairs, one nonlocal term).
 
-    Uses Dx o (a Dx^-1 b) = a_x Dx^-1 b + a*b, peeling one Dx at a time.
+    Peeling one Dx at a time with Dx o (a Dx^-1 b) = a_x Dx^-1 b + a*b gives
+    Dx^j o (a Dx^-1 b) = sum_i Dx^(j-1-i) o (a^(i) b) + a^(j) Dx^-1 b.
     """
-    local: Dict[int, DiffPoly] = {}
-    nonlocal_terms = []
-    zero = DiffPoly.zero(c.eps_order)
-    while j > 0:
-        j -= 1
-        prod = _compose_local_local(j, c, 0, a * b)
-        for exp, coeff in prod.items():
-            local[exp] = local.get(exp, zero) + coeff
-        a = dx_total(a)
-    nonlocal_terms.append((c * a, b))
-    return local, nonlocal_terms
+    tower = _dx_tower(a, j)
+    pairs = [(exp, c * coeff) for i in range(j)
+             for exp, coeff in _leibniz(j - 1 - i, tower[i] * b)]
+    return pairs, (c * tower[j], b)
 
 
 def _compose_nonlocal_local(a: DiffPoly, b: DiffPoly, j: int, c: DiffPoly):
-    """(a Dx^-1 b) o (c Dx^j) -> (local dict, nonlocal list).
+    """(a Dx^-1 b) o (c Dx^j) -> (local pairs, one nonlocal term).
 
-    Uses Dx^-1 o (g Dx) = g - Dx^-1 o g_x to lower the right exponent.
+    Lowering the right exponent with Dx^-1 o (g Dx) = g - Dx^-1 o g_x gives
+    sum_i (-1)^i a (bc)^(i) Dx^(j-1-i) + (-1)^j a Dx^-1 (bc)^(j).
     """
-    local: Dict[int, DiffPoly] = {}
-    nonlocal_terms = []
-    zero = DiffPoly.zero(a.eps_order)
-    g = b * c
-    while j > 0:
-        j -= 1
-        local[j] = local.get(j, zero) + a * g
-        g = -dx_total(g)
-    nonlocal_terms.append((a, g))
-    return local, nonlocal_terms
+    tower = [-g if i % 2 else g for i, g in enumerate(_dx_tower(b * c, j))]
+    return [(j - 1 - i, a * tower[i]) for i in range(j)], (a, tower[j])
 
 
 def compose(A: PseudoDiffOp, B: PseudoDiffOp) -> PseudoDiffOp:
     """Operator composition A o B inside the representable class."""
     if A.eps_order != B.eps_order:
         raise OrderMismatch("mixed truncation orders")
-    p = A.eps_order
-    local: Dict[int, DiffPoly] = {}
+    if A.nonlocal_terms and B.nonlocal_terms:
+        from .printing import format_operator
+
+        raise ClosureError(
+            "composition of two nonlocal operators leaves the class: "
+            f"({format_operator(A)}) o ({format_operator(B)})"
+        )
+    pairs: list = []
     nonlocal_terms: list = []
-
-    def add_local(parts: Mapping[int, DiffPoly]):
-        for exp, coeff in parts.items():
-            local[exp] = local.get(exp, DiffPoly.zero(p)) + coeff
-
     for j, a in A.local_terms.items():
         for k, b in B.local_terms.items():
-            add_local(_compose_local_local(j, a, k, b))
-        for (c, d) in B.nonlocal_terms:
-            loc, nl = _compose_local_nonlocal(j, a, c, d)
-            add_local(loc)
-            nonlocal_terms.extend(nl)
-    for (a, b) in A.nonlocal_terms:
+            pairs.extend((exp + k, a * coeff) for exp, coeff in _leibniz(j, b))
+        for c, d in B.nonlocal_terms:
+            local, term = _compose_local_nonlocal(j, a, c, d)
+            pairs.extend(local)
+            nonlocal_terms.append(term)
+    for a, b in A.nonlocal_terms:
         for k, c in B.local_terms.items():
-            loc, nl = _compose_nonlocal_local(a, b, k, c)
-            add_local(loc)
-            nonlocal_terms.extend(nl)
-        if B.nonlocal_terms:
-            from .printing import format_operator
-
-            raise ClosureError(
-                "composition of two nonlocal operators leaves the class: "
-                f"({format_operator(A)}) o ({format_operator(B)})"
-            )
-    return PseudoDiffOp(local, nonlocal_terms, p)
+            local, term = _compose_nonlocal_local(a, b, k, c)
+            pairs.extend(local)
+            nonlocal_terms.append(term)
+    return PseudoDiffOp(_collect(pairs), nonlocal_terms, A.eps_order)
 
 
 def adjoint(A: PseudoDiffOp) -> PseudoDiffOp:
     """Formal adjoint: (a Dx^j)* = (-Dx)^j o a, (a Dx^-1 b)* = -b Dx^-1 a."""
-    p = A.eps_order
-    local: Dict[int, DiffPoly] = {}
-    for j, a in A.local_terms.items():
-        # (-1)^j Dx^j o a expanded to coefficient-first normal form
-        sign = (-1) ** j
-        da = a
-        for m in range(j + 1):
-            coeff = da * (sign * comb(j, m))
-            exp = j - m
-            local[exp] = local.get(exp, DiffPoly.zero(p)) + coeff
-            da = dx_total(da)
+    local = _collect((exp, -coeff if j % 2 else coeff)
+                     for j, a in A.local_terms.items()
+                     for exp, coeff in _leibniz(j, a))
     nonlocal_terms = tuple((-b, a) for a, b in A.nonlocal_terms)
-    return PseudoDiffOp(local, nonlocal_terms, p)
+    return PseudoDiffOp(local, nonlocal_terms, A.eps_order)
 
 
 def commutator(A: PseudoDiffOp, B: PseudoDiffOp) -> PseudoDiffOp:
@@ -320,14 +297,18 @@ def commutator(A: PseudoDiffOp, B: PseudoDiffOp) -> PseudoDiffOp:
     return compose(A, B) - compose(B, A)
 
 
+def _derive_coefficients(A: PseudoDiffOp, d) -> PseudoDiffOp:
+    """Apply the derivation d to every local coefficient of A, and by
+    Leibniz to both factors of each a Dx^-1 b."""
+    local = {j: d(c) for j, c in A.local_terms.items()}
+    nonlocal_terms = [term for a, b in A.nonlocal_terms
+                      for term in ((d(a), b), (a, d(b)))]
+    return PseudoDiffOp(local, nonlocal_terms, A.eps_order)
+
+
 def op_time_derivative(A: PseudoDiffOp, sys: EvolutionSystem) -> PseudoDiffOp:
     """Differentiate the operator's coefficients along the flow of the system."""
-    local = {j: dt_total(c, sys) for j, c in A.local_terms.items()}
-    nonlocal_terms = []
-    for a, b in A.nonlocal_terms:
-        nonlocal_terms.append((dt_total(a, sys), b))
-        nonlocal_terms.append((a, dt_total(b, sys)))
-    return PseudoDiffOp(local, nonlocal_terms, A.eps_order)
+    return _derive_coefficients(A, lambda c: dt_total(c, sys))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from jetflow import (Context, DiffPoly, EpsPoly, Monomial, PseudoDiffOp,
-                     adjoint, load_fixture)
+from jetflow import (Context, DiffPoly, EpsPoly, Monomial, MultiVector,
+                     PseudoDiffOp, adjoint, load_fixture)
 
 P = 1  # truncation order used throughout the suite
 
@@ -111,3 +111,16 @@ def nonlocal_ops(draw, order=P):
 
 def skew_ops(order=P):
     return local_ops(max_order=2, order=order).map(lambda A: A - adjoint(A))
+
+
+@st.composite
+def multivectors(draw, max_parts=3, max_grade=2, order=P):
+    """diff_polys coefficients on wedges of up to max_grade distinct theta
+    orders 0-3, drawn unsorted so that the Koszul sign is exercised."""
+    out = MultiVector.zero(order)
+    for _ in range(draw(st.integers(0, max_parts))):
+        wedge = draw(st.lists(st.integers(0, 3), unique=True,
+                              max_size=max_grade))
+        coeff = draw(diff_polys(max_terms=2, order=order))
+        out = out + MultiVector.from_poly(coeff, tuple(wedge))
+    return out

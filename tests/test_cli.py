@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +264,39 @@ def test_jet_index_cap_exit_3(capsys, tmp_path, atom):
     assert code == 3
     assert err.startswith("resource limit:")
     assert time.process_time() - start < 2.0
+
+
+@pytest.mark.parametrize("setting", ["set max_jet_order = 1000;",
+                                     "set max_jet_order = 64;"],
+                         ids=["jet-order", "steps"])
+def test_hierarchy_work_caps_exit_3(capsys, tmp_path, setting):
+    model = tmp_path / "deep.jf"
+    model.write_text(GARDNER_SOURCE + setting + "\n")
+    start = time.process_time()
+    code, _, err = run(capsys, "hierarchy", str(model), "--op", "R",
+                       "--seed", "Kbar1", "--steps", "40", "--dop", "D")
+    assert code == 3
+    assert err.startswith("resource limit:")
+    assert time.process_time() - start < 2.0
+
+
+# Byte-exact stdout of three commands, one per code path that a change of
+# representation could reorder or reformat: a hierarchy (JSON), the ansatz
+# Noether inversion (LaTeX) and the multivector pair check (text).  Replace a
+# file only for an intended change of the CLI output.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("hierarchy_gardner_R_Kbar1_steps4.json",
+     ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1", "--steps", "4",
+      "--dop", "D", "--format", "json"]),
+    ("noether_gardner_Q2_E.tex",
+     ["noether", "gardner", "--char", "Q2", "--op", "E", "--format", "latex"]),
+    ("check_pair_gardner_D_E.txt",
+     ["check-pair", "gardner", "--op1", "D", "--op2", "E", "--format", "text"]),
+], ids=["hierarchy-json", "noether-latex", "check-pair-text"])
+def test_golden_stdout(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -170,3 +170,10 @@ def test_jet_index_is_capped(monkeypatch):
                  "operator A { u{4}*Dx }"):
         with pytest.raises(ResourceLimit):
             parse_model(text)
+
+
+def test_max_jet_order_setting_is_capped():
+    cap = dsl.MAX_JET_INDEX
+    assert parse_model(f"set max_jet_order = {cap};").max_jet_order == cap
+    with pytest.raises(ResourceLimit):
+        parse_model(f"set max_jet_order = {cap + 1};")

@@ -8,7 +8,7 @@ from jetflow import (Context, EvolutionSystem, Functional,
                      in_involution, is_distinguished, is_skew_adjoint,
                      pair_check, poisson_bracket)
 
-from conftest import diff_polys, rationals, skew_ops
+from conftest import diff_polys, multivectors, rationals, skew_ops
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,18 @@ def test_multivector_sign_tracks_permutation_parity(perm):
                      if perm[i] > perm[j])
     expected = base if inversions % 2 == 0 else -base
     assert permuted == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(multivectors(), multivectors())
+def test_multivector_dx_is_a_derivation_of_the_wedge(A, B):
+    assert A.wedge(B).dx() == A.dx().wedge(B) + A.wedge(B.dx())
+
+
+@settings(max_examples=100, deadline=None)
+@given(multivectors())
+def test_multivector_dx_is_exact(A):
+    assert A.dx().is_exact()
 
 
 @settings(max_examples=60, deadline=None)

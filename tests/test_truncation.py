@@ -8,8 +8,8 @@ at p = 1 only.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from jetflow import (DiffPoly, NotExact, PseudoDiffOp, apply_op, compose,
-                     dx_total, euler1)
+from jetflow import (DiffPoly, NotExact, PseudoDiffOp, adjoint, apply_op,
+                     compose, dx_total, euler1)
 
 from conftest import diff_polys, local_ops, nonlocal_ops
 
@@ -61,3 +61,16 @@ def test_apply_op_commutes_with_truncation(A, p, q):
 def test_compose_commutes_with_truncation(A, B, q):
     assert (truncate_op(compose(A, B), q)
             == compose(truncate_op(A, q), truncate_op(B, q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlocal_ops(order=HIGH), local_ops(order=HIGH), lower_orders)
+def test_nonlocal_compose_commutes_with_truncation(A, B, q):
+    assert (truncate_op(compose(A, B), q)
+            == compose(truncate_op(A, q), truncate_op(B, q)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonlocal_ops(order=HIGH), lower_orders)
+def test_adjoint_commutes_with_truncation(A, q):
+    assert truncate_op(adjoint(A), q) == adjoint(truncate_op(A, q))
