@@ -3,6 +3,7 @@ correspondence, recursion-operator verification, and hierarchy generation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -13,15 +14,18 @@ from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
                    _exact, diff_partial, dt_total, euler1, integrate_x,
                    prolong_apply)
-from .hamiltonian import poisson_bracket
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
-                        frechet, helmholtz_selfadjoint, op_time_derivative,
-                        reconstruct_density)
+                        frechet, op_time_derivative, reconstruct_density)
 
 DEFAULT_MAX_JET_ORDER = 12
 # The most steps one hierarchy run may take.  Each Gardner step costs about
 # 2.7x the one before; ten steps from Kbar1 took 10.6 s of CPU (2-vCPU Xeon).
 MAX_HIERARCHY_STEPS = 10
+# The most monomials one order tier of the operator-inversion ansatz may
+# enumerate.  The built-in Gardner inversions need at most 126 (Qbar5
+# through E); inversions that reached tiers of 1001 and 3003 monomials took
+# about 2.4 and 14 s of CPU (2-vCPU Xeon).
+MAX_ANSATZ_MONOMIALS = 1024
 
 
 @dataclass
@@ -88,14 +92,16 @@ def check_conservation(T: Functional, sys: EvolutionSystem,
     """Approximate conservation of int T dx along the flow.
 
     Passes when D_t(T) is a total x-derivative; the certificate is the flux
-    X with D_t(T) + D_x(X) = 0.
+    X with D_t(T) + D_x(X) = 0.  A failure's residual is the Euler
+    derivative of D_t(T).
     """
     dens_dot = dt_total(T.density, sys)
-    obstruction = euler1(dens_dot)
-    if not obstruction.is_zero():
-        return CheckReport(name, False, obstruction)
-    flux = -integrate_x(dens_dot)
-    return CheckReport(name, True, obstruction, {"flux": flux})
+    try:
+        flux = -integrate_x(dens_dot)
+    except NotExact as err:
+        return CheckReport(name, False, err.obstruction)
+    return CheckReport(name, True, DiffPoly.zero(dens_dot.eps_order),
+                       {"flux": flux})
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +176,8 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
     The candidate space is spanned by eps^e times monomials in x, t and the
     jets up to the order bound.  Basis elements on which a nonlocal D fails
     to act are skipped; any solution found is verified by direct application
-    before being returned.
+    before being returned.  A tier of more than MAX_ANSATZ_MONOMIALS
+    monomials raises ResourceLimit before any of them is built.
     """
     p = Q.eps_order
     degree_bound = Q.total_degree() + 1 if max_degree is None else max_degree
@@ -182,6 +189,10 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
         order_tiers = [max_order]
     for order_bound in order_tiers:
         variables = ["x", "t", *range(order_bound + 1)]
+        count = math.comb(len(variables) + degree_bound, degree_bound)
+        if count > MAX_ANSATZ_MONOMIALS:
+            raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
+                                f"cap {MAX_ANSATZ_MONOMIALS}")
         monomials = _monomial_basis(variables, degree_bound)
         basis: List[Tuple[Monomial, int]] = []
         images: List[DiffPoly] = []
@@ -238,9 +249,11 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp,
         g = solve_operator_equation(D, Q, max_order, max_degree)
         if g is None:
             raise NotInImage("no preimage found within the ansatz bounds", Q)
-    if not helmholtz_selfadjoint(g):
-        raise NotVariational("preimage is not a variational derivative", g)
-    return reconstruct_density(g)
+    try:
+        return reconstruct_density(g)
+    except NotVariational as err:
+        raise NotVariational("preimage is not a variational derivative",
+                             g) from err
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +318,16 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     `stopped_at` together with its obstruction.  A seed that is not a
     symmetry raises NotASymmetry carrying its residual.
 
-    The D_x tower of each flow and of the system right-hand side is kept
-    (``towers[i]`` belongs to ``flows[i]``) and shared by every symmetry and
-    commutation check that uses it.  More than MAX_HIERARCHY_STEPS steps
-    raise ResourceLimit before any work.
+    Every derived quantity is computed once.  Per flow, its D_x tower is
+    kept (``towers[i]`` belongs to ``flows[i]``, ``rhs_tower`` to the system
+    right-hand side) and shared by every symmetry and commutation check
+    that uses it.  Per functional, the gradient ``grads[j]`` = delta H_j and
+    its image ``d_images[j]`` = D(delta H_j) are kept from the inversion
+    step, so {H_i, H_j}_D has density grads[i] * d_images[j].  The second
+    bracket's image (R*D)(delta H_j) is built the first time a pair needs
+    it; when it is not exact, each pair that needs it fails with the
+    obstruction as its residual.  More than MAX_HIERARCHY_STEPS steps raise
+    ResourceLimit before any work.
     """
     if steps > MAX_HIERARCHY_STEPS:
         raise ResourceLimit(f"{steps} hierarchy steps exceed the cap "
@@ -327,6 +346,8 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     reports: List[CheckReport] = [seed_report]
     flows = [seed]
     functionals: List[Functional] = []
+    grads: List[DiffPoly] = []
+    d_images: List[DiffPoly] = []
     stopped_at = None
 
     second_op = None
@@ -345,7 +366,9 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         H.name = f"H[{index}]"
         functionals.append(H)
         reports.append(check_conservation(H, sys, f"conservation H[{index}]"))
-        regen = apply_op(D, euler1(H.density))
+        grads.append(euler1(H.density))
+        regen = apply_op(D, grads[-1])
+        d_images.append(regen)
         reports.append(CheckReport(f"D(delta H[{index}]) == K[{index}]",
                                    regen == K, regen - K))
         return True
@@ -367,14 +390,25 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
             if not invert(K, i):
                 break
 
-    for (i, F), (j, G) in combinations(enumerate(functionals), 2):
+    e_images: dict = {}  # j -> (R*D)(grads[j]), or the NotExact it raised
+
+    def involution_e(i: int, j: int) -> CheckReport:
+        if j not in e_images:
+            try:
+                e_images[j] = apply_op(second_op, grads[j])
+            except NotExact as err:
+                e_images[j] = err
+        image, name = e_images[j], f"involution_E {{H[{i}],H[{j}]}}"
+        if isinstance(image, NotExact):
+            return CheckReport(name, False, image.obstruction)
+        return CheckReport(name, Functional(grads[i] * image).is_null())
+
+    for i, j in combinations(range(len(functionals)), 2):
         reports.append(CheckReport(
             f"involution_D {{H[{i}],H[{j}]}}",
-            poisson_bracket(F, G, D).is_null()))
+            Functional(grads[i] * d_images[j]).is_null()))
         if second_op is not None:
-            reports.append(CheckReport(
-                f"involution_E {{H[{i}],H[{j}]}}",
-                poisson_bracket(F, G, second_op).is_null()))
+            reports.append(involution_e(i, j))
     for i, j in combinations(range(len(flows)), 2):
         reports.append(symmetry(i, towers[j], f"commutation [v[{i}],v[{j}]]"))
 

@@ -280,10 +280,41 @@ def test_hierarchy_work_caps_exit_3(capsys, tmp_path, setting):
     assert time.process_time() - start < 2.0
 
 
-# Byte-exact stdout of three commands, one per code path that a change of
+def test_ansatz_cap_exit_3(capsys, tmp_path):
+    # through E the first order tier of eps*u{7}*u^4 already has
+    # C(7 + 6, 6) = 1716 monomials
+    model = tmp_path / "ansatz.jf"
+    model.write_text(GARDNER_SOURCE + "char Big = eps*u{7}*u^4;\n")
+    start = time.process_time()
+    code, out, err = run(capsys, "noether", str(model), "--char", "Big",
+                         "--op", "E")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+    assert "1716 monomials" in err
+    assert time.process_time() - start < 2.0
+
+
+def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
+    code, out, err = run(capsys, "hierarchy", "gardner", "--op", "R",
+                         "--seed", "Q2", "--steps", "1", "--dop", "E",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert len(checks) == 10
+    assert checks["involution_D {H[0],H[1]}"]["verdict"] == "pass"
+    bad = checks["involution_E {H[0],H[1]}"]
+    assert bad["verdict"] == "fail"
+    assert bad["residual"] == "-3*eps*u_x*u_xx"
+
+
+# Byte-exact stdout of four commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
-# Noether inversion (LaTeX) and the multivector pair check (text).  Replace a
-# file only for an intended change of the CLI output.
+# Noether inversion (LaTeX) and the multivector pair check (text), plus a
+# seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
+# pins the pairwise checks at depth.  Replace a file only for an intended
+# change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -295,7 +326,11 @@ GOLDEN = Path(__file__).parent / "golden"
      ["noether", "gardner", "--char", "Q2", "--op", "E", "--format", "latex"]),
     ("check_pair_gardner_D_E.txt",
      ["check-pair", "gardner", "--op1", "D", "--op2", "E", "--format", "text"]),
-], ids=["hierarchy-json", "noether-latex", "check-pair-text"])
+    ("hierarchy_gardner_jet24_R_Kbar1_steps7.json",
+     ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
+      "Kbar1", "--steps", "7", "--dop", "D", "--format", "json"]),
+], ids=["hierarchy-json", "noether-latex", "check-pair-text",
+        "hierarchy-deep-json"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

@@ -2,12 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from jetflow import (Context, EpsPoly, EvolutionSystem,
-                     Functional, NotInImage, NotVariational, PseudoDiffOp,
-                     ResourceLimit, apply_op, check_conservation,
-                     check_recursion_operator, check_symmetry, dt_total,
-                     dx_total, euler1, generate_hierarchy, noether_inverse,
+from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
+                     Functional, NotExact, NotInImage, NotVariational,
+                     PseudoDiffOp, ResourceLimit, apply_op, check_conservation,
+                     check_recursion_operator, check_symmetry, compose,
+                     dt_total, dx_total, euler1, generate_hierarchy,
+                     noether_inverse, poisson_bracket,
                      solve_operator_equation)
+from jetflow import engine
 from jetflow.errors import JetflowError, NotASymmetry
 
 
@@ -44,6 +46,11 @@ def test_check_conservation(v, gardner, gardner_sys):
     bad = check_conservation(Functional(v.u ** 3), gardner_sys)
     assert not bad.passed
     assert not bad.residual.is_zero()
+    # a failure reports the Euler derivative of D_t(T), a pass the zero
+    # polynomial
+    assert bad.residual == euler1(dt_total(v.u ** 3, gardner_sys))
+    assert isinstance(r1.residual, DiffPoly)
+    assert r1.residual.is_zero()
 
 
 def test_noether_inverse_dx(v, gardner, gardner_sys):
@@ -64,8 +71,10 @@ def test_noether_inverse_failures(v):
     with pytest.raises(NotInImage) as err:
         noether_inverse(v.u, v.Dx)
     assert err.value.obstruction == 1
-    with pytest.raises(NotVariational):
+    with pytest.raises(NotVariational) as err:
         noether_inverse(dx_total(v.u1 ** 2), v.Dx)
+    assert str(err.value) == "preimage is not a variational derivative"
+    assert err.value.obstruction == v.u1 ** 2
 
 
 def test_noether_inverse_ansatz_second_structure(v, gardner):
@@ -87,6 +96,24 @@ def test_noether_inverse_ansatz_second_structure(v, gardner):
 def test_solve_operator_equation_unsolvable(v, gardner):
     E = gardner.operators["E"]
     assert solve_operator_equation(E, v.x) is None
+
+
+def test_ansatz_monomial_cap(v, gardner, monkeypatch):
+    # Q2 inverts through E in its first order tier: x, t, u and degree <= 4
+    # give C(3 + 4, 4) = 35 monomials
+    E, Q2 = gardner.operators["E"], gardner.characteristics["Q2"]
+    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 35)
+    assert noether_inverse(Q2, E).equivalent(gardner.densities["Pt2"])
+    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 34)
+
+    def enumerated(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(engine, "_monomial_basis", enumerated)
+    with pytest.raises(ResourceLimit, match="35 monomials"):
+        noether_inverse(Q2, E)
+    with pytest.raises(ResourceLimit):
+        solve_operator_equation(E, Q2)
 
 
 def test_check_recursion_operator_modes(v, burgers, burgers_sys, gardner,
@@ -211,6 +238,42 @@ def test_hierarchy_seed_that_is_not_a_symmetry(v, gardner, gardner_sys):
     assert err.value.obstruction == residual
     assert isinstance(err.value, JetflowError)
     assert isinstance(err.value, ValueError)
+
+
+def test_hierarchy_second_bracket_not_exact(v, gardner, gardner_sys):
+    # With D = E the second bracket R*E is applied to delta H[1], which
+    # leaves a non-exact remainder: that pair fails with the obstruction,
+    # and the rest of the report is kept.
+    R, E = gardner.operators["R"], gardner.operators["E"]
+    result = generate_hierarchy(R, gardner.characteristics["Q2"], 1, E,
+                                gardner_sys)
+    assert len(result.flows) == 2 and len(result.functionals) == 2
+    assert result.stopped_at is None
+    got = {r.name: r for r in result.reports}
+    assert got["involution_D {H[0],H[1]}"].passed
+    report = got["involution_E {H[0],H[1]}"]
+    assert not report.passed
+    with pytest.raises(NotExact) as err:
+        apply_op(compose(R, E), euler1(result.functionals[1].density))
+    assert report.residual == err.value.obstruction
+    assert report.residual == -3 * v.eps * v.u1 * v.u2
+    assert "commutation [v[0],v[1]]" in got
+
+
+def test_hierarchy_involution_matches_poisson_bracket(v, gardner, gardner_sys):
+    # every pair passes on the Gardner hierarchy and fails on the R = x + Dxi
+    # one of test_hierarchy_tower_reuse_with_failing_checks
+    cases = [(gardner.operators["R"], gardner.characteristics["Kbar1"], 3,
+              gardner.operators["D"], gardner_sys),
+             (PseudoDiffOp.from_poly(v.x) + PseudoDiffOp.dxi(1), v.u1, 3,
+              v.Dx, EvolutionSystem(v.u3))]
+    for R, seed, steps, D, sys in cases:
+        result = generate_hierarchy(R, seed, steps, D, sys)
+        got = {r.name: r.passed for r in result.reports}
+        for (i, F), (j, G) in combinations(enumerate(result.functionals), 2):
+            for name, op in (("D", D), ("E", compose(R, D))):
+                assert got[f"involution_{name} {{H[{i}],H[{j}]}}"] == \
+                    poisson_bracket(F, G, op).is_null()
 
 
 def _fresh_symmetry_reports(flows, sys):

@@ -10,7 +10,7 @@ truncation is needed on the sympy side.
 import pytest
 from hypothesis import given, settings
 
-from jetflow import dx_total, euler1
+from jetflow import dx_total, euler1, integrate_x, reconstruct_density
 
 from conftest import diff_polys
 
@@ -51,3 +51,21 @@ def test_euler_matches_sympy_euler_equations(p):
     (equation,) = euler_equations(to_sympy(p) + shift * U, U, X)
     expected = equation.lhs - equation.rhs - shift
     assert same(to_sympy(euler1(p)), expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(diff_polys())
+def test_integrate_x_round_trips_under_sympy_dx(q):
+    p = dx_total(q)
+    assert same(sympy.diff(to_sympy(integrate_x(p)), X), to_sympy(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(diff_polys())
+def test_reconstruct_density_euler_matches_sympy(q):
+    # g = euler1(q) is variational; shift*u as in the test above
+    g = euler1(q)
+    shift = sympy.Symbol("shift")
+    density = reconstruct_density(g).density
+    (equation,) = euler_equations(to_sympy(density) + shift * U, U, X)
+    assert same(equation.lhs - equation.rhs - shift, to_sympy(g))
