@@ -12,14 +12,20 @@ Expressions know rationals, ``x``, ``t``, ``eps``, the dependent variable
 ``u`` with derivatives ``u_x``/``u_xx``/... or ``u{k}``, the operator atoms
 ``Dx`` (with ``Dx^k``) and ``Dxi`` (for Dx^-1), ``+ - * / ^`` and
 parentheses.  ``*`` between operators is composition; a plain function used
-in operator position acts by multiplication.
+in operator position acts by multiplication; ``/`` divides a polynomial or
+an operator by a nonzero rational constant.
+
+Numbers are ASCII digits; names are letters, digits and ``_``, starting with
+a letter or ``_``; ``#`` comments run to the end of the line.  Any other
+character outside a comment is a ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
 from .errors import JetflowError, ParseError, ResourceLimit, UnknownName
@@ -80,16 +86,21 @@ def _bits(value: Value) -> int:
     return top.bit_length() + den.bit_length()
 
 
-def _digits(text: str, line: int, column: int) -> str:
-    """An integer literal's digits, or ResourceLimit when there are too many."""
-    if len(text) > MAX_LITERAL_DIGITS:
-        raise ResourceLimit(f"line {line}, column {column}: integer literal "
-                            f"longer than {MAX_LITERAL_DIGITS} digits")
-    return text
+# One alternative per lexeme; the last takes any character no other does, so
+# that every character of the text is matched.
+_LEXEME = re.compile(r"""
+    (?P<NL>\n)
+  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+  | u\{(?P<JET>[0-9]+)\}
+  | (?P<BADJET>u\{)
+  | (?P<INT>[0-9]+)
+  | (?P<IDENT>[^\W\d]\w*)
+  | (?P<PUNCT>[{}()=;:+\-*/^])
+  | (?P<OTHER>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # INT IDENT JET PUNCT EOF
     text: str
     line: int
@@ -98,61 +109,27 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", _digits(text[i:j], line, start_col),
-                                line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            # u{k}: an indexed jet variable, consumed as one token
-            if word == "u" and i < n and text[i] == "{":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j == i + 1 or j >= n or text[j] != "}":
-                    raise ParseError("malformed jet index after 'u{'", line, start_col)
-                index = _digits(text[i + 1:j], line, start_col)
-                tokens.append(Token("JET", index, line, start_col))
-                col += j + 1 - i
-                i = j + 1
-                continue
-            tokens.append(Token("IDENT", word, line, start_col))
-            continue
-        if ch in "{}()=;:+-*/^":
-            tokens.append(Token("PUNCT", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+        word, column = m[kind], m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "BADJET":
+            raise ParseError("malformed jet index after 'u{'", line, column)
+        elif kind == "OTHER" or kind == "IDENT" and not (word[0].isalpha()
+                                                         or word[0] == "_"):
+            # [^\W\d] also takes '²', '½' and other numerals that are not
+            # decimal digits, but an identifier starts with a letter or '_'
+            raise ParseError(f"unexpected character {word[0]!r}", line, column)
+        elif kind in ("INT", "JET") and len(word) > MAX_LITERAL_DIGITS:
+            raise ResourceLimit(f"line {line}, column {column}: integer literal "
+                                f"longer than {MAX_LITERAL_DIGITS} digits")
+        else:
+            tokens.append(Token(kind, word, line, column))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -224,28 +201,18 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> ModelIR:
+        declarations = {"set": self.parse_set, "system": self.parse_system,
+                        "operator": self.parse_operator, "char": self.parse_char,
+                        "density": self.parse_density}
         while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
-                self.fail(f"found {tok.text!r}",
-                          expected={"set", "system", "operator", "char", "density"})
-            if tok.text == "set":
-                self.parse_set()
-            elif tok.text == "system":
-                self.parse_system()
-            elif tok.text == "operator":
-                self.parse_operator()
-            elif tok.text == "char":
-                self.parse_char()
-            elif tok.text == "density":
-                self.parse_density()
-            else:
-                self.fail(f"found {tok.text!r}",
-                          expected={"set", "system", "operator", "char", "density"})
+            tok = self.advance()
+            parse = declarations.get(tok.text) if tok.kind == "IDENT" else None
+            if parse is None:
+                self.fail(f"found {tok.text!r}", tok, expected=set(declarations))
+            parse()
         return self.model
 
     def parse_set(self):
-        self.expect("IDENT", "set")
         key = self.expect("IDENT")
         self.expect("PUNCT", "=")
         value_tok = self.expect("INT")
@@ -285,7 +252,6 @@ class _Parser:
         return name
 
     def parse_system(self):
-        self.expect("IDENT", "system")
         name = self.declare(self.expect("IDENT"))
         self.expect("PUNCT", "{")
         self.expect("IDENT", "rhs")
@@ -296,7 +262,6 @@ class _Parser:
         self.model.systems[name] = EvolutionSystem(rhs, name=name)
 
     def parse_operator(self):
-        self.expect("IDENT", "operator")
         name = self.declare(self.expect("IDENT"))
         self.expect("PUNCT", "{")
         value = self.parse_expr()
@@ -308,7 +273,6 @@ class _Parser:
         self.model.operators[name] = value
 
     def parse_char(self):
-        self.expect("IDENT", "char")
         name = self.declare(self.expect("IDENT"))
         self.expect("PUNCT", "=")
         value = self.require_poly(self.parse_expr(), "characteristic")
@@ -316,7 +280,6 @@ class _Parser:
         self.model.characteristics[name] = value
 
     def parse_density(self):
-        self.expect("IDENT", "density")
         name = self.declare(self.expect("IDENT"))
         self.expect("PUNCT", "=")
         value = self.require_poly(self.parse_expr(), "density")
@@ -417,25 +380,21 @@ class _Parser:
         return self.ctx.u(order)
 
     def binary(self, op: str, left: Value, right: Value) -> Value:
+        if op == "/":
+            if not isinstance(right, DiffPoly):
+                self.fail("division only by rational constants")
+            r = right.rational_constant()
+            if r is None or r == 0:
+                self.fail("division only by nonzero rational constants")
+            return left * (1 / r)
         try:
-            if op == "+":
-                return self.promote_pair(left, right, add=True)
-            if op == "-":
-                return self.promote_pair(left, right, add=False)
             if op == "*":
                 return self.multiply(left, right)
-            if op == "/":
-                if not isinstance(right, DiffPoly):
-                    self.fail("division only by rational constants")
-                r = right.rational_constant()
-                if r is None or r == 0:
-                    self.fail("division only by nonzero rational constants")
-                return left / r
-        except (ParseError, ResourceLimit):
+            return left + right if op == "+" else left - right
+        except ResourceLimit:
             raise
         except JetflowError as err:
             self.fail(str(err))
-        raise AssertionError(op)
 
     def multiply(self, left: Value, right: Value) -> Value:
         """left * right, or ResourceLimit before multiplying when the current
@@ -449,13 +408,6 @@ class _Parser:
             raise ResourceLimit(f"the coefficients of a product have more "
                                 f"than {MAX_COEFF_BITS} bits")
         return left * right
-
-    def promote_pair(self, left: Value, right: Value, add: bool) -> Value:
-        if isinstance(left, PseudoDiffOp) and isinstance(right, DiffPoly):
-            right = PseudoDiffOp.from_poly(right)
-        elif isinstance(left, DiffPoly) and isinstance(right, PseudoDiffOp):
-            left = PseudoDiffOp.from_poly(left)
-        return left + right if add else left - right
 
 
 def parse_model(text: str) -> ModelIR:

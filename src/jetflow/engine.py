@@ -168,9 +168,7 @@ def _solve_rational_system(rows):
     return solution
 
 
-def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
-                            max_order: Optional[int] = None,
-                            max_degree: Optional[int] = None) -> Optional[DiffPoly]:
+def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     """Find g with apply(D, g) == Q by a bounded linear ansatz.
 
     The candidate space is spanned by eps^e times monomials in x, t and the
@@ -180,13 +178,10 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly,
     monomials raises ResourceLimit before any of them is built.
     """
     p = Q.eps_order
-    degree_bound = Q.total_degree() + 1 if max_degree is None else max_degree
+    degree_bound = Q.total_degree() + 1
     order_q = max(Q.max_jet_order(), 0)
-    if max_order is None:
-        tight = max(0, order_q - max(D.max_local_order(), 0))
-        order_tiers = [tight, order_q] if tight < order_q else [order_q]
-    else:
-        order_tiers = [max_order]
+    tight = max(0, order_q - max(D.max_local_order(), 0))
+    order_tiers = [tight, order_q] if tight < order_q else [order_q]
     for order_bound in order_tiers:
         variables = ["x", "t", *range(order_bound + 1)]
         count = math.comb(len(variables) + degree_bound, degree_bound)
@@ -230,9 +225,7 @@ def _is_pure_dx(D: PseudoDiffOp) -> bool:
     return D.is_local() and D.local_terms == {1: one}
 
 
-def noether_inverse(Q: DiffPoly, D: PseudoDiffOp,
-                    max_order: Optional[int] = None,
-                    max_degree: Optional[int] = None) -> Functional:
+def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
     """Produce the conserved functional behind a Hamiltonian symmetry.
 
     Solves apply(D, g) == Q for g (exact integration when D is D_x, a
@@ -246,7 +239,7 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp,
             raise NotInImage("characteristic is not a total x-derivative",
                              err.obstruction) from err
     else:
-        g = solve_operator_equation(D, Q, max_order, max_degree)
+        g = solve_operator_equation(D, Q)
         if g is None:
             raise NotInImage("no preimage found within the ansatz bounds", Q)
     try:

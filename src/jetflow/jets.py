@@ -501,23 +501,19 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
     """Invert D_x exactly, or raise NotExact with the Euler obstruction.
 
     Works by top-order descent: an exact polynomial is linear in its highest
-    jet, so peeling off the antiderivative of that linear part strictly
-    lowers the top order.  The jet-free remainder integrates termwise in x.
+    jet, and that jet has order at least 1, so peeling off the antiderivative
+    of that linear part strictly lowers the top order.  The jet-free
+    remainder integrates termwise in x.  A remainder that is not linear in a
+    top jet of order at least 1 is not exact, and then neither is P.
     """
-    obstruction = euler(P)
-    if not obstruction.is_zero():
-        raise NotExact("not a total x-derivative", obstruction)
-    result = DiffPoly.zero(P.eps_order)
+    result, rest = DiffPoly.zero(P.eps_order), P
     while True:
-        top = P.max_jet_order()
+        top = rest.max_jet_order()
         if top == -1:
-            return result + _integrate_explicit_x(P)
-        if top == 0:
-            # with a vanishing Euler operator this is unreachable; guard anyway
-            raise NotExact("u-dependent remainder at jet order 0", P)
-        lead = diff_partial(P, top)
-        if any(m.exponent(top) for m, _ in lead._flat):
-            raise NotExact("nonlinear in the top-order jet", P)
+            return result + _integrate_explicit_x(rest)
+        lead = diff_partial(rest, top)
+        if top == 0 or any(m.exponent(top) for m, _ in lead._flat):
+            raise NotExact("not a total x-derivative", euler(P))
         piece = _antiderivative_in(lead, top - 1)
         result = result + piece
-        P = P - dx_total(piece)
+        rest = rest - dx_total(piece)

@@ -181,10 +181,7 @@ def format_operator(A, latex=False) -> str:
             neg, left = _coeff_factor(a, latex)
             text = left + mul + text
         if b != one:
-            bneg, right = _coeff_factor(b, latex)
-            if bneg:
-                right = f"(-{right})"
-            text = text + mul + right
+            text = text + mul + _coeff_factor(b, latex)[1]
         parts.append((neg, text))
     if not parts:
         return "0"

@@ -124,3 +124,34 @@ def multivectors(draw, max_parts=3, max_grade=2, order=P):
         coeff = draw(diff_polys(max_terms=2, order=order))
         out = out + MultiVector.from_poly(coeff, tuple(wedge))
     return out
+
+
+# Model text from a small grammar of declarations and expressions, with a few
+# random characters inserted; strings drawn lexeme by lexeme rarely form the
+# expressions that reach the algebra, such as Dx/2.
+expressions = st.recursive(
+    st.sampled_from(["u", "u_x", "u_xxx", "u{2}", "u{65}", "x", "t", "eps",
+                     "Dx", "Dxi", "0", "1", "2", "10", "A", "Q", "H", "zz"]),
+    lambda e: st.one_of(
+        st.tuples(e, st.sampled_from("+-*/"), e).map(" ".join),
+        st.tuples(e, st.sampled_from("0123")).map("^".join),
+        e.map("({})".format),
+        e.map("-{}".format)),
+    max_leaves=8)
+declarations = st.one_of(
+    st.tuples(st.sampled_from(["eps_order", "max_jet_order", "speed"]),
+              st.sampled_from(["0", "1", "2", "65"]))
+    .map("set {0[0]} = {0[1]};".format),
+    st.tuples(st.sampled_from(["system s {{ rhs: {}; }}", "operator A {{ {} }}",
+                               "char Q = {};", "density H = {};"]),
+              expressions).map(lambda p: p[0].format(p[1])))
+
+
+@st.composite
+def model_texts(draw):
+    text = "\n".join(draw(st.lists(declarations, max_size=4)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(
+            ["²", "٣", "é", "$", "u{", "{", ";", "#", "\n", " "])) + text[i:]
+    return text

@@ -3,10 +3,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import MAX_POINTS
+
+from conftest import model_texts
 
 
 def run(capsys, *argv):
@@ -137,6 +140,39 @@ def test_print_round_trip(capsys, tmp_path):
     code2, out2, _ = run(capsys, "print", str(model))
     assert code2 == 0
     assert out2 == out
+
+
+def test_print_operator_divided_by_a_constant(capsys, tmp_path):
+    model = tmp_path / "half.jf"
+    model.write_text("operator A { Dx/2 }\n")
+    code, out, _ = run(capsys, "print", str(model))
+    assert code == 0
+    assert "operator A { 1/2*Dx }" in out
+
+
+@pytest.mark.parametrize("text", ["char Q = ²*u_x;", "system s { rhs: u{²}; }"])
+def test_non_ascii_digits_exit_2(capsys, tmp_path, text):
+    model = tmp_path / "digits.jf"
+    model.write_text(text + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "print", str(model))
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@settings(max_examples=20, deadline=None)
+@given(model_texts())
+@example("operator A { Dx/2 }")
+@example("char Q = ²*u_x;")
+def test_print_fuzzed_models_exit_0_2_or_3(tmp_path_factory, text):
+    model = tmp_path_factory.mktemp("fuzz") / "model.jf"
+    model.write_text(text, encoding="utf-8")
+    assert main(["print", str(model)]) in (0, 2, 3)
+
+
+def test_noether_outside_the_ansatz_image_fails(capsys):
+    code, out, _ = run(capsys, "noether", "gardner", "--char", "Q1", "--op", "E")
+    assert code == 1
+    assert "[FAIL] noether Q1 via E  residual: u_x" in out
 
 
 def test_validate_numeric_rows(capsys):

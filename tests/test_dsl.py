@@ -1,9 +1,14 @@
-import pytest
+from fractions import Fraction
 
-from jetflow import (ParseError, PseudoDiffOp, ResourceLimit, UnknownName,
-                     compose, parse_model, print_model)
+import pytest
+from hypothesis import example, given, settings
+
+from jetflow import (ModelError, ParseError, PseudoDiffOp, ResourceLimit,
+                     UnknownName, compose, parse_model, print_model)
 from jetflow import dsl
 from jetflow.fixtures import FIXTURES, load_fixture
+
+from conftest import diff_polys, model_texts, nonlocal_ops
 
 
 def test_parse_system_matches_handbuilt():
@@ -177,3 +182,38 @@ def test_max_jet_order_setting_is_capped():
     assert parse_model(f"set max_jet_order = {cap};").max_jet_order == cap
     with pytest.raises(ResourceLimit):
         parse_model(f"set max_jet_order = {cap + 1};")
+
+
+def test_operator_divided_by_a_constant():
+    model = parse_model("operator A { Dx/2 }")
+    assert model.operators["A"] == PseudoDiffOp.dx(1).scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("text", ["char Q = ²*u_x;", "system s { rhs: u{²}; }"])
+def test_non_ascii_digits_are_model_errors(text):
+    with pytest.raises(ModelError):
+        parse_model(text)
+
+
+def test_end_of_input_column_after_a_trailing_comment():
+    with pytest.raises(ParseError) as err:
+        parse_model("char a = u # c")
+    assert (err.value.line, err.value.column) == (1, 15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_texts())
+@example("operator A { Dx/2 }")
+@example("char Q = ²*u_x;")
+def test_parse_model_raises_only_model_errors(text):
+    try:
+        parse_model(text)
+    except (ModelError, ResourceLimit):
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(diff_polys(), nonlocal_ops())
+def test_print_parse_round_trip(P, A):
+    model = dsl.ModelIR(operators={"A": A}, characteristics={"Q": P})
+    assert parse_model(print_model(model)) == model
