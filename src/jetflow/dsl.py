@@ -55,6 +55,8 @@ MAX_JET_INDEX = 64
 
 KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
 RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
+# a name that spells the jet u_k as u_x...x (k letters x), reserved as well
+_SPELT_JET = re.compile(r"u_x+")
 
 Value = Union[DiffPoly, PseudoDiffOp]
 
@@ -243,7 +245,7 @@ class _Parser:
 
     def declare(self, name_tok: Token) -> str:
         name = name_tok.text
-        if name in RESERVED:
+        if name in RESERVED or _SPELT_JET.fullmatch(name):
             self.fail(f"{name!r} is reserved", name_tok)
         if self.model.lookup(name) is not None:
             self.fail(f"name {name!r} is already declared", name_tok)
@@ -353,7 +355,7 @@ class _Parser:
                 return self.ctx.eps
             if name == "u":
                 return self.ctx.u(0)
-            if name.startswith("u_") and name[2:] and set(name[2:]) == {"x"}:
+            if _SPELT_JET.fullmatch(name):
                 return self.jet(len(name) - 2, tok)
             if name == "Dx":
                 return PseudoDiffOp.dx(self.model.eps_order)

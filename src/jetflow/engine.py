@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
@@ -21,10 +21,11 @@ DEFAULT_MAX_JET_ORDER = 12
 # The most steps one hierarchy run may take.  Each Gardner step costs about
 # 2.7x the one before; ten steps from Kbar1 took 10.6 s of CPU (2-vCPU Xeon).
 MAX_HIERARCHY_STEPS = 10
-# The most monomials one order tier of the operator-inversion ansatz may
-# enumerate.  The built-in Gardner inversions need at most 126 (Qbar5
-# through E); inversions that reached tiers of 1001 and 3003 monomials took
-# about 2.4 and 14 s of CPU (2-vCPU Xeon).
+# The most (monomial, eps degree) pairs one order tier of the
+# operator-inversion ansatz may hold, counted in the preimage's weight space.
+# The built-in Gardner inversions through E need at most 9 (Qbar5), and the
+# fourth step of the hierarchy through E 134, inverted in 0.3 s of CPU
+# (2-vCPU Xeon).
 MAX_ANSATZ_MONOMIALS = 1024
 
 
@@ -108,63 +109,208 @@ def check_conservation(T: Functional, sys: EvolutionSystem,
 # Bounded linear ansatz for inverting an operator on a characteristic
 
 
-def _monomial_basis(variables: Sequence, max_degree: int):
-    """All monomials over the given variables with total degree <= bound."""
-    basis = [Monomial(0, 0, ())]
-    for var in variables:
-        extended = []
-        for mon in basis:
-            extended.append(mon)
-            current = mon
-            while current.degree() < max_degree:
-                if var == "x":
-                    current = Monomial(current.x + 1, current.t, current.jets)
-                elif var == "t":
-                    current = Monomial(current.x, current.t + 1, current.jets)
-                else:
-                    current = current.with_exponent(var, current.exponent(var) + 1)
-                extended.append(current)
-        basis = extended
+def _features(poly: DiffPoly) -> list:
+    """The feature (s - a, b, e, d) of each term x^a t^b eps^e prod u_k^n_k
+    of poly, with jet weight s = sum k*n_k and jet degree d = sum n_k.
+    D_x adds exactly (1, 0, 0, 0) to every feature."""
+    return [(sum(k * n for k, n in mon.jets) - mon.x, mon.t, e,
+             mon.jet_degree()) for mon, e in poly._flat]
+
+
+def _op_features(D: PseudoDiffOp) -> list:
+    """What each term of D adds to the feature of its argument: f(c) +
+    (j, 0, 0, 0) for c*Dx^j and f(a) + f(b) - (1, 0, 0, 0) for a*Dxi*b."""
+    shifts = [(f[0] + j, *f[1:]) for j, c in D.local_terms.items()
+              for f in _features(c)]
+    for a, b in D.nonlocal_terms:
+        shifts += [(fa[0] + fb[0] - 1, fa[1] + fb[1], fa[2] + fb[2],
+                    fa[3] + fb[3]) for fa in _features(a) for fb in _features(b)]
+    return shifts
+
+
+def _rref(rows, ncols: int = 4) -> list:
+    """The nonzero rows of the reduced row echelon form of `rows` over Q,
+    each scaled so that its pivot is 1."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    reduced = []
+    for col in range(ncols):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [v / pivot[col] for v in pivot]
+
+        def eliminate(part):
+            return [[v - row[col] * pv for v, pv in zip(row, pivot)]
+                    for row in part]
+
+        rows, reduced = eliminate(rows), eliminate(reduced) + [pivot]
+    return reduced
+
+
+def _null_space(rows, ncols: int = 4) -> list:
+    """A basis of the rational vectors w with row . w = 0 for every row."""
+    pivots = {next(c for c, v in enumerate(row) if v): row
+              for row in _rref(rows, ncols)}
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            w = [Fraction(0)] * ncols
+            w[free] = Fraction(1)
+            for col, row in pivots.items():
+                w[col] = -row[free]
+            basis.append(w)
     return basis
 
 
+def _gradings(D: PseudoDiffOp, Q: DiffPoly) -> list:
+    """[(w, weight)]: a reduced echelon basis of the gradings w under which
+    D and Q are both homogeneous, each row scaled to integers, with the
+    weight w . (f(Q) - f(D)) that every term of a preimage of Q then has.
+    Empty when no nonzero grading makes both homogeneous, or when either
+    has no terms."""
+    shifts, features = _op_features(D), _features(Q)
+    if not shifts or not features:
+        return []
+    differences = ([[x - y for x, y in zip(f, features[0])] for f in features]
+                   + [[x - y for x, y in zip(f, shifts[0])] for f in shifts])
+    target = [x - y for x, y in zip(features[0], shifts[0])]
+    gradings = []
+    for row in _rref(_null_space(differences)):
+        scale = math.lcm(*(v.denominator for v in row))
+        w = [int(v * scale) for v in row]
+        gradings.append((w, sum(x * y for x, y in zip(w, target))))
+    return gradings
+
+
+def _shapes(gradings: list, p: int, degree_bound: int):
+    """Each (e, b, d, sigma) within the eps order and the degree bound whose
+    feature (sigma, b, e, d) has every grading's weight.  sigma = s - a is
+    None when no grading fixes it; only the first echelon row can."""
+    for e in range(p + 1):
+        for b in range(degree_bound + 1):
+            for d in range(degree_bound - b + 1):
+                sigma = None
+                for w, weight in gradings:
+                    rest = weight - w[1] * b - w[2] * e - w[3] * d
+                    if w[0]:
+                        sigma, rest = divmod(rest, w[0])
+                    if rest:
+                        break
+                else:
+                    yield e, b, d, sigma
+
+
+def _jet_weight_prefix(top: int, max_degree: int) -> list:
+    """cum[d][s]: how many monomials of degree d in u_0..u_top have orders
+    summing to less than s.  The counts of degree d are the coefficients of
+    the Gaussian binomial [top + d, d]_q, which is [top + d - 1, d - 1]_q
+    times (1 - q^(top + d)) / (1 - q^d)."""
+    cum, row = [], [1]
+    for d in range(max_degree + 1):
+        if d:
+            row = row + [0] * top
+            for s in range(len(row) - 1, top + d - 1, -1):
+                row[s] -= row[s - top - d]
+            for s in range(d, len(row)):
+                row[s] += row[s - d]
+        cum.append(list(accumulate(row, initial=0)))
+    return cum
+
+
+def _tier_size(shapes: list, degree_bound: int, top: int) -> int:
+    """The (monomial, eps degree) pairs of the shapes with jet orders up to
+    top, counted without building any."""
+    cum = _jet_weight_prefix(top, degree_bound)
+    total = 0
+    for e, b, d, sigma in shapes:
+        span = degree_bound - b - d  # x degrees 0..span, so s in sigma..sigma+span
+        if sigma is None:
+            total += (span + 1) * cum[d][-1]
+        else:
+            lo, hi = max(sigma, 0), min(sigma + span, top * d)
+            total += cum[d][hi + 1] - cum[d][lo] if lo <= hi else 0
+    return total
+
+
+def _jet_multisets(d: int, s: int, top: int):
+    """The jets ((order, exp), ...) of each monomial of degree d in
+    u_0..u_top whose orders sum to s."""
+    if not 0 <= s <= top * d:
+        return
+    if not d or not top:
+        yield ((0, d),) if d else ()
+        return
+    for n in range(min(d, s // top) + 1):
+        for jets in _jet_multisets(d - n, s - n * top, top - 1):
+            yield jets + ((top, n),) if n else jets
+
+
+def _graded_pairs(shapes: list, degree_bound: int, top: int) -> list:
+    """The (monomial, eps degree) pairs of the shapes with jet orders up to
+    top, ordered by eps degree, then x, t and u_0..u_top exponents."""
+    pairs = []
+    for e, b, d, sigma in shapes:
+        for a in range(degree_bound - b - d + 1):
+            weights = range(top * d + 1) if sigma is None else [sigma + a]
+            pairs += [(Monomial(a, b, jets), e) for s in weights
+                      for jets in _jet_multisets(d, s, top)]
+
+    def order(pair):
+        (mon, e), exps = pair, dict(pair[0].jets)
+        return (e, mon.x, mon.t, *(exps.get(k, 0) for k in range(top + 1)))
+
+    return sorted(pairs, key=order)
+
+
 def _solve_rational_system(rows):
-    """Sparse Gaussian elimination over Fraction.
+    """Sparse fraction-free Gaussian elimination over Q.
 
     `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational.
     Returns an index->Fraction solution with free variables at zero, or None
-    when the system is inconsistent.  Entries are made Fractions on entry,
-    so that the divisions by pivots stay exact.
+    when the system is inconsistent.  Each row is scaled to integers and
+    kept primitive, so elimination runs in int arithmetic; only the back
+    substitution divides.
     """
-    pivots: List[Tuple[int, Dict[int, Fraction], Fraction]] = []
+    pivots: List[Tuple[int, int, Dict[int, int], int]] = []
     pivot_cols: Dict[int, int] = {}
     for coeffs, rhs in rows:
-        coeffs = {c: Fraction(v) for c, v in coeffs.items()}
-        rhs = Fraction(rhs)
+        scale = math.lcm(Fraction(rhs).denominator,
+                         *(Fraction(v).denominator for v in coeffs.values()))
+        row = {c: int(v * scale) for c, v in coeffs.items()}
+        rhs = int(rhs * scale)
         for col, position in pivot_cols.items():
-            if col in coeffs:
-                factor = coeffs.pop(col)
-                _, prow, prhs = pivots[position]
+            factor = row.pop(col, 0)
+            if factor:
+                _, lead, prow, prhs = pivots[position]
+                g = math.gcd(lead, factor)
+                mult, factor = lead // g, factor // g
+                if mult != 1:
+                    row = {c: mult * v for c, v in row.items()}
+                    rhs *= mult
                 for c2, v2 in prow.items():
-                    coeffs[c2] = coeffs.get(c2, Fraction(0)) - factor * v2
-                    if coeffs[c2] == 0:
-                        del coeffs[c2]
-                rhs = rhs - factor * prhs
-        if not coeffs:
-            if rhs != 0:
+                    v = row.get(c2, 0) - factor * v2
+                    if v:
+                        row[c2] = v
+                    else:
+                        del row[c2]
+                rhs -= factor * prhs
+        if not row:
+            if rhs:
                 return None
             continue
-        col = min(coeffs)
-        lead = coeffs.pop(col)
-        row = {c: v / lead for c, v in coeffs.items()}
+        g = math.gcd(rhs, *row.values())
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+            rhs //= g
+        col = min(row)
+        lead = row.pop(col)
         pivot_cols[col] = len(pivots)
-        pivots.append((col, row, rhs / lead))
+        pivots.append((col, lead, row, rhs))
     solution: Dict[int, Fraction] = {}
-    for col, row, rhs in reversed(pivots):
-        value = rhs
-        for c, v in row.items():
-            value -= v * solution.get(c, Fraction(0))
-        solution[col] = value
+    for col, lead, row, rhs in reversed(pivots):
+        value = rhs - sum(v * solution.get(c, 0) for c, v in row.items())
+        solution[col] = Fraction(value) / lead
     return solution
 
 
@@ -172,34 +318,43 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     """Find g with apply(D, g) == Q by a bounded linear ansatz.
 
     The candidate space is spanned by eps^e times monomials in x, t and the
-    jets up to the order bound.  Basis elements on which a nonlocal D fails
-    to act are skipped; any solution found is verified by direct application
-    before being returned.  A tier of more than MAX_ANSATZ_MONOMIALS
-    monomials raises ResourceLimit before any of them is built.
+    jets, of total degree at most deg(Q) + 1, in two tiers of jet order.
+    Each term's feature f = (s - a, b, e, d) (jet weight minus x degree, t
+    degree, eps degree, jet degree) gains exactly (1, 0, 0, 0) under D_x, so
+    every grading w under which D and Q are both homogeneous splits D g = Q
+    by weight, and only the pairs of weight w . (f(Q) - f(D)) are built:
+    any other part of a solution lies in ker D.  The gradings come from D
+    and Q themselves; with none (D or Q inhomogeneous, or Q = 0) the basis
+    is dense.  Basis elements on which a nonlocal D fails to act are
+    skipped; any solution found is verified by direct application before
+    being returned.  A tier of more than MAX_ANSATZ_MONOMIALS pairs raises
+    ResourceLimit once they are counted, before any is built; at a degree
+    bound so high that counting would be costly, the dense count is raised.
     """
     p = Q.eps_order
     degree_bound = Q.total_degree() + 1
     order_q = max(Q.max_jet_order(), 0)
     tight = max(0, order_q - max(D.max_local_order(), 0))
     order_tiers = [tight, order_q] if tight < order_q else [order_q]
+    # counting a tier costs O(p * degree^2); above this degree the dense
+    # count, which is larger still, is reported without grading
+    dense = math.comb(degree_bound + 2, 2) > MAX_ANSATZ_MONOMIALS
+    shapes = [] if dense else list(_shapes(_gradings(D, Q), p, degree_bound))
     for order_bound in order_tiers:
-        variables = ["x", "t", *range(order_bound + 1)]
-        count = math.comb(len(variables) + degree_bound, degree_bound)
+        count = ((p + 1) * math.comb(order_bound + 3 + degree_bound, degree_bound)
+                 if dense else _tier_size(shapes, degree_bound, order_bound))
         if count > MAX_ANSATZ_MONOMIALS:
             raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
                                 f"cap {MAX_ANSATZ_MONOMIALS}")
-        monomials = _monomial_basis(variables, degree_bound)
         basis: List[Tuple[Monomial, int]] = []
         images: List[DiffPoly] = []
-        for e in range(p + 1):
-            for mon in monomials:
-                b = DiffPoly._from_flat({(mon, e): 1}, p)
-                try:
-                    img = apply_op(D, b)
-                except NotExact:
-                    continue
-                basis.append((mon, e))
-                images.append(img)
+        for key in _graded_pairs(shapes, degree_bound, order_bound):
+            try:
+                img = apply_op(D, DiffPoly._from_flat({key: 1}, p))
+            except NotExact:
+                continue
+            basis.append(key)
+            images.append(img)
         # assemble coordinate equations: one row per (monomial, eps degree)
         rows_map: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
         for i, img in enumerate(images):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
+from jetflow import engine, parse_model
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import MAX_POINTS
@@ -316,18 +317,25 @@ def test_hierarchy_work_caps_exit_3(capsys, tmp_path, setting):
     assert time.process_time() - start < 2.0
 
 
-def test_ansatz_cap_exit_3(capsys, tmp_path):
-    # through E the first order tier of eps*u{7}*u^4 already has
-    # C(7 + 6, 6) = 1716 monomials
+def test_ansatz_cap_exit_3(capsys, tmp_path, monkeypatch):
+    # eps*u{7}*u^4 + t + u_x mixes t-degrees 0 and 1 and (1, 0, -2, 2)-weights
+    # 15 and 3, so no grading of E keeps it homogeneous and the basis stays
+    # dense.  Its first order tier (jet order 7 - 3 = 4) has the C(7 + 6, 6)
+    # = 1716 monomials in x, t, u_0..u_4 of degree <= 6, times 2 eps
+    # degrees: 3432 pairs
+    def applied(*args):
+        raise AssertionError("an image was built")
+
+    monkeypatch.setattr(engine, "apply_op", applied)
     model = tmp_path / "ansatz.jf"
-    model.write_text(GARDNER_SOURCE + "char Big = eps*u{7}*u^4;\n")
+    model.write_text(GARDNER_SOURCE + "char Big = eps*u{7}*u^4 + t + u_x;\n")
     start = time.process_time()
     code, out, err = run(capsys, "noether", str(model), "--char", "Big",
                          "--op", "E")
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit:")
-    assert "1716 monomials" in err
+    assert "3432 monomials" in err
     assert time.process_time() - start < 2.0
 
 
@@ -345,13 +353,16 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
     assert bad["residual"] == "-3*eps*u_x*u_xx"
 
 
-# Byte-exact stdout of four commands, one per code path that a change of
+# Byte-exact stdout of five commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
 # Noether inversion (LaTeX) and the multivector pair check (text), plus a
 # seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
-# pins the pairwise checks at depth.  Replace a file only for an intended
-# change of the CLI output.
+# pins the pairwise checks at depth, and a four-step hierarchy whose
+# functionals the ansatz finds through the second structure E (JSON).
+# Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
+DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
+                "--steps", "4", "--dop", "E", "--format", "json"]
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -365,9 +376,33 @@ GOLDEN = Path(__file__).parent / "golden"
     ("hierarchy_gardner_jet24_R_Kbar1_steps7.json",
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
       "Kbar1", "--steps", "7", "--dop", "D", "--format", "json"]),
+    ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
-        "hierarchy-deep-json"])
+        "hierarchy-deep-json", "hierarchy-dopE-json"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+def test_hierarchy_through_e_matches_magri(capsys):
+    # Flows are R^i(Kbar1) whichever operator inverts them, and R = E * Dxi
+    # gives K_i = E(delta H_{i-1}) for the functionals found through D, so
+    # functional i through E equals functional i - 1 through D modulo D_x.
+    code, out, _ = run(capsys, *DOP_E_STEPS4)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["checks"]) == 46
+    assert all(c["verdict"] == "pass" for c in report["checks"])
+    through_e = report["checks"][0]["certificates"]["hierarchy"]
+    through_d = json.loads((GOLDEN / "hierarchy_gardner_R_Kbar1_steps4.json")
+                           .read_text())["checks"][0]["certificates"]["hierarchy"]
+    assert through_e["flows"] == through_d["flows"]
+
+    def functional(text):
+        return parse_model(f"set eps_order = 1;\ndensity H = {text};"
+                           ).densities["H"]
+
+    for i in range(1, 5):
+        assert functional(through_e["functionals"][i]).equivalent(
+            functional(through_d["functionals"][i - 1])), i

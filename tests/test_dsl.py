@@ -69,6 +69,8 @@ def test_parse_error_cases():
         "density d = Dx;",                   # operator where a poly is needed
         "system s { rhs: u_x; } char s = u;",  # duplicate name
         "char u = u;",                       # reserved name
+        "char u_xx = u^2; char Q = u_xx;",   # a name that spells a jet
+        "density u_x = u;",                  # a name that spells a jet
         "set speed = 3;",                    # unknown setting
         "char a = u; set eps_order = 2;",    # setting after declarations
         "char a = u{};",                     # malformed jet index
@@ -205,6 +207,7 @@ def test_end_of_input_column_after_a_trailing_comment():
 @given(model_texts())
 @example("operator A { Dx/2 }")
 @example("char Q = ²*u_x;")
+@example("char u_xx = u^2; char Q = u_xx;")
 def test_parse_model_raises_only_model_errors(text):
     try:
         parse_model(text)

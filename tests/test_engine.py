@@ -99,21 +99,25 @@ def test_solve_operator_equation_unsolvable(v, gardner):
 
 
 def test_ansatz_monomial_cap(v, gardner, monkeypatch):
-    # Q2 inverts through E in its first order tier: x, t, u and degree <= 4
-    # give C(3 + 4, 4) = 35 monomials
-    E, Q2 = gardner.operators["E"], gardner.characteristics["Q2"]
-    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 35)
-    assert noether_inverse(Q2, E).equivalent(gardner.densities["Pt2"])
-    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 34)
+    # E(1 + u + t) has t-degrees 0 and 1 and (1, 0, -2, 2)-weights 3 and 5,
+    # so no grading of E keeps it homogeneous and the basis stays dense.
+    # Its first order tier (jet order 3 - 3 = 0) has the C(3 + 4, 4) = 35
+    # monomials in x, t, u of degree <= 4, times 2 eps degrees: 70 pairs
+    E = gardner.operators["E"]
+    Q = apply_op(E, 1 + v.u + v.t)
+    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 70)
+    assert apply_op(E, solve_operator_equation(E, Q)) == Q
+    monkeypatch.setattr(engine, "MAX_ANSATZ_MONOMIALS", 69)
 
-    def enumerated(*args):
-        raise AssertionError("the basis was enumerated")
+    def applied(*args):
+        raise AssertionError("an image was built")
 
-    monkeypatch.setattr(engine, "_monomial_basis", enumerated)
-    with pytest.raises(ResourceLimit, match="35 monomials"):
-        noether_inverse(Q2, E)
+    monkeypatch.setattr(engine, "apply_op", applied)
+    with pytest.raises(ResourceLimit, match="an ansatz of 70 monomials "
+                                            "exceeds the cap 69"):
+        solve_operator_equation(E, Q)
     with pytest.raises(ResourceLimit):
-        solve_operator_equation(E, Q2)
+        noether_inverse(Q, E)
 
 
 def test_check_recursion_operator_modes(v, burgers, burgers_sys, gardner,

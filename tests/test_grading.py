@@ -1,0 +1,143 @@
+"""The weight gradings behind the operator-inversion ansatz.
+
+A term x^a t^b eps^e prod u_k^n_k has the feature (s - a, b, e, d), with
+jet weight s = sum k*n_k and jet degree d = sum n_k; a grading w gives it
+the weight w . feature.  The expected gradings, features and bases here are
+written out by hand or enumerated by brute force, never with the engine's
+helpers.
+"""
+
+from itertools import product
+
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from jetflow import (DiffPoly, EpsPoly, Monomial, apply_op,
+                     solve_operator_equation)
+from jetflow import engine
+
+from conftest import diff_polys, local_ops
+
+
+def span_equals(found, expected):
+    found = [list(w) for w, _ in found]
+    rank = sympy.Matrix(expected).rank()
+    return (len(found) == rank and sympy.Matrix(found).rank() == rank
+            and sympy.Matrix(found + expected).rank() == rank)
+
+
+def feature(mon, e):
+    s = sum(k * n for k, n in mon.jets)
+    return (s - mon.x, mon.t, e, sum(n for _, n in mon.jets))
+
+
+def weight(w, f):
+    return sum(x * y for x, y in zip(w, f))
+
+
+def test_gardner_E_gradings(gardner):
+    # w(u) = 2, w(eps) = -2 per unit weight of D_x, and the t degree
+    E, Qbar5 = gardner.operators["E"], gardner.characteristics["Qbar5"]
+    gradings = engine._gradings(E, Qbar5)
+    assert span_equals(gradings, [[1, 0, -2, 2], [0, 1, 0, 0]])
+    # eps*u{5} has feature (5, 0, 1, 1) and -Dx^3 adds (3, 0, 0, 0), so a
+    # preimage has the weight of (2, 0, 1, 1)
+    for w, target in gradings:
+        assert target == weight(w, (2, 0, 1, 1))
+
+
+def test_burgers_R1_leaves_the_weight_of_u_free(burgers):
+    # Dx + eps*u_x is homogeneous exactly when w(eps) = -w(u); the weights
+    # of D_x, t and u are otherwise free
+    R1, Q7 = burgers.operators["R1"], burgers.characteristics["Q7"]
+    gradings = engine._gradings(R1, Q7)
+    assert span_equals(gradings, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 1]])
+    assert all(w[2] == -w[3] for w, _ in gradings)
+
+
+def test_inhomogeneous_characteristic_inverts_through_the_dense_basis(
+        ctx, gardner):
+    # E(1 + u + t) mixes t-degrees 0 and 1 and (1, 0, -2, 2)-weights 3 and 5
+    E = gardner.operators["E"]
+    Q = apply_op(E, 1 + ctx.u(0) + ctx.t)
+    assert engine._gradings(E, Q) == []
+    g = solve_operator_equation(E, Q)
+    assert g is not None and apply_op(E, g) == Q
+
+
+def filtered_dense_basis(gradings, degree_bound, top):
+    """Every (monomial, eps degree) pair at eps order 1 of degree <= bound
+    and jet order <= top, in the order of their exponents (e, a, b, n_0,
+    ..., n_top), kept when it has the preimage weight under every grading."""
+    basis = []
+    for e, a, b, *ns in product(range(2),
+                                *[range(degree_bound + 1)] * (top + 3)):
+        if a + b + sum(ns) > degree_bound:
+            continue
+        mon = Monomial(a, b, tuple((k, n) for k, n in enumerate(ns) if n))
+        if all(weight(w, feature(mon, e)) == target for w, target in gradings):
+            basis.append((mon, e))
+    return basis
+
+
+def test_graded_basis_is_the_filtered_dense_basis(gardner):
+    # Q7 = eps*(2*u + x*u_x + 3*t*(6*u*u_x - u_xxx)) leaves E one grading,
+    # Gardner's w(t) = -3
+    E, Q = gardner.operators["E"], gardner.characteristics["Q7"]
+    gradings = engine._gradings(E, Q)
+    assert span_equals(gradings, [[1, -3, -2, 2]])
+    degree_bound, top = Q.total_degree() + 1, 3
+    expected = filtered_dense_basis(gradings, degree_bound, top)
+    assert expected
+    shapes = list(engine._shapes(gradings, 1, degree_bound))
+    assert engine._graded_pairs(shapes, degree_bound, top) == expected
+    assert engine._tier_size(shapes, degree_bound, top) == len(expected)
+    # and E maps each of them to terms of the weight of Q
+    q_feature = feature(*next(iter(Q._flat)))
+    for mon, e in expected:
+        image = apply_op(E, DiffPoly({mon: EpsPoly.eps(1, e)}, 1))
+        for key in image._flat:
+            for w, _ in gradings:
+                assert weight(w, feature(*key)) == weight(w, q_feature)
+
+
+@settings(max_examples=30, deadline=None)
+@given(local_ops(), diff_polys(), st.integers(0, 2))
+def test_graded_pairs_and_count_match_brute_force(D, Q, top):
+    # each grading makes Q and D homogeneous, and the target is the weight
+    # of a term of Q minus that of a term of D
+    gradings = engine._gradings(D, Q)
+    q_features = [feature(*key) for key in Q._flat]
+    d_shifts = [(f[0] + j, *f[1:]) for j, c in D.local_terms.items()
+                for f in (feature(*key) for key in c._flat)]
+    for w, target in gradings:
+        assert len({weight(w, f) for f in q_features}) == 1
+        assert len({weight(w, f) for f in d_shifts}) == 1
+        assert target == weight(w, q_features[0]) - weight(w, d_shifts[0])
+    degree_bound = Q.total_degree() + 1
+    expected = filtered_dense_basis(gradings, degree_bound, top)
+    shapes = list(engine._shapes(gradings, 1, degree_bound))
+    assert engine._graded_pairs(shapes, degree_bound, top) == expected
+    assert engine._tier_size(shapes, degree_bound, top) == len(expected)
+
+
+def test_dense_tier_size_is_the_binomial_count():
+    # no grading: C(n + d, d) monomials of degree <= d in the n = top + 3
+    # variables x, t, u_0..u_top, at each of 2 eps degrees
+    for top in range(4):
+        for degree in range(5):
+            shapes = list(engine._shapes([], 1, degree))
+            assert (engine._tier_size(shapes, degree, top)
+                    == 2 * sympy.binomial(top + 3 + degree, degree))
+
+
+@settings(max_examples=25, deadline=None)
+@given(diff_polys(max_terms=2, max_jet_order=2, max_degree=2))
+def test_images_under_E_invert(gardner, g):
+    # g has jet order <= 2 and degree <= 2, inside the first order tier and
+    # the degree bound of E(g), whose dense tier has at most 504 pairs
+    E = gardner.operators["E"]
+    Q = apply_op(E, g)
+    found = solve_operator_equation(E, Q)
+    assert found is not None and apply_op(E, found) == Q
+

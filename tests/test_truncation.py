@@ -6,10 +6,13 @@ equal computing at q from the truncated inputs.  The rest of the suite runs
 at p = 1 only.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jetflow import (DiffPoly, NotExact, PseudoDiffOp, adjoint, apply_op,
-                     compose, dx_total, euler1)
+from jetflow import (DiffPoly, EvolutionSystem, NotExact, PseudoDiffOp,
+                     adjoint, apply_op, check_symmetry, compose, dx_total,
+                     euler1, parse_model, solve_operator_equation)
+from jetflow.fixtures import GARDNER_SOURCE
 
 from conftest import diff_polys, local_ops, nonlocal_ops
 
@@ -74,3 +77,48 @@ def test_nonlocal_compose_commutes_with_truncation(A, B, q):
 @given(nonlocal_ops(order=HIGH), lower_orders)
 def test_adjoint_commutes_with_truncation(A, q):
     assert truncate_op(adjoint(A), q) == adjoint(truncate_op(A, q))
+
+
+# ---------------------------------------------------------------------------
+# The engine: symmetry residuals, hierarchy iterates and the ansatz
+
+GARDNER_HIGH = parse_model(GARDNER_SOURCE.replace("set eps_order = 1;",
+                                                  f"set eps_order = {HIGH};"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(diff_polys(max_terms=2, order=HIGH), diff_polys(max_terms=2, order=HIGH),
+       lower_orders)
+def test_symmetry_residual_commutes_with_truncation(Q, K, q):
+    residual = check_symmetry(Q, EvolutionSystem(K)).residual
+    assert (truncate(residual, q)
+            == check_symmetry(truncate(Q, q),
+                              EvolutionSystem(truncate(K, q))).residual)
+
+
+@pytest.mark.parametrize("seed", ["Q1", "Q2", "Q4", "Kbar1"])
+@pytest.mark.parametrize("q", range(HIGH))
+def test_hierarchy_iterates_commute_with_truncation(seed, q):
+    R = GARDNER_HIGH.operators["R"]
+    K = GARDNER_HIGH.characteristics[seed]
+    K_q = truncate(K, q)
+    for _ in range(3):
+        try:
+            K = apply_op(R, K)
+        except NotExact:
+            break
+        K_q = apply_op(truncate_op(R, q), K_q)
+        assert truncate(K, q) == K_q
+
+
+@settings(max_examples=20, deadline=None)
+@given(diff_polys(max_terms=2, max_jet_order=1, max_degree=2, order=HIGH),
+       lower_orders)
+def test_ansatz_preimage_truncates_to_a_preimage(g, q):
+    # g has jet order <= 1 and degree <= 2, inside the first order tier and
+    # the degree bound of E(g), whose dense tier has at most 4 * 126 pairs
+    E = GARDNER_HIGH.operators["E"]
+    Q = apply_op(E, g)
+    found = solve_operator_equation(E, Q)
+    assert found is not None
+    assert apply_op(truncate_op(E, q), truncate(found, q)) == truncate(Q, q)
