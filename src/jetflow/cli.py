@@ -128,10 +128,12 @@ def cmd_hierarchy(args) -> int:
     except NotASymmetry as err:
         result = HierarchyResult([seed], [], (0, err.obstruction), [
             CheckReport("seed symmetry", False, err.obstruction)])
+    failed = (r.residual for r in result.reports if not r.passed)
     summary = CheckReport(
         f"hierarchy {args.op} from {args.seed} ({args.steps} steps)",
         result.all_passed and result.stopped_at is None,
-        None if result.stopped_at is None else result.stopped_at[1],
+        next(failed, None) if result.stopped_at is None
+        else result.stopped_at[1],
         {"hierarchy": result})
     return _finish([summary] + result.reports, model, args)
 

@@ -128,57 +128,25 @@ def _op_features(D: PseudoDiffOp) -> list:
     return shifts
 
 
-def _rref(rows, ncols: int = 4) -> list:
-    """The nonzero rows of the reduced row echelon form of `rows` over Q,
-    each scaled so that its pivot is 1."""
-    rows = [[Fraction(v) for v in row] for row in rows]
-    reduced = []
-    for col in range(ncols):
-        pivot = next((row for row in rows if row[col]), None)
-        if pivot is None:
-            continue
-        rows.remove(pivot)
-        pivot = [v / pivot[col] for v in pivot]
-
-        def eliminate(part):
-            return [[v - row[col] * pv for v, pv in zip(row, pivot)]
-                    for row in part]
-
-        rows, reduced = eliminate(rows), eliminate(reduced) + [pivot]
-    return reduced
-
-
-def _null_space(rows, ncols: int = 4) -> list:
-    """A basis of the rational vectors w with row . w = 0 for every row."""
-    pivots = {next(c for c, v in enumerate(row) if v): row
-              for row in _rref(rows, ncols)}
-    basis = []
-    for free in range(ncols):
-        if free not in pivots:
-            w = [Fraction(0)] * ncols
-            w[free] = Fraction(1)
-            for col, row in pivots.items():
-                w[col] = -row[free]
-            basis.append(w)
-    return basis
-
-
 def _gradings(D: PseudoDiffOp, Q: DiffPoly) -> list:
-    """[(w, weight)]: a reduced echelon basis of the gradings w under which
-    D and Q are both homogeneous, each row scaled to integers, with the
-    weight w . (f(Q) - f(D)) that every term of a preimage of Q then has.
-    Empty when no nonzero grading makes both homogeneous, or when either
-    has no terms."""
+    """[(w, weight)]: a basis of the gradings w under which D and Q are both
+    homogeneous, one integer null vector of their feature differences per
+    free column of the echelon form, each with the weight w . (f(Q) - f(D))
+    that every term of a preimage of Q then has.  Empty when no nonzero
+    grading makes both homogeneous, or when either has no terms."""
     shifts, features = _op_features(D), _features(Q)
     if not shifts or not features:
         return []
     differences = ([[x - y for x, y in zip(f, features[0])] for f in features]
                    + [[x - y for x, y in zip(f, shifts[0])] for f in shifts])
+    pivots = _echelon(({c: v for c, v in enumerate(row) if v}, 0)
+                      for row in differences)
     target = [x - y for x, y in zip(features[0], shifts[0])]
     gradings = []
-    for row in _rref(_null_space(differences)):
-        scale = math.lcm(*(v.denominator for v in row))
-        w = [int(v * scale) for v in row]
+    for free in sorted(set(range(4)) - {col for col, *_ in pivots}):
+        null = _back_substitute(pivots, {free: Fraction(1)})
+        scale = math.lcm(*(v.denominator for v in null.values()))
+        w = [int(null.get(c, 0) * scale) for c in range(4)]
         gradings.append((w, sum(x * y for x, y in zip(w, target))))
     return gradings
 
@@ -186,14 +154,16 @@ def _gradings(D: PseudoDiffOp, Q: DiffPoly) -> list:
 def _shapes(gradings: list, p: int, degree_bound: int):
     """Each (e, b, d, sigma) within the eps order and the degree bound whose
     feature (sigma, b, e, d) has every grading's weight.  sigma = s - a is
-    None when no grading fixes it; only the first echelon row can."""
+    None when no grading fixes it; the first grading with w[0] != 0 fixes
+    it, and every later one is checked against it."""
     for e in range(p + 1):
         for b in range(degree_bound + 1):
             for d in range(degree_bound - b + 1):
                 sigma = None
                 for w, weight in gradings:
-                    rest = weight - w[1] * b - w[2] * e - w[3] * d
-                    if w[0]:
+                    rest = (weight - w[0] * (sigma or 0) - w[1] * b - w[2] * e
+                            - w[3] * d)
+                    if w[0] and sigma is None:
                         sigma, rest = divmod(rest, w[0])
                     if rest:
                         break
@@ -263,14 +233,14 @@ def _graded_pairs(shapes: list, degree_bound: int, top: int) -> list:
     return sorted(pairs, key=order)
 
 
-def _solve_rational_system(rows):
-    """Sparse fraction-free Gaussian elimination over Q.
+def _echelon(rows):
+    """Sparse fraction-free Gaussian elimination over Q (Bareiss 1968).
 
     `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational.
-    Returns an index->Fraction solution with free variables at zero, or None
-    when the system is inconsistent.  Each row is scaled to integers and
-    kept primitive, so elimination runs in int arithmetic; only the back
-    substitution divides.
+    Returns the pivot rows [(col, lead, row, rhs)], where row holds the
+    other columns, or None when the system is inconsistent.  Each row is
+    scaled to integers and kept primitive, so elimination runs in int
+    arithmetic.  A pivot row holds no earlier pivot's column.
     """
     pivots: List[Tuple[int, int, Dict[int, int], int]] = []
     pivot_cols: Dict[int, int] = {}
@@ -307,11 +277,24 @@ def _solve_rational_system(rows):
         lead = row.pop(col)
         pivot_cols[col] = len(pivots)
         pivots.append((col, lead, row, rhs))
-    solution: Dict[int, Fraction] = {}
+    return pivots
+
+
+def _back_substitute(pivots, free_values) -> Dict[int, Fraction]:
+    """The index->Fraction solution of the echelon form `pivots` with the
+    free columns at `free_values`, and at zero where absent."""
+    solution = dict(free_values)
     for col, lead, row, rhs in reversed(pivots):
         value = rhs - sum(v * solution.get(c, 0) for c, v in row.items())
         solution[col] = Fraction(value) / lead
     return solution
+
+
+def _solve_rational_system(rows):
+    """A solution of the rational system `rows` (see _echelon) with free
+    variables at zero, or None when it is inconsistent."""
+    pivots = _echelon(rows)
+    return None if pivots is None else _back_substitute(pivots, {})
 
 
 def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
@@ -461,7 +444,8 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
 
     Each flow is checked to be a symmetry and each functional a conservation
     law; produced functionals are checked to be pairwise in involution under
-    both brackets, and the flows to commute pairwise.  A failed inversion or
+    both brackets, with the Euler derivative of the bracket density as the
+    residual, and the flows to commute pairwise.  A failed inversion or
     a non-exact application stops the iteration and is recorded in
     `stopped_at` together with its obstruction.  A seed that is not a
     symmetry raises NotASymmetry carrying its residual.
@@ -549,12 +533,15 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         image, name = e_images[j], f"involution_E {{H[{i}],H[{j}]}}"
         if isinstance(image, NotExact):
             return CheckReport(name, False, image.obstruction)
-        return CheckReport(name, Functional(grads[i] * image).is_null())
+        return involution(name, grads[i] * image)
+
+    def involution(name: str, density: DiffPoly) -> CheckReport:
+        residual = euler1(density)
+        return CheckReport(name, residual.is_zero(), residual)
 
     for i, j in combinations(range(len(functionals)), 2):
-        reports.append(CheckReport(
-            f"involution_D {{H[{i}],H[{j}]}}",
-            Functional(grads[i] * d_images[j]).is_null()))
+        reports.append(involution(f"involution_D {{H[{i}],H[{j}]}}",
+                                  grads[i] * d_images[j]))
         if second_op is not None:
             reports.append(involution_e(i, j))
     for i, j in combinations(range(len(flows)), 2):

@@ -14,37 +14,40 @@ from math import comb
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
-from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _dx_tower,
-                   _exact, diff_partial, dt_total, integrate_x)
+from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _accumulate,
+                   _dx_tower, _exact, diff_partial, dt_total, integrate_x)
 from .ring import EpsPoly
 
 
 def _normalize_nonlocal(pairs, eps_order):
-    """Prune zero terms, scale each b to a canonical rational multiple,
-    and merge terms that share the same b."""
-    merged: dict = {}
-    order: list = []
+    """The canonical form of sum a*Dx^-1*b.
+
+    Dx^-1 commutes with eps, so the sum is a tensor sum a (x) b over Q[eps]:
+    each b is expanded into eps-free monomials n, its eps powers move onto
+    a, and the coefficients c_n of each n are summed.  The n whose c_n are
+    rational multiples of each other form one term c*Dx^-1*(sum r_n n), with
+    r_n = 1 at the smallest n, and the terms are ordered by that n.  Zero
+    tests and equality are then exact.
+    """
+    coeffs: dict = {}  # n -> c_n as a {(Monomial, e): c} map
     for a, b in pairs:
-        if a.is_zero() or b.is_zero():
-            continue
-        # the coefficient of the smallest monomial at its lowest eps degree
-        r = b._flat[min(b._flat)]
-        if r != 1:
-            b = b / r
-            a = a * r
-        key = b.sort_key()
-        if key in merged:
-            prev_a, _ = merged[key]
-            merged[key] = (prev_a + a, b)
-        else:
-            merged[key] = (a, b)
-            order.append(key)
-    out = []
-    for key in sorted(order):
-        a, b = merged[key]
-        if not a.is_zero():
-            out.append((a, b))
-    return tuple(out)
+        for (n, e), r in b._flat.items():
+            c_n = coeffs.setdefault(n, {})
+            for (mon, f), c in a._flat.items():
+                if f + e <= eps_order:
+                    _accumulate(c_n, (mon, f + e), c * r)
+    groups: dict = {}  # c_n scaled to 1 at its smallest key -> {n: scale}
+    for n in sorted(n for n, c_n in coeffs.items() if c_n):
+        lead = Fraction(coeffs[n][min(coeffs[n])])
+        key = frozenset((k, c / lead) for k, c in coeffs[n].items())
+        groups.setdefault(key, {})[n] = lead
+    terms = []
+    for scales in groups.values():
+        n0 = min(scales)
+        b = {(n, 0): _exact(r / scales[n0]) for n, r in scales.items()}
+        terms.append((DiffPoly._from_flat(coeffs[n0], eps_order),
+                      DiffPoly._from_flat(b, eps_order)))
+    return tuple(terms)
 
 
 class PseudoDiffOp:
@@ -132,9 +135,7 @@ class PseudoDiffOp:
             return NotImplemented
         if self.eps_order != other.eps_order:
             raise OrderMismatch("mixed truncation orders")
-        local = dict(self.local_terms)
-        for j, c in other.local_terms.items():
-            local[j] = local[j] + c if j in local else c
+        local = _collect([*self.local_terms.items(), *other.local_terms.items()])
         return PseudoDiffOp(local, self.nonlocal_terms + other.nonlocal_terms,
                             self.eps_order)
 
@@ -199,16 +200,24 @@ class PseudoDiffOp:
 def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     """Apply the operator to a differential function.
 
-    Nonlocal terms need b*Q to be an exact x-derivative; otherwise NotExact
-    is raised with the Euler obstruction.
+    A nonlocal term eps^k*a*Dx^-1*b, with k the lowest eps degree of its
+    left factor, is applied as a*Dx^-1(eps^k*b*Q): eps^k*b*Q must be an
+    exact x-derivative, otherwise NotExact is raised with its Euler
+    obstruction.
     """
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
-    out = DiffPoly.zero(Q.eps_order)
+    p = Q.eps_order
+    out = DiffPoly.zero(p)
     tower = _dx_tower(Q, A.max_local_order())
     for j, c in A.local_terms.items():
         out = out + c * tower[j]
     for a, b in A.nonlocal_terms:
+        # a = eps^k*a' with k its lowest eps degree, and b is eps-free
+        k = min(e for _, e in a._flat)
+        a = DiffPoly._from_flat({(m, e - k): c
+                                 for (m, e), c in a._flat.items()}, p)
+        b = DiffPoly._from_flat({(m, k): c for (m, _), c in b._flat.items()}, p)
         out = out + a * integrate_x(b * Q)
     return out
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from jetflow import engine, parse_model
+from jetflow import dsl, engine, parse_model
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import MAX_POINTS
@@ -273,6 +273,21 @@ def test_parse_time_product_cap_exit_3(capsys, tmp_path):
     assert time.process_time() - start < 5.0
 
 
+def test_parse_time_product_cap_boundary(capsys, tmp_path, monkeypatch):
+    # (u + u_x)*(u_xx + u_xxx + 1) pairs 2 x 3 terms, and u*u_x one more
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 6)
+    model = tmp_path / "pairs.jf"
+    product = "char Q = (u + u_x)*(u_xx + u_xxx + 1)"
+    model.write_text(product + ";\n")
+    assert run(capsys, "print", str(model))[0] == 0
+    model.write_text(product + " + u*u_x;\n")
+    code, out, err = run(capsys, "print", str(model))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+    assert "more than 6 terms" in err
+
+
 @pytest.mark.parametrize("line", [
     "char Q = " + "1" * 5000 + "*u_x;",   # past Python's int-string limit
     "set eps_order = 100000;",
@@ -337,6 +352,29 @@ def test_ansatz_cap_exit_3(capsys, tmp_path, monkeypatch):
     assert err.startswith("resource limit:")
     assert "3432 monomials" in err
     assert time.process_time() - start < 2.0
+
+
+def test_failing_involutions_report_their_residual(capsys, tmp_path):
+    # R = x + Dxi is no recursion operator of u_t = u_xxx: no pair of its
+    # functionals is in involution, and each failure shows the Euler
+    # derivative of the bracket density
+    model = tmp_path / "linear.jf"
+    model.write_text("system lin { rhs: u_xxx; }\noperator D { Dx }\n"
+                     "operator R { x + Dxi }\nchar S = u_x;\n")
+    code, out, _ = run(capsys, "hierarchy", str(model), "--op", "R",
+                       "--seed", "S", "--steps", "3", "--dop", "D",
+                       "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    involutions = [c for c in checks if c["name"].startswith("involution")]
+    assert len(involutions) == 12
+    assert all(c["verdict"] == "fail" and c["residual"] != "0"
+               for c in involutions)
+    named = {c["name"]: c for c in checks}
+    assert named["involution_D {H[0],H[1]}"]["residual"] == "u"
+    first_failure = next(c for c in checks[1:] if c["verdict"] == "fail")
+    assert checks[0]["verdict"] == "fail"
+    assert checks[0]["residual"] == first_failure["residual"] != "0"
 
 
 def test_hierarchy_second_bracket_not_exact_is_reported(capsys):

@@ -1,4 +1,5 @@
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -6,11 +7,14 @@ from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
                      Functional, NotExact, NotInImage, NotVariational,
                      PseudoDiffOp, ResourceLimit, apply_op, check_conservation,
                      check_recursion_operator, check_symmetry, compose,
-                     dt_total, dx_total, euler1, generate_hierarchy,
-                     noether_inverse, poisson_bracket,
+                     dt_total, dx_total, euler1, frechet, generate_hierarchy,
+                     noether_inverse, parse_model, poisson_bracket,
                      solve_operator_equation)
 from jetflow import engine
 from jetflow.errors import JetflowError, NotASymmetry
+
+
+MODELS = Path(__file__).parent / "models"
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +102,21 @@ def test_solve_operator_equation_unsolvable(v, gardner):
     assert solve_operator_equation(E, v.x) is None
 
 
+def test_hierarchy_step_cap(gardner, gardner_sys, monkeypatch):
+    R, D = gardner.operators["R"], gardner.operators["D"]
+    seed = gardner.characteristics["Kbar1"]
+    monkeypatch.setattr(engine, "MAX_HIERARCHY_STEPS", 1)
+    assert len(generate_hierarchy(R, seed, 1, D, gardner_sys).flows) == 2
+
+    def residual(*args):
+        raise AssertionError("a residual was computed")
+
+    monkeypatch.setattr(engine, "_symmetry_residual", residual)
+    with pytest.raises(ResourceLimit, match="2 hierarchy steps exceed the "
+                                            "cap 1"):
+        generate_hierarchy(R, seed, 2, D, gardner_sys)
+
+
 def test_ansatz_monomial_cap(v, gardner, monkeypatch):
     # E(1 + u + t) has t-degrees 0 and 1 and (1, 0, -2, 2)-weights 3 and 5,
     # so no grading of E keeps it homogeneous and the basis stays dense.
@@ -141,6 +160,27 @@ def test_check_recursion_operator_modes(v, burgers, burgers_sys, gardner,
         check_recursion_operator(R, gardner_sys, mode="action", seeds=[])
     with pytest.raises(ValueError):
         check_recursion_operator(R, gardner_sys, mode="bogus")
+
+
+def test_textbook_gardner_recursion_operator_passes(gardner, gardner_sys):
+    # Rt = 4u + 4eps u^2 - Dx^2 + 2u_x Dxi + 4eps u_x Dxi u satisfies
+    # R_t = [D_K, R] to O(eps); the fixture's R does not, because its
+    # nonlocal left factor (2 + 3eps u)u_x is not a symmetry at O(eps)
+    model = parse_model((MODELS / "gardner_Rt.jf").read_text())
+    report = check_recursion_operator(model.operators["Rt"],
+                                      model.systems["gardner"])
+    assert report.passed and report.residual.is_zero()
+    R = gardner.operators["R"]
+    report = check_recursion_operator(R, gardner_sys)
+    assert not report.passed
+    assert all(e == 1 for c in report.residual.local_terms.values()
+               for _, e in c._flat)
+    # the nonlocal part of R_t - [D_K, R] is (a_t - D_K(a))*Dxi
+    (a, one), = R.nonlocal_terms
+    K = gardner_sys.rhs
+    expected = dt_total(a, gardner_sys) - apply_op(frechet(K), a)
+    assert not expected.is_zero()
+    assert report.residual.nonlocal_terms == ((expected, one),)
 
 
 def test_burgers_double_recursion_yields_a_symmetry_but_not_printed_q3(
@@ -271,13 +311,16 @@ def test_hierarchy_involution_matches_poisson_bracket(v, gardner, gardner_sys):
               gardner.operators["D"], gardner_sys),
              (PseudoDiffOp.from_poly(v.x) + PseudoDiffOp.dxi(1), v.u1, 3,
               v.Dx, EvolutionSystem(v.u3))]
+    # and each residual is the Euler derivative of the bracket density
     for R, seed, steps, D, sys in cases:
         result = generate_hierarchy(R, seed, steps, D, sys)
-        got = {r.name: r.passed for r in result.reports}
+        got = {r.name: r for r in result.reports}
         for (i, F), (j, G) in combinations(enumerate(result.functionals), 2):
             for name, op in (("D", D), ("E", compose(R, D))):
-                assert got[f"involution_{name} {{H[{i}],H[{j}]}}"] == \
-                    poisson_bracket(F, G, op).is_null()
+                report = got[f"involution_{name} {{H[{i}],H[{j}]}}"]
+                bracket = poisson_bracket(F, G, op)
+                assert report.passed == bracket.is_null()
+                assert report.residual == euler1(bracket.density)
 
 
 def _fresh_symmetry_reports(flows, sys):

@@ -16,7 +16,7 @@ from jetflow import (DiffPoly, EpsPoly, Monomial, apply_op,
                      solve_operator_equation)
 from jetflow import engine
 
-from conftest import diff_polys, local_ops
+from conftest import diff_polys, local_ops, rationals
 
 
 def span_equals(found, expected):
@@ -141,3 +141,47 @@ def test_images_under_E_invert(gardner, g):
     found = solve_operator_equation(E, Q)
     assert found is not None and apply_op(E, found) == Q
 
+
+@settings(max_examples=60, deadline=None)
+@given(local_ops(), diff_polys())
+def test_gradings_span_the_whole_null_space(D, Q):
+    # sound gradings (checked above) that number 4 - rank of the feature
+    # differences and are independent span every grading
+    q_features = [feature(*key) for key in Q._flat]
+    d_shifts = [(f[0] + j, *f[1:]) for j, c in D.local_terms.items()
+                for f in (feature(*key) for key in c._flat)]
+    gradings = engine._gradings(D, Q)
+    if not q_features or not d_shifts:
+        assert gradings == []
+        return
+    differences = ([[x - y for x, y in zip(f, q_features[0])]
+                    for f in q_features]
+                   + [[x - y for x, y in zip(f, d_shifts[0])]
+                      for f in d_shifts])
+    free = 4 - sympy.Matrix(differences).rank()
+    assert len(gradings) == free
+    if free:
+        assert sympy.Matrix([w for w, _ in gradings]).rank() == free
+    assert all(type(x) is int for w, _ in gradings for x in w)
+
+
+# small rational systems in 4 unknowns: each row a map of nonzero
+# coefficients, some rows empty, with a rational right-hand side
+system_rows = st.lists(
+    st.tuples(st.dictionaries(st.integers(0, 3), rationals.filter(bool),
+                              max_size=4),
+              rationals),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(system_rows)
+def test_solver_matches_sympy(rows):
+    A = sympy.Matrix([[sympy.Rational(row.get(c, 0)) for c in range(4)]
+                      for row, _ in rows])
+    b = sympy.Matrix([sympy.Rational(rhs) for _, rhs in rows])
+    solution = engine._solve_rational_system(rows)
+    assert (solution is not None) == (A.rank() == A.row_join(b).rank())
+    if solution is not None:
+        for row, rhs in rows:
+            assert sum(v * solution.get(c, 0) for c, v in row.items()) == rhs

@@ -115,6 +115,48 @@ def test_nonlocal_normalization_merges_rational_multiples(v):
     assert A == B
     C = PseudoDiffOp({}, ((v.u, v.u1), (-v.u, v.u1)), 1)
     assert C.is_zero()
+    # eps moves onto the left factor, and terms whose b's share monomials
+    # merge once the eps-free monomials of b are summed
+    A = PseudoDiffOp({}, ((v.u1, v.eps * v.u),), 1)
+    assert A.nonlocal_terms == ((v.eps * v.u1, v.u),)
+    B = PseudoDiffOp({}, ((v.u1, v.u + v.u2), (v.u1, v.u - v.u2)), 1)
+    assert B == PseudoDiffOp({}, ((2 * v.u1, v.u),), 1)
+    # sum c_i*eps*u_x*Dxi*b_i with sum c_i*b_i = 0, the shape of the old
+    # false residual of the textbook Gardner recursion operator
+    C = PseudoDiffOp({}, ((v.eps * v.u1, v.u * v.u1 + v.eps * v.u2),
+                          (-v.eps * v.u1, v.u * v.u1 + 2 * v.eps * v.u2)), 1)
+    assert C.is_zero()
+
+
+def test_apply_puts_the_eps_factor_back_on_b(v):
+    # eps*u_x*Dxi*u integrates eps*u*Q: for Q = u*u_x + eps*u^2*u_xx that is
+    # eps*u^2*u_x mod eps^2, though u*Q alone is not exact
+    A = PseudoDiffOp({}, ((v.eps * v.u1, v.u),), 1)
+    Q = v.u * v.u1 + v.eps * v.u ** 2 * v.u2
+    assert apply_op(A, Q) == v.eps * v.u1 * v.u ** 3 / 3
+    # and an obstruction keeps the eps factor
+    with pytest.raises(NotExact) as err:
+        apply_op(A, v.u * v.u2)
+    assert err.value.obstruction == euler1(v.eps * v.u ** 2 * v.u2)
+    assert not err.value.obstruction.is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonlocal_ops(), diff_polys(max_terms=2, max_degree=2, max_jet_order=2,
+                                  with_xt=False))
+def test_splitting_b_leaves_the_operator_unchanged(A, part):
+    if not A.nonlocal_terms:
+        return
+    (a, b), *rest = A.nonlocal_terms
+    split = PseudoDiffOp(A.local_terms, [(a, part), (a, b - part), *rest],
+                         A.eps_order)
+    assert split == A
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonlocal_ops(), nonlocal_ops())
+def test_adding_and_subtracting_returns_the_operator(A, B):
+    assert (A + B) - B == A
 
 
 def test_scalar_only(v):
