@@ -330,19 +330,16 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
             raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
                                 f"cap {MAX_ANSATZ_MONOMIALS}")
         basis: List[Tuple[Monomial, int]] = []
-        images: List[DiffPoly] = []
+        # coordinate equations: one row per (monomial, eps degree)
+        rows_map: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
         for key in _graded_pairs(shapes, degree_bound, order_bound):
             try:
                 img = apply_op(D, DiffPoly._from_flat({key: 1}, p))
             except NotExact:
                 continue
+            for row, value in img._flat.items():
+                rows_map.setdefault(row, {})[len(basis)] = value
             basis.append(key)
-            images.append(img)
-        # assemble coordinate equations: one row per (monomial, eps degree)
-        rows_map: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
-        for i, img in enumerate(images):
-            for key, value in img._flat.items():
-                rows_map.setdefault(key, {})[i] = value
         keys = sorted(set(rows_map) | set(Q._flat))
         rows = [(rows_map.get(k, {}), Q._flat.get(k, 0)) for k in keys]
         solution = _solve_rational_system(rows)
@@ -358,11 +355,6 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     return None
 
 
-def _is_pure_dx(D: PseudoDiffOp) -> bool:
-    one = DiffPoly.constant(1, D.eps_order)
-    return D.is_local() and D.local_terms == {1: one}
-
-
 def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
     """Produce the conserved functional behind a Hamiltonian symmetry.
 
@@ -370,7 +362,7 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
     bounded linear ansatz otherwise), demands that g be variational, and
     reconstructs a density with Euler derivative g.
     """
-    if _is_pure_dx(D):
+    if D == PseudoDiffOp.dx(D.eps_order):
         try:
             g = integrate_x(Q)
         except NotExact as err:
@@ -414,20 +406,13 @@ def check_recursion_operator(R: PseudoDiffOp, sys: EvolutionSystem,
     if mode == "action":
         if not seeds:
             raise ValueError("action mode needs at least one seed characteristic")
-        images = []
-        passed = True
-        residual = DiffPoly.zero(R.eps_order)
-        for i, seed in enumerate(seeds):
-            seed_report = check_symmetry(seed, sys, f"seed[{i}]")
-            image = apply_op(R, seed)
-            image_report = check_symmetry(image, sys, f"R(seed[{i}])")
-            images.append(image)
-            if not (seed_report.passed and image_report.passed):
-                passed = False
-                if residual.is_zero():
-                    residual = (image_report.residual if seed_report.passed
-                                else seed_report.residual)
-        return CheckReport("recursion(action)", passed, residual,
+        images = [apply_op(R, seed) for seed in seeds]
+        failed = [r.residual for i, pair in enumerate(zip(seeds, images))
+                  for r in (check_symmetry(pair[0], sys, f"seed[{i}]"),
+                            check_symmetry(pair[1], sys, f"R(seed[{i}])"))
+                  if not r.passed]
+        return CheckReport("recursion(action)", not failed,
+                           failed[0] if failed else DiffPoly.zero(R.eps_order),
                            {"images": images})
     raise ValueError(f"unknown mode {mode!r}")
 

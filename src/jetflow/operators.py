@@ -19,25 +19,30 @@ from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _accumulate,
 from .ring import EpsPoly
 
 
-def _normalize_nonlocal(pairs, eps_order):
-    """The canonical form of sum a*Dx^-1*b.
-
-    Dx^-1 commutes with eps, so the sum is a tensor sum a (x) b over Q[eps]:
-    each b is expanded into eps-free monomials n, its eps powers move onto
-    a, and the coefficients c_n of each n are summed.  The n whose c_n are
-    rational multiples of each other form one term c*Dx^-1*(sum r_n n), with
-    r_n = 1 at the smallest n, and the terms are ordered by that n.  Zero
-    tests and equality are then exact.
-    """
-    coeffs: dict = {}  # n -> c_n as a {(Monomial, e): c} map
+def _tensor(pairs, eps_order) -> dict:
+    """sum a*Dx^-1*b as {n: c_n}: Dx^-1 commutes with eps, so the sum is a
+    tensor sum a (x) b over Q[eps]; each b is expanded into eps-free
+    monomials n, its eps powers move onto a, and the c_n are the summed
+    left factors of each n, as nonzero {(Monomial, e): c} maps."""
+    coeffs: dict = {}
     for a, b in pairs:
         for (n, e), r in b._flat.items():
             c_n = coeffs.setdefault(n, {})
             for (mon, f), c in a._flat.items():
                 if f + e <= eps_order:
                     _accumulate(c_n, (mon, f + e), c * r)
+    return {n: c_n for n, c_n in coeffs.items() if c_n}
+
+
+def _normalize_nonlocal(pairs, eps_order):
+    """The canonical form of sum a*Dx^-1*b: the n of _tensor whose c_n are
+    rational multiples of each other form one term c*Dx^-1*(sum r_n n), with
+    r_n = 1 at the smallest n, and the terms are ordered by that n.  Zero
+    tests and equality are then exact.
+    """
+    coeffs = _tensor(pairs, eps_order)
     groups: dict = {}  # c_n scaled to 1 at its smallest key -> {n: scale}
-    for n in sorted(n for n, c_n in coeffs.items() if c_n):
+    for n in sorted(coeffs):
         lead = Fraction(coeffs[n][min(coeffs[n])])
         key = frozenset((k, c / lead) for k, c in coeffs[n].items())
         groups.setdefault(key, {})[n] = lead
@@ -200,10 +205,11 @@ class PseudoDiffOp:
 def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     """Apply the operator to a differential function.
 
-    A nonlocal term eps^k*a*Dx^-1*b, with k the lowest eps degree of its
-    left factor, is applied as a*Dx^-1(eps^k*b*Q): eps^k*b*Q must be an
-    exact x-derivative, otherwise NotExact is raised with its Euler
-    obstruction.
+    The nonlocal part is applied as sum_m m*Dx^-1(B_m*Q) over the eps-free
+    monomials m of its left factors, their eps powers moved onto B_m, so the
+    value does not depend on how the operator is written.  The m whose B_m
+    agree up to a rational multiple and a power of eps share one Dx^-1; a
+    B_m*Q that is not exact raises NotExact with its Euler obstruction.
     """
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
@@ -212,13 +218,19 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     tower = _dx_tower(Q, A.max_local_order())
     for j, c in A.local_terms.items():
         out = out + c * tower[j]
-    for a, b in A.nonlocal_terms:
-        # a = eps^k*a' with k its lowest eps degree, and b is eps-free
-        k = min(e for _, e in a._flat)
-        a = DiffPoly._from_flat({(m, e - k): c
-                                 for (m, e), c in a._flat.items()}, p)
-        b = DiffPoly._from_flat({(m, k): c for (m, _), c in b._flat.items()}, p)
-        out = out + a * integrate_x(b * Q)
+    # the transposed tensor {m: B_m}, grouped by B_m without its lowest eps
+    # power k and scaled to 1: {key: {m: (k, scale)}}
+    groups: dict = {}
+    for m, B in _tensor([(b, a) for a, b in A.nonlocal_terms], p).items():
+        k, lead = min(e for _, e in B), Fraction(B[min(B)])
+        key = frozenset(((n, e - k), c / lead) for (n, e), c in B.items())
+        groups.setdefault(key, {})[m] = (k, lead)
+    for key, scales in groups.items():
+        k0 = min(k for k, _ in scales.values())
+        a = {(m, k - k0): _exact(lead) for m, (k, lead) in scales.items()}
+        b = {(n, e + k0): _exact(c) for (n, e), c in key}
+        out = out + (DiffPoly._from_flat(a, p)
+                     * integrate_x(DiffPoly._from_flat(b, p) * Q))
     return out
 
 

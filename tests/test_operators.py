@@ -3,8 +3,8 @@ from hypothesis import given, settings
 
 from jetflow import (ClosureError, Context, EpsPoly,
                      EvolutionSystem, NotExact, PseudoDiffOp,
-                     adjoint, apply_op, commutator, compose, euler1,
-                     frechet, op_time_derivative)
+                     adjoint, apply_op, commutator, compose, dx_total, euler1,
+                     frechet, integrate_x, op_time_derivative)
 
 from conftest import diff_polys, local_ops, nonlocal_ops, skew_ops
 
@@ -139,6 +139,31 @@ def test_apply_puts_the_eps_factor_back_on_b(v):
         apply_op(A, v.u * v.u2)
     assert err.value.obstruction == euler1(v.eps * v.u ** 2 * v.u2)
     assert not err.value.obstruction.is_zero()
+
+
+def test_apply_integrates_a_split_b_as_one(v):
+    # the canonical form splits Dxi*(u + eps*u_x) into Dxi*u + eps*Dxi*u_x,
+    # and u*Q alone is not exact: both halves share one Dxi
+    Q = v.u1 + v.eps * v.u2
+    A = PseudoDiffOp({}, ((v.one, v.u + v.eps * v.u1),), 1)
+    assert len(A.nonlocal_terms) == 2
+    assert apply_op(A, Q) == v.u ** 2 / 2 + v.eps * v.u * v.u1
+    # left factors 1 + eps and eps: one Dxi, though they differ by more
+    # than a power of eps
+    B = PseudoDiffOp({}, ((v.one, (1 + v.eps) * v.u + v.eps * v.u1),), 1)
+    assert apply_op(B, Q) == (v.u ** 2 / 2
+                              + v.eps * (v.u * v.u1 + v.u ** 2 / 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(diff_polys(max_terms=2, max_degree=2, max_jet_order=2, with_xt=False),
+       diff_polys(max_terms=3, max_degree=2, max_jet_order=2, with_xt=False))
+def test_apply_matches_termwise_integration(a, q):
+    # q*D_x(q) is exact, so a*Dxi*q applies to D_x(q) however the canonical
+    # form splits q by the eps powers of its terms
+    A = PseudoDiffOp({}, ((a, q),), q.eps_order)
+    Q = dx_total(q)
+    assert apply_op(A, Q) == a * integrate_x(q * Q)
 
 
 @settings(max_examples=100, deadline=None)
