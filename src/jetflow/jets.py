@@ -283,10 +283,6 @@ class DiffPoly:
 
         return f"DiffPoly({format_poly(self)!r}, p={self.eps_order})"
 
-    def sort_key(self):
-        """Deterministic structural key, used to canonicalize collections."""
-        return tuple(sorted((m, tuple(cs)) for m, cs in self._grouped().items()))
-
 
 # ---------------------------------------------------------------------------
 # Variable factory

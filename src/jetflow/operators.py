@@ -19,40 +19,43 @@ from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _accumulate,
 from .ring import EpsPoly
 
 
-def _tensor(pairs, eps_order) -> dict:
-    """sum a*Dx^-1*b as {n: c_n}: Dx^-1 commutes with eps, so the sum is a
-    tensor sum a (x) b over Q[eps]; each b is expanded into eps-free
-    monomials n, its eps powers move onto a, and the c_n are the summed
-    left factors of each n, as nonzero {(Monomial, e): c} maps."""
-    coeffs: dict = {}
-    for a, b in pairs:
-        for (n, e), r in b._flat.items():
-            c_n = coeffs.setdefault(n, {})
-            for (mon, f), c in a._flat.items():
-                if f + e <= eps_order:
-                    _accumulate(c_n, (mon, f + e), c * r)
-    return {n: c_n for n, c_n in coeffs.items() if c_n}
-
-
 def _normalize_nonlocal(pairs, eps_order):
-    """The canonical form of sum a*Dx^-1*b: the n of _tensor whose c_n are
-    rational multiples of each other form one term c*Dx^-1*(sum r_n n), with
-    r_n = 1 at the smallest n, and the terms are ordered by that n.  Zero
-    tests and equality are then exact.
+    """The canonical form of sum a*Dx^-1*b, the one apply_op integrates.
+
+    Dx^-1 commutes with eps, so the sum is a tensor over Q[eps]: each a is
+    expanded into eps-free monomials m, its eps powers move onto b, and the
+    right factors of each m are summed into one B_m.  The m whose B_m agree
+    up to a rational multiple and a power of eps share one term
+    (sum c_m*eps^k_m*m)*Dx^-1*b, where b is their common B_m without its
+    lowest eps power, scaled to 1 at its smallest key.  The terms are
+    ordered by their smallest m.  Zero tests and equality are then exact.
     """
-    coeffs = _tensor(pairs, eps_order)
-    groups: dict = {}  # c_n scaled to 1 at its smallest key -> {n: scale}
-    for n in sorted(coeffs):
-        lead = Fraction(coeffs[n][min(coeffs[n])])
-        key = frozenset((k, c / lead) for k, c in coeffs[n].items())
-        groups.setdefault(key, {})[n] = lead
-    terms = []
-    for scales in groups.values():
-        n0 = min(scales)
-        b = {(n, 0): _exact(r / scales[n0]) for n, r in scales.items()}
-        terms.append((DiffPoly._from_flat(coeffs[n0], eps_order),
-                      DiffPoly._from_flat(b, eps_order)))
-    return tuple(terms)
+    right: dict = {}  # m -> B_m as {(n, e): c}
+    for a, b in pairs:
+        for (m, f), r in a._flat.items():
+            B_m = right.setdefault(m, {})
+            for (n, e), c in b._flat.items():
+                if f + e <= eps_order:
+                    _accumulate(B_m, (n, f + e), r * c)
+    groups: dict = {}  # b as a frozenset of ((n, e), c) -> {m: (k_m, c_m)}
+    for m in sorted(right):
+        B = right[m]
+        if B:
+            k, lead = min(e for _, e in B), B[min(B)]
+            b = frozenset(((n, e - k), _ratio(c, lead)) for (n, e), c in B.items())
+            groups.setdefault(b, {})[m] = (k, lead)
+    return tuple(
+        (DiffPoly._from_flat({(m, k): c for m, (k, c) in scales.items()},
+                             eps_order),
+         DiffPoly._from_flat(dict(b), eps_order))
+        for b, scales in groups.items())
+
+
+def _ratio(c, lead):
+    """c/lead in stored form, without a Fraction when lead divides c."""
+    if type(c) is int and type(lead) is int and not c % lead:
+        return c // lead
+    return _exact(Fraction(c, lead))
 
 
 class PseudoDiffOp:
@@ -205,33 +208,30 @@ class PseudoDiffOp:
 def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     """Apply the operator to a differential function.
 
-    The nonlocal part is applied as sum_m m*Dx^-1(B_m*Q) over the eps-free
-    monomials m of its left factors, their eps powers moved onto B_m, so the
-    value does not depend on how the operator is written.  The m whose B_m
-    agree up to a rational multiple and a power of eps share one Dx^-1; a
-    B_m*Q that is not exact raises NotExact with its Euler obstruction.
+    Each stored nonlocal term a*Dx^-1*b takes one Dx^-1: with k the lowest
+    eps degree of a, it adds (a/eps^k)*Dx^-1(eps^k*b*Q), so the eps factor
+    is integrated with b.  The canonical form already merges the monomials
+    of the left factors whose right factors agree up to a rational multiple
+    and a power of eps, so the value does not depend on how the operator is
+    written.  A product that is not exact raises NotExact with its Euler
+    obstruction.
     """
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
-    p = Q.eps_order
-    out = DiffPoly.zero(p)
+    out = DiffPoly.zero(Q.eps_order)
     tower = _dx_tower(Q, A.max_local_order())
     for j, c in A.local_terms.items():
         out = out + c * tower[j]
-    # the transposed tensor {m: B_m}, grouped by B_m without its lowest eps
-    # power k and scaled to 1: {key: {m: (k, scale)}}
-    groups: dict = {}
-    for m, B in _tensor([(b, a) for a, b in A.nonlocal_terms], p).items():
-        k, lead = min(e for _, e in B), Fraction(B[min(B)])
-        key = frozenset(((n, e - k), c / lead) for (n, e), c in B.items())
-        groups.setdefault(key, {})[m] = (k, lead)
-    for key, scales in groups.items():
-        k0 = min(k for k, _ in scales.values())
-        a = {(m, k - k0): _exact(lead) for m, (k, lead) in scales.items()}
-        b = {(n, e + k0): _exact(c) for (n, e), c in key}
-        out = out + (DiffPoly._from_flat(a, p)
-                     * integrate_x(DiffPoly._from_flat(b, p) * Q))
+    for a, b in A.nonlocal_terms:
+        k = min(e for _, e in a._flat)
+        out = out + _eps_shift(a, -k) * integrate_x(_eps_shift(b, k) * Q)
     return out
+
+
+def _eps_shift(P: DiffPoly, k: int) -> DiffPoly:
+    """P*eps^k, for a k that keeps every eps degree in 0..p."""
+    return DiffPoly._from_flat({(m, e + k): c for (m, e), c in P._flat.items()},
+                               P.eps_order)
 
 
 # ---------------------------------------------------------------------------

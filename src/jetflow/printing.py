@@ -26,6 +26,14 @@ def _frac_str(r, latex=False) -> str:
     return str(r)
 
 
+def _power(base: str, n: int, latex=False) -> str:
+    """base^n for n >= 1, written as base when n == 1 and with the exponent
+    in braces in LaTeX."""
+    if n == 1:
+        return base
+    return f"{base}^{{{n}}}" if latex else f"{base}^{n}"
+
+
 def format_eps_poly(c: EpsPoly, latex=False) -> str:
     """Render an eps polynomial, e.g. '8 + 22*eps' or '3/2'."""
     return _format_coeffs(c.coeffs, latex)
@@ -41,7 +49,7 @@ def _format_coeffs(coeffs, latex=False) -> str:
         if i == 0:
             core = _frac_str(a, latex)
         else:
-            power = eps if i == 1 else (f"{eps}^{{{i}}}" if latex else f"{eps}^{i}")
+            power = _power(eps, i, latex)
             if abs(a) == 1:
                 core = power if a > 0 else f"-{power}"
             else:
@@ -60,15 +68,10 @@ def _format_coeffs(coeffs, latex=False) -> str:
 
 
 def _monomial_factors(mon: Monomial, latex=False):
-    factors = []
-    caret = (lambda n: f"^{{{n}}}") if latex else (lambda n: f"^{n}")
-    if mon.x:
-        factors.append("x" + (caret(mon.x) if mon.x > 1 else ""))
-    if mon.t:
-        factors.append("t" + (caret(mon.t) if mon.t > 1 else ""))
+    factors = [_power(var, n, latex)
+               for var, n in (("x", mon.x), ("t", mon.t)) if n]
     for order, e in mon.jets:
-        name = _jet_name(order, ascii_style=not latex)
-        factors.append(name + (caret(e) if e > 1 else ""))
+        factors.append(_power(_jet_name(order, ascii_style=not latex), e, latex))
     return factors
 
 
@@ -93,23 +96,20 @@ def _term_str(mon: Monomial, coeffs, latex=False):
         inner = _format_coeffs(coeffs, latex)
         core = f"({inner})"
         if factors:
-            core += mul + mul.join(factors) if latex else "*" + "*".join(factors)
+            core += mul + mul.join(factors)
         return False, core
     deg, val = single
     neg = val < 0
     val = abs(val)
-    eps = "\\varepsilon" if latex else "eps"
     pieces = []
     if val != 1 or (deg == 0 and not factors):
         pieces.append(_frac_str(val, latex))
-    if deg == 1:
-        pieces.append(eps)
-    elif deg > 1:
-        pieces.append(f"{eps}^{{{deg}}}" if latex else f"{eps}^{deg}")
+    if deg:
+        pieces.append(_power("\\varepsilon" if latex else "eps", deg, latex))
     pieces.extend(factors)
     if not pieces:
         pieces.append("1")
-    return neg, ("" if latex else "*").join(pieces)
+    return neg, mul.join(pieces)
 
 
 def format_poly(P: DiffPoly, latex=False) -> str:
@@ -125,9 +125,8 @@ def format_poly(P: DiffPoly, latex=False) -> str:
     prefix = ""
     if len(terms) > 1 and len(degrees) == 1 and degrees != {-1} and degrees != {0}:
         k = degrees.pop()
-        eps = "\\varepsilon" if latex else "eps"
-        power = eps if k == 1 else (f"{eps}^{{{k}}}" if latex else f"{eps}^{k}")
-        prefix = power + ("(" if latex else "*(")
+        prefix = (_power("\\varepsilon" if latex else "eps", k, latex)
+                  + ("(" if latex else "*("))
         terms = {mon: (_single_degree(coeffs)[1],)
                  for mon, coeffs in terms.items()}
     out = []
@@ -165,7 +164,7 @@ def format_operator(A, latex=False) -> str:
             text = format_poly(coeff, latex)
             parts.append((text.startswith("-"), text.lstrip("-")))
             continue
-        op = dx if j == 1 else (f"{dx}^{{{j}}}" if latex else f"{dx}^{j}")
+        op = _power(dx, j, latex)
         if coeff == DiffPoly.constant(1, coeff.eps_order):
             parts.append((False, op))
         elif coeff == DiffPoly.constant(-1, coeff.eps_order):

@@ -137,6 +137,22 @@ def test_jet_order_caps():
         monitor_functional(traj, Functional(ctx.u(5) ** 2))
 
 
+def test_jet_order_caps_at_the_boundary():
+    # one RK4 step of a zero profile: the right-hand side cap is u{6} and the
+    # density cap u_xxxx; one order more raises before any work
+    ctx = Context(eps_order=1)
+    grid = GridSpec(t_end=1e-4)
+    zero = np.zeros(grid.points)
+    traj = integrate_pde(EvolutionSystem(ctx.u(6)), grid, zero)
+    assert len(traj.times) == 2 and np.all(traj.profiles == 0.0)
+    with pytest.raises(Unsupported):
+        integrate_pde(EvolutionSystem(ctx.u(7)), grid, zero)
+    rows = monitor_functional(traj, Functional(ctx.u(4) ** 2))
+    assert [row["value"] for row in rows] == [0.0, 0.0]
+    with pytest.raises(Unsupported):
+        monitor_functional(traj, Functional(ctx.u(5) ** 2))
+
+
 def test_explicit_x_t_in_density(gardner_sys):
     ctx = Context(eps_order=1)
     grid = GridSpec(t_end=0.01, epsilon=1e-2)

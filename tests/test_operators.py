@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from jetflow import (ClosureError, Context, EpsPoly,
+from jetflow import (ClosureError, Context, DiffPoly, EpsPoly,
                      EvolutionSystem, NotExact, PseudoDiffOp,
                      adjoint, apply_op, commutator, compose, dx_total, euler1,
                      frechet, integrate_x, op_time_derivative)
+from jetflow import operators
 
-from conftest import diff_polys, local_ops, nonlocal_ops, skew_ops
+from conftest import (P, diff_polys, eps_polys, local_ops, nonlocal_ops,
+                      skew_ops)
 
 
 @pytest.fixture(scope="module")
@@ -142,11 +144,11 @@ def test_apply_puts_the_eps_factor_back_on_b(v):
 
 
 def test_apply_integrates_a_split_b_as_one(v):
-    # the canonical form splits Dxi*(u + eps*u_x) into Dxi*u + eps*Dxi*u_x,
-    # and u*Q alone is not exact: both halves share one Dxi
+    # Dxi*(u + eps*u_x) is stored as one term, so u + eps*u_x is integrated
+    # against Q as a whole, though u*Q alone is not exact
     Q = v.u1 + v.eps * v.u2
     A = PseudoDiffOp({}, ((v.one, v.u + v.eps * v.u1),), 1)
-    assert len(A.nonlocal_terms) == 2
+    assert len(A.nonlocal_terms) == 1
     assert apply_op(A, Q) == v.u ** 2 / 2 + v.eps * v.u * v.u1
     # left factors 1 + eps and eps: one Dxi, though they differ by more
     # than a power of eps
@@ -164,6 +166,80 @@ def test_apply_matches_termwise_integration(a, q):
     A = PseudoDiffOp({}, ((a, q),), q.eps_order)
     Q = dx_total(q)
     assert apply_op(A, Q) == a * integrate_x(q * Q)
+
+
+def _expand(pairs, p):
+    """sum a*Dxi*b as {(m, n, e): c} over the eps-free monomials m of a and
+    n of b, truncated at eps^p."""
+    out = {}
+    for a, b in pairs:
+        for m, ca in a.terms.items():
+            for n, cb in b.terms.items():
+                for i, x in enumerate(ca.coeffs):
+                    for j, y in enumerate(cb.coeffs):
+                        if i + j <= p and x * y:
+                            out[m, n, i + j] = out.get((m, n, i + j), 0) + x * y
+    return {key: c for key, c in out.items() if c}
+
+
+def _shape(b):
+    """b without its lowest eps power, scaled to 1 at its smallest key."""
+    flat = {(n, e): c for n, cb in b.terms.items()
+            for e, c in enumerate(cb.coeffs) if c}
+    k = min(e for _, e in flat)
+    lead = flat[min(flat)]
+    return {(n, e - k): c / lead for (n, e), c in flat.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(nonlocal_ops(), nonlocal_ops(), eps_polys(nonzero=True))
+def test_stored_nonlocal_terms_are_the_written_tensor(A, B, c):
+    # stored terms of A, and those of B with their factors swapped and c
+    # moved onto the right factor, written as one operator
+    written = [*A.nonlocal_terms, *((b, a * c) for a, b in B.nonlocal_terms)]
+    stored = PseudoDiffOp({}, written, P).nonlocal_terms
+    assert _expand(stored, P) == _expand(written, P)
+    assert PseudoDiffOp({}, stored, P).nonlocal_terms == stored
+    shapes = [_shape(b) for _, b in stored]
+    assert all(x != y for i, x in enumerate(shapes) for y in shapes[i + 1:])
+    firsts = [min(a.terms) for a, _ in stored]
+    assert firsts == sorted(firsts)
+
+
+def test_left_monomials_whose_b_differ_by_eps_share_a_term(v):
+    # the nonlocal part of the paper's R: u_x and u*u_x have right factors
+    # 2 and 3*eps, which agree up to a rational multiple and a power of eps
+    a = (2 + 3 * v.eps * v.u) * v.u1
+    assert PseudoDiffOp({}, ((a, v.one),), 1).nonlocal_terms == ((a, v.one),)
+    # the textbook Rt's 2*u_x*Dxi + 4*eps*u_x*Dxi*u is one term
+    Rt = PseudoDiffOp({}, ((2 * v.u1, v.one), (4 * v.eps * v.u1, v.u)), 1)
+    assert Rt.nonlocal_terms == ((2 * v.u1, 1 + 2 * v.eps * v.u),)
+
+
+def _apply_counting_integrations(A, Q):
+    """apply_op(A, Q) and the number of integrate_x calls it made."""
+    calls = []
+
+    def counting(poly):
+        calls.append(poly)
+        return integrate_x(poly)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "integrate_x", counting)
+        return apply_op(A, Q), len(calls)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonlocal_ops())
+def test_apply_integrates_once_per_stored_term(A):
+    zero = DiffPoly.zero(P)
+    assert _apply_counting_integrations(A, zero) == (zero, len(A.nonlocal_terms))
+
+
+def test_apply_integrates_each_of_two_terms_once(v):
+    A = PseudoDiffOp({}, ((v.u, v.u1), (v.u1, v.one)), 1)
+    assert len(A.nonlocal_terms) == 2
+    assert _apply_counting_integrations(A, v.one) == (v.u ** 2 + v.x * v.u1, 2)
 
 
 @settings(max_examples=100, deadline=None)
