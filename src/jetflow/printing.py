@@ -1,19 +1,22 @@
 """Canonical text and LaTeX rendering of ring elements, polynomials, operators.
 
 The ASCII forms are exactly the model-file syntax, so printing a value and
-parsing it back yields the same value.  Term order is deterministic.
+parsing it back yields the same value.  Term order is deterministic.  Every
+printed sum is one join of ``(negated, text)`` parts, and every part comes
+from one term renderer, ``_term_str``: an eps polynomial is the sum of its
+degrees, each a term of the monomial 1.
 """
 
 from __future__ import annotations
 
-from .jets import DiffPoly, Monomial
+from .jets import ONE_MONOMIAL, DiffPoly, Monomial
 from .ring import EpsPoly
 
 
-def _jet_name(order, ascii_style=True):
+def _jet_name(order, latex=False):
     if order == 0:
         return "u"
-    if not ascii_style:
+    if latex:
         return "u_x" if order == 1 else "u_{" + "x" * order + "}"
     return "u_" + "x" * order if order <= 4 else f"u{{{order}}}"
 
@@ -34,71 +37,42 @@ def _power(base: str, n: int, latex=False) -> str:
     return f"{base}^{{{n}}}" if latex else f"{base}^{n}"
 
 
-def format_eps_poly(c: EpsPoly, latex=False) -> str:
-    """Render an eps polynomial, e.g. '8 + 22*eps' or '3/2'."""
-    return _format_coeffs(c.coeffs, latex)
+def _product(factors, latex=False) -> str:
+    """Factors joined by '*' in ASCII and side by side in LaTeX."""
+    return ("" if latex else "*").join(factors)
 
 
-def _format_coeffs(coeffs, latex=False) -> str:
-    """Render the values of eps^0, eps^1, ... as one eps polynomial."""
-    eps = "\\varepsilon" if latex else "eps"
-    parts = []
-    for i, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        if i == 0:
-            core = _frac_str(a, latex)
-        else:
-            power = _power(eps, i, latex)
-            if abs(a) == 1:
-                core = power if a > 0 else f"-{power}"
-            else:
-                mul = "" if latex else "*"
-                core = f"{_frac_str(a, latex)}{mul}{power}"
-        parts.append(core)
+def _join(parts) -> str:
+    """The signed sum of (negated, text) parts; '0' when there are none."""
     if not parts:
         return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    out = "".join([(" - " if neg else " + ") + text for neg, text in parts])
+    return ("-" if parts[0][0] else "") + out[3:]
+
+
+def format_eps_poly(c: EpsPoly, latex=False) -> str:
+    """Render an eps polynomial, e.g. '8 + 22*eps' or '3/2'."""
+    return _eps_sum([(i, a) for i, a in enumerate(c.coeffs) if a], latex)
+
+
+def _eps_sum(pairs, latex=False) -> str:
+    """The eps polynomial of nonzero (eps degree, value) pairs."""
+    return _join([_term_str(ONE_MONOMIAL, [pair], latex)
+                  for pair in sorted(pairs)])
 
 
 def _monomial_factors(mon: Monomial, latex=False):
-    factors = [_power(var, n, latex)
-               for var, n in (("x", mon.x), ("t", mon.t)) if n]
-    for order, e in mon.jets:
-        factors.append(_power(_jet_name(order, ascii_style=not latex), e, latex))
-    return factors
+    return ([_power(v, n, latex) for v, n in (("x", mon.x), ("t", mon.t)) if n]
+            + [_power(_jet_name(k, latex), e, latex) for k, e in mon.jets])
 
 
-def _single_degree(coeffs):
-    """(degree, value) when exactly one eps coefficient is nonzero, else None."""
-    found = None
-    for i, a in enumerate(coeffs):
-        if a != 0:
-            if found is not None:
-                return None
-            found = (i, a)
-    return found
-
-
-def _term_str(mon: Monomial, coeffs, latex=False):
-    """Render one term, given its value per eps degree, as
+def _term_str(mon: Monomial, pairs, latex=False):
+    """Render one term, given its nonzero (eps degree, value) pairs, as
     (negated, text-without-sign)."""
-    mul = "" if latex else "*"
     factors = _monomial_factors(mon, latex)
-    single = _single_degree(coeffs)
-    if single is None:
-        inner = _format_coeffs(coeffs, latex)
-        core = f"({inner})"
-        if factors:
-            core += mul + mul.join(factors)
-        return False, core
-    deg, val = single
+    if len(pairs) > 1:
+        return False, _product([f"({_eps_sum(pairs, latex)})"] + factors, latex)
+    ((deg, val),) = pairs
     neg = val < 0
     val = abs(val)
     pieces = []
@@ -106,89 +80,53 @@ def _term_str(mon: Monomial, coeffs, latex=False):
         pieces.append(_frac_str(val, latex))
     if deg:
         pieces.append(_power("\\varepsilon" if latex else "eps", deg, latex))
-    pieces.extend(factors)
-    if not pieces:
-        pieces.append("1")
-    return neg, mul.join(pieces)
+    return neg, _product(pieces + factors, latex)
 
 
 def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
-    terms = P._grouped()
-    if not terms:
-        return "0"
+    terms = {}
+    for (mon, e), c in P._flat.items():
+        terms.setdefault(mon, []).append((e, c))
     # factor a common pure eps^k out front when every term carries it
-    degrees = set()
-    for coeffs in terms.values():
-        single = _single_degree(coeffs)
-        degrees.add(single[0] if single else -1)
+    degrees = {pairs[0][0] if len(pairs) == 1 else -1 for pairs in terms.values()}
     prefix = ""
-    if len(terms) > 1 and len(degrees) == 1 and degrees != {-1} and degrees != {0}:
-        k = degrees.pop()
-        prefix = (_power("\\varepsilon" if latex else "eps", k, latex)
+    if len(terms) > 1 and len(degrees) == 1 and not degrees & {-1, 0}:
+        prefix = (_power("\\varepsilon" if latex else "eps", degrees.pop(), latex)
                   + ("(" if latex else "*("))
-        terms = {mon: (_single_degree(coeffs)[1],)
-                 for mon, coeffs in terms.items()}
-    out = []
-    for mon in sorted(terms):
-        neg, text = _term_str(mon, terms[mon], latex)
-        if not out:
-            out.append(("-" if neg else "") + text)
-        else:
-            out.append(("- " if neg else "+ ") + text)
-    body = " ".join(out)
-    if prefix:
-        return prefix + body + ")"
-    return body
+        terms = {mon: [(0, pairs[0][1])] for mon, pairs in terms.items()}
+    body = _join([_term_str(mon, terms[mon], latex) for mon in sorted(terms)])
+    return prefix + body + ")" if prefix else body
 
 
 def _coeff_factor(P: DiffPoly, latex=False):
     """A polynomial as a multiplicative factor: (negated, text)."""
-    terms = P._grouped()
-    if len(terms) == 1:
-        ((mon, coeffs),) = terms.items()
-        if _single_degree(coeffs) is not None:
-            return _term_str(mon, coeffs, latex)
+    if len(P._flat) == 1:
+        (((mon, e), c),) = P._flat.items()
+        return _term_str(mon, [(e, c)], latex)
     return False, f"({format_poly(P, latex)})"
 
 
 def format_operator(A, latex=False) -> str:
-    """Canonical rendering of a pseudo-differential operator."""
-    mul = "" if latex else "*"
-    dx = "D_x" if latex else "Dx"
-    dxi = "D_x^{-1}" if latex else "Dxi"
+    """Canonical rendering of a pseudo-differential operator.  A coefficient
+    that renders as '1' is left out, except a left factor -1 of Dxi."""
     parts = []
     for j in sorted(A.local_terms):
-        coeff = A.local_terms[j]
-        if j == 0:
-            text = format_poly(coeff, latex)
-            parts.append((text.startswith("-"), text.lstrip("-")))
+        if j == 0:  # the first part, written with its own sign
+            parts.append((False, format_poly(A.local_terms[0], latex)))
             continue
-        op = _power(dx, j, latex)
-        if coeff == DiffPoly.constant(1, coeff.eps_order):
-            parts.append((False, op))
-        elif coeff == DiffPoly.constant(-1, coeff.eps_order):
-            parts.append((True, op))
-        else:
-            neg, text = _coeff_factor(coeff, latex)
-            parts.append((neg, text + mul + op))
+        neg, text = _coeff_factor(A.local_terms[j], latex)
+        op = _power("D_x" if latex else "Dx", j, latex)
+        parts.append((neg, op if text == "1" else _product((text, op), latex)))
     for a, b in A.nonlocal_terms:
-        one = DiffPoly.constant(1, a.eps_order)
-        neg = False
-        text = dxi
-        if a != one:
-            neg, left = _coeff_factor(a, latex)
-            text = left + mul + text
-        if b != one:
-            text = text + mul + _coeff_factor(b, latex)[1]
-        parts.append((neg, text))
-    if not parts:
-        return "0"
-    neg, text = parts[0]
-    out = ("-" if neg else "") + text
-    for neg, text in parts[1:]:
-        out += (" - " if neg else " + ") + text
-    return out
+        neg, left = _coeff_factor(a, latex)
+        factors = [left, "D_x^{-1}" if latex else "Dxi", _coeff_factor(b, latex)[1]]
+        if factors[2] == "1":
+            factors.pop()
+        if (neg, left) == (False, "1"):
+            factors.pop(0)
+        parts.append((neg, _product(factors, latex)))
+    return _join(parts)
 
 
 def format_value(v, latex=False) -> str:

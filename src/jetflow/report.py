@@ -7,8 +7,7 @@ import json
 from typing import List, Optional
 
 from .engine import CheckReport, HierarchyResult
-from .jets import DiffPoly, Functional
-from .operators import PseudoDiffOp
+from .jets import Functional
 from .printing import format_value
 
 
@@ -21,8 +20,6 @@ def _render(value, latex=False) -> Optional[str]:
         return None
     if isinstance(value, Functional):
         return format_value(value.density, latex)
-    if isinstance(value, (DiffPoly, PseudoDiffOp)):
-        return format_value(value, latex)
     if isinstance(value, (list, tuple)):
         return [_render(v, latex) for v in value]
     if isinstance(value, HierarchyResult):
@@ -35,7 +32,7 @@ def _render(value, latex=False) -> Optional[str]:
             },
             "assumptions": list(value.assumptions),
         }
-    return str(value)
+    return format_value(value, latex)
 
 
 def check_entry(report: CheckReport, latex=False) -> dict:
