@@ -120,8 +120,10 @@ def cmd_hierarchy(args) -> int:
     R = _named(model.operators, args.op, "operator")
     seed = _named(model.characteristics, args.seed, "characteristic")
     D = _named(model.operators, args.dop, "operator")
-    system = _named(model.systems, args.system, "system") if args.system \
-        else next(iter(model.systems.values()))
+    if not (args.system or model.systems):
+        raise ModelError("hierarchy needs a system, and the model declares none")
+    system = _named(model.systems, args.system or next(iter(model.systems)),
+                    "system")
     try:
         result = generate_hierarchy(R, seed, args.steps, D, system,
                                     max_jet_order=model.max_jet_order)

@@ -9,8 +9,13 @@ degrees, each a term of the monomial 1.
 
 from __future__ import annotations
 
+import re
+
 from .jets import ONE_MONOMIAL, DiffPoly, Monomial
 from .ring import EpsPoly
+
+# where '\varepsilon' meets a letter, which TeX would read as one control word
+_EPS_LETTER = re.compile(r"(?<=\\varepsilon)(?=[A-Za-z])")
 
 
 def _jet_name(order, latex=False):
@@ -38,8 +43,12 @@ def _power(base: str, n: int, latex=False) -> str:
 
 
 def _product(factors, latex=False) -> str:
-    """Factors joined by '*' in ASCII and side by side in LaTeX."""
-    return ("" if latex else "*").join(factors)
+    """Factors joined by '*' in ASCII and side by side in LaTeX, with a space
+    between '\\varepsilon' and a letter."""
+    if not latex:
+        return "*".join(factors)
+    text = "".join(factors)
+    return _EPS_LETTER.sub(" ", text) if "\\varepsilon" in text else text
 
 
 def _join(parts) -> str:

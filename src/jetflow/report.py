@@ -11,6 +11,10 @@ from .jets import Functional
 from .printing import format_value
 
 
+# the characters special to TeX in text mode, escaped with a backslash
+_TEX_ESCAPES = str.maketrans({c: "\\" + c for c in "_{}#$%&"})
+
+
 def model_hash(canonical_text: str) -> str:
     return hashlib.sha256(canonical_text.encode()).hexdigest()[:16]
 
@@ -69,11 +73,11 @@ def emit_report(checks: List[CheckReport], command: str, digest: str,
         ]
         for c in checks:
             entry = check_entry(c, latex=True)
-            lines.append(f"\\item[{c.name} ({c.verdict})] "
-                         f"residual $= {entry['residual']}$")
+            label = f"{c.name} ({c.verdict})".translate(_TEX_ESCAPES)
+            lines.append(f"\\item[{{{label}}}] residual $= {entry['residual']}$")
             for key, value in (entry.get("certificates") or {}).items():
                 if isinstance(value, str):
-                    lines.append(f"  \\\\ {key}: ${value}$")
+                    lines.append(f"  \\\\ {key.translate(_TEX_ESCAPES)}: ${value}$")
         lines.append("\\end{description}")
         return "\n".join(lines)
     if fmt == "text":

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -253,6 +255,23 @@ def test_hierarchy_seed_that_is_not_a_symmetry_fails(capsys, tmp_path):
     assert stopped == {"index": 0, "obstruction": checks[1]["residual"]}
 
 
+NO_SYSTEM_MODEL = """set eps_order = 1;
+operator A { Dx }
+char Q = u_x;
+"""
+
+
+def test_hierarchy_on_a_model_without_a_system_is_a_model_error(capsys, tmp_path):
+    model = tmp_path / "nosystem.jf"
+    model.write_text(NO_SYSTEM_MODEL)
+    code, out, err = run(capsys, "hierarchy", str(model), "--op", "A",
+                         "--seed", "Q", "--steps", "1", "--dop", "A")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "system" in err
+    assert "Traceback" not in err
+
+
 def test_validate_numeric_caps_exit_3(capsys):
     for flag, value in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS))):
         code, out, err = run(capsys, "validate-numeric", "gardner",
@@ -444,3 +463,81 @@ def test_hierarchy_through_e_matches_magri(capsys):
     for i in range(1, 5):
         assert functional(through_e["functionals"][i]).equivalent(
             functional(through_d["functionals"][i - 1])), i
+
+
+# A LaTeX report may use its own commands, the two that values use, the line
+# break and the escapes of its labels, and no other control sequence.
+TEX_COMMANDS = {"\\begin", "\\end", "\\item", "\\varepsilon", "\\frac",
+                "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%", "\\&"}
+TEX_TOKENS = re.compile(r"\\[A-Za-z]+|\\.|.")
+
+
+def tex_faults(text):
+    """What TeX would reject in a LaTeX report, line by line: an unknown
+    control sequence, unbalanced braces or `$`, `_` outside math, a bare
+    `#`, `%` or `&`, or an `\\item` label cut short by a `]` inside it."""
+    faults = []
+    for line in text.splitlines():
+        if line.startswith("%"):  # a comment line
+            continue
+        tokens = TEX_TOKENS.findall(line)
+        depth, math, label = 0, False, None
+        for i, tok in enumerate(tokens):
+            if label is not None and depth == 0 and tok == "]":
+                # the first `]` outside braces ends the optional argument
+                if not "".join(label).endswith(("(pass)}", "(fail)}")):
+                    faults.append(f"label cut short: {line}")
+                label = None
+            elif label is not None:
+                label.append(tok)
+            if tok.startswith("\\") and tok not in TEX_COMMANDS:
+                faults.append(f"control sequence {tok}: {line}")
+            elif tok == "[" and tokens[i - 1:i] == ["\\item"]:
+                label = []
+            elif tok == "$":
+                math = not math
+            elif tok in ("{", "}"):
+                depth += 1 if tok == "{" else -1
+                if depth < 0:
+                    faults.append(f"unbalanced braces: {line}")
+                    depth = 0
+            elif (tok == "_" and not math) or tok in ("#", "%", "&"):
+                faults.append(f"bare {tok}: {line}")
+        if depth or math:
+            faults.append(f"unclosed brace or $: {line}")
+    return faults
+
+
+def test_tex_faults_finds_unescaped_labels_and_run_on_control_words():
+    assert tex_faults("\\item[conservation H[0] (pass)] residual $= 0$")
+    assert tex_faults("\\item[{involution_D {H[0],H[1]} (pass)}] residual $= 0$")
+    assert tex_faults("\\item[{flux (pass)}] residual $= 6\\varepsilonu$")
+    assert tex_faults("  \\\\ max_drift: $1.0$")
+    assert tex_faults("\\item[{a (pass)}] residual $= \\frac{1}{2$")
+    assert tex_faults("\\item[{100% (pass)}] residual $= 0$")
+    assert not tex_faults("% eps_order\n\\begin{description}\n"
+                          "\\item[{involution\\_D \\{H[0],H[1]\\} (pass)}] "
+                          "residual $= 6\\varepsilon u_x$\n  \\\\ max\\_drift: $1$")
+
+
+def verify_catalogue():
+    """The commands of the benchmark's `verify` workload."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for argv, *_ in workloads.CATALOGUE]
+
+
+def test_latex_reports_are_well_formed(capsys):
+    # `print` writes a model, not a report; validate-numeric adds the
+    # certificate key max_drift
+    commands = [argv for argv in verify_catalogue() if argv[0] != "print"]
+    commands.append(["validate-numeric", "gardner", "--system", "gardner",
+                     "--density", "H0", "--points", "32", "--dt", "1e-3",
+                     "--t-end", "0.01"])
+    for argv in commands:
+        code, out, err = run(capsys, *argv, "--format", "latex")
+        assert code in (0, 1) and err == "", argv
+        assert out.count("\\item[") >= 1, argv
+        assert tex_faults(out) == [], argv

@@ -3,6 +3,7 @@ import json
 from jetflow import (CheckReport, Functional, check_conservation,
                      format_poly, generate_hierarchy, load_fixture)
 from jetflow.engine import NONDEGENERACY_ASSUMPTION
+from jetflow.operators import PseudoDiffOp
 from jetflow.printing import format_eps_poly, format_operator
 from jetflow.report import emit_report, model_hash
 from jetflow.ring import EpsPoly
@@ -15,6 +16,20 @@ def test_latex_matches_paper_style(ctx):
     assert format_poly(kbar1, latex=True) == "\\varepsilon(6uu_x - u_{xxx})"
     assert format_poly(u ** 3 + u1 ** 2 / 2, latex=True) == \
         "u^{3} + \\frac{1}{2}u_x^{2}"
+
+
+def test_latex_eps_is_spaced_from_a_following_letter(ctx):
+    # "\\varepsilonu" would be one undefined control word to TeX
+    u, eps = ctx.u(0), ctx.eps
+    assert format_poly(3 * eps * u, latex=True) == "3\\varepsilon u"
+    assert format_poly(3 * eps * u) == "3*eps*u"
+    assert format_operator(PseudoDiffOp.from_poly(eps * u) + PseudoDiffOp(
+        {1: eps}), latex=True) == "\\varepsilon u + \\varepsilon D_x"
+    assert format_operator(PseudoDiffOp({}, ((eps, u),)), latex=True) == \
+        "\\varepsilon D_x^{-1}u"
+    # no space where no letter follows
+    assert format_poly(eps * (u + 1), latex=True) == "\\varepsilon(1 + u)"
+    assert format_eps_poly(EpsPoly((1, 1)), latex=True) == "1 + \\varepsilon"
 
 
 def test_eps_poly_rendering():
@@ -66,6 +81,17 @@ def test_text_and_latex_emitters(ctx, gardner, gardner_sys):
     assert "[PASS] claw P5" in text
     latex = emit_report([report], "check-claw", "abc", 1, 12, "latex")
     assert "\\varepsilon" in latex and "\\begin{description}" in latex
+
+
+def test_latex_labels_are_escaped_and_braced():
+    report = CheckReport("involution_D {H[0],H[1]}", True, None,
+                         {"max_drift": "1.0e-03"})
+    latex = emit_report([report], "hierarchy", "abc", 1, 12, "latex")
+    assert "\\item[{involution\\_D \\{H[0],H[1]\\} (pass)}] residual $= 0$" in latex
+    assert "  \\\\ max\\_drift: $1.0e-03$" in latex
+    text = emit_report([report], "hierarchy", "abc", 1, 12, "text")
+    assert "[PASS] involution_D {H[0],H[1]}" in text
+    assert "max_drift: 1.0e-03" in text
 
 
 def test_model_hash_deterministic(gardner):

@@ -4,13 +4,17 @@ A DiffPoly becomes a sympy expression in x, t, eps and the function u(x),
 with u_k as the k-th derivative of u(x).  Total x-derivatives are then
 sympy's chain rule, and the Euler operator is
 `sympy.calculus.euler.euler_equations`.  Both maps are linear in eps, so no
-truncation is needed on the sympy side.
+truncation is needed on the sympy side.  The printer is checked by sympy's
+own parser reading the printed text, with each jet as a plain symbol.
 """
 
-import pytest
-from hypothesis import given, settings
+import re
 
-from jetflow import dx_total, euler1, integrate_x, reconstruct_density
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from jetflow import (DiffPoly, EpsPoly, dx_total, euler1, format_poly,
+                     integrate_x, reconstruct_density)
 
 from conftest import diff_polys
 
@@ -69,3 +73,40 @@ def test_reconstruct_density_euler_matches_sympy(q):
     density = reconstruct_density(g).density
     (equation,) = euler_equations(to_sympy(density) + shift * U, U, X)
     assert same(equation.lhs - equation.rhs - shift, to_sympy(g))
+
+
+def jet(k):
+    return sympy.Symbol(f"jet{k}")
+
+
+def read_printed(text):
+    """sympy's reading of a printed polynomial: u, u_x, ..., u_xxxx and u{k}
+    are the jet symbols and ^ is **."""
+    text = re.sub(r"u\{(\d+)\}", r"jet\1", text).replace("^", "**")
+    names = {"u" + ("_" + "x" * k if k else ""): jet(k) for k in range(5)}
+    return sympy.parse_expr(text, local_dict=names)
+
+
+def from_flat(P):
+    """The polynomial of the stored {(monomial, eps degree): value} map."""
+    expr = sympy.Integer(0)
+    for (mon, e), c in P._flat.items():
+        term = sympy.Rational(c.numerator, c.denominator) * EPS ** e
+        term *= X ** mon.x * T ** mon.t
+        for k, power in mon.jets:
+            term *= jet(k) ** power
+        expr += term
+    return expr
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda order: st.tuples(
+    diff_polys(max_terms=4, max_jet_order=6, order=order),
+    st.integers(0, order))))
+def test_printed_poly_reads_back_under_sympy(args):
+    # eps^k * p, whose terms often share the power of eps printed in front
+    p, k = args
+    order = p.eps_order
+    eps_k = EpsPoly(tuple(int(i == k) for i in range(order + 1)), order=order)
+    p = p * DiffPoly.constant(eps_k, order)
+    assert same(read_printed(format_poly(p)), from_flat(p))
