@@ -1,5 +1,13 @@
 """Symbolic verification of approximate symmetries, conservation laws and
-bi-Hamiltonian structures of perturbed evolution equations."""
+bi-Hamiltonian structures of perturbed evolution equations.
+
+The numeric validator (`jetflow.numeric`, and with it numpy) is imported on
+the first numeric call: the first use of `GridSpec`, `Trajectory`,
+`integrate_pde`, `max_drift`, `monitor_functional`, `sech_squared_profile`
+or `jetflow.numeric`.  Symbolic work never loads numpy.
+"""
+
+import importlib
 
 from .errors import (ClosureError, Diverged, JetflowError, ModelError,
                      NotExact, NotInImage, NotVariational, OrderMismatch,
@@ -20,11 +28,13 @@ from .engine import (CheckReport, HierarchyResult, check_conservation,
                      solve_operator_equation)
 from .dsl import ModelIR, parse_model, print_model
 from .fixtures import fixture_names, load_fixture
-from .numeric import (GridSpec, Trajectory, integrate_pde, max_drift,
-                      monitor_functional, sech_squared_profile)
 from .printing import format_eps_poly, format_operator, format_poly, format_value
 
 __version__ = "0.1.0"
+
+# names resolved from `numeric` by __getattr__ (PEP 562) on first use
+_NUMERIC_NAMES = ("GridSpec", "Trajectory", "integrate_pde", "max_drift",
+                  "monitor_functional", "sech_squared_profile")
 
 __all__ = [
     "ClosureError", "Diverged", "JetflowError", "ModelError", "NotExact",
@@ -49,3 +59,14 @@ __all__ = [
     "format_eps_poly", "format_operator", "format_poly", "format_value",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name == "numeric" or name in _NUMERIC_NAMES:
+        numeric = importlib.import_module(".numeric", __name__)
+        return numeric if name == "numeric" else getattr(numeric, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NUMERIC_NAMES, "numeric"})

@@ -21,8 +21,6 @@ from .errors import (ClosureError, Diverged, JetflowError, ModelError,
                      Unsupported)
 from .fixtures import FIXTURES, fixture_names
 from .hamiltonian import pair_check
-from .numeric import (GridSpec, integrate_pde, max_drift, monitor_functional,
-                      sech_squared_profile)
 from .report import emit_report, model_hash
 
 
@@ -141,6 +139,9 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_validate_numeric(args) -> int:
+    from .numeric import (integrate_pde, max_drift, monitor_functional,
+                          sech_squared_profile)
+
     model = load_model(args.model)
     system = _named(model.systems, args.system, "system")
     T = _named(model.densities, args.density, "density")
@@ -256,6 +257,8 @@ def _check_args(parser: argparse.ArgumentParser, args) -> None:
     if args.command == "hierarchy" and args.steps < 0:
         parser.error("hierarchy --steps must be non-negative")
     if args.command == "validate-numeric":
+        from .numeric import GridSpec
+
         try:
             args.grid = GridSpec(length=args.length, points=args.points,
                                  dt=args.dt, t_end=args.t_end,

@@ -109,16 +109,19 @@ def format_poly(P: DiffPoly, latex=False) -> str:
 
 
 def _coeff_factor(P: DiffPoly, latex=False):
-    """A polynomial as a multiplicative factor: (negated, text)."""
-    if len(P._flat) == 1:
-        (((mon, e), c),) = P._flat.items()
-        return _term_str(mon, [(e, c)], latex)
+    """A polynomial as a multiplicative factor: (negated, text).  A
+    polynomial of one monomial is one term, such as '(1 + eps)*u'."""
+    mons = {mon for mon, _ in P._flat}
+    if len(mons) == 1:
+        return _term_str(mons.pop(), [(e, c) for (_, e), c in P._flat.items()],
+                         latex)
     return False, f"({format_poly(P, latex)})"
 
 
 def format_operator(A, latex=False) -> str:
     """Canonical rendering of a pseudo-differential operator.  A coefficient
-    that renders as '1' is left out, except a left factor -1 of Dxi."""
+    that renders as '1' is left out, so -1*Dx^j prints as '-Dx^j' and
+    -1*Dxi as '-Dxi'."""
     parts = []
     for j in sorted(A.local_terms):
         if j == 0:  # the first part, written with its own sign
@@ -126,16 +129,17 @@ def format_operator(A, latex=False) -> str:
             continue
         neg, text = _coeff_factor(A.local_terms[j], latex)
         op = _power("D_x" if latex else "Dx", j, latex)
-        parts.append((neg, op if text == "1" else _product((text, op), latex)))
+        parts.append((neg, _factors((text, op), latex)))
     for a, b in A.nonlocal_terms:
         neg, left = _coeff_factor(a, latex)
-        factors = [left, "D_x^{-1}" if latex else "Dxi", _coeff_factor(b, latex)[1]]
-        if factors[2] == "1":
-            factors.pop()
-        if (neg, left) == (False, "1"):
-            factors.pop(0)
-        parts.append((neg, _product(factors, latex)))
+        parts.append((neg, _factors((left, "D_x^{-1}" if latex else "Dxi",
+                                     _coeff_factor(b, latex)[1]), latex)))
     return _join(parts)
+
+
+def _factors(factors, latex=False) -> str:
+    """The product of the factors that are not '1'."""
+    return _product([f for f in factors if f != "1"], latex)
 
 
 def format_value(v, latex=False) -> str:

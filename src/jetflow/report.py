@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import List, Optional
 
 from .engine import CheckReport, HierarchyResult
@@ -11,8 +12,13 @@ from .jets import Functional
 from .printing import format_value
 
 
-# the characters special to TeX in text mode, escaped with a backslash
-_TEX_ESCAPES = str.maketrans({c: "\\" + c for c in "_{}#$%&"})
+# the characters special to TeX in text mode, escaped
+_TEX_ESCAPES = str.maketrans({**{c: "\\" + c for c in "_{}#$%&"},
+                              "^": "\\^{}", "~": "\\~{}",
+                              "\\": "\\textbackslash{}"})
+# a string certificate that reads as a number is set in math mode, like a
+# formula; any other string, such as an error message, is prose
+_NUMBER = re.compile(r"[-+]?\d+(\.\d*)?([eE][-+]?\d+)?")
 
 
 def model_hash(canonical_text: str) -> str:
@@ -37,6 +43,14 @@ def _render(value, latex=False) -> Optional[str]:
             "assumptions": list(value.assumptions),
         }
     return format_value(value, latex)
+
+
+def _tex_value(raw, rendered: str) -> str:
+    """A rendered certificate for a LaTeX report: prose as escaped text,
+    a formula or a number in math mode."""
+    if isinstance(raw, str) and not _NUMBER.fullmatch(raw):
+        return raw.translate(_TEX_ESCAPES)
+    return f"${rendered}$"
 
 
 def check_entry(report: CheckReport, latex=False) -> dict:
@@ -77,7 +91,8 @@ def emit_report(checks: List[CheckReport], command: str, digest: str,
             lines.append(f"\\item[{{{label}}}] residual $= {entry['residual']}$")
             for key, value in (entry.get("certificates") or {}).items():
                 if isinstance(value, str):
-                    lines.append(f"  \\\\ {key.translate(_TEX_ESCAPES)}: ${value}$")
+                    lines.append(f"  \\\\ {key.translate(_TEX_ESCAPES)}: "
+                                 + _tex_value(c.certificates[key], value))
         lines.append("\\end{description}")
         return "\n".join(lines)
     if fmt == "text":

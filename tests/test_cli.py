@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from jetflow import dsl, engine, parse_model
+from jetflow import CheckReport, dsl, engine, parse_model
 from jetflow.cli import main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import MAX_POINTS
+from jetflow.report import emit_report
 
 from conftest import model_texts
 
@@ -466,16 +467,18 @@ def test_hierarchy_through_e_matches_magri(capsys):
 
 
 # A LaTeX report may use its own commands, the two that values use, the line
-# break and the escapes of its labels, and no other control sequence.
+# break and the escapes of its labels and prose, and no other control
+# sequence.
 TEX_COMMANDS = {"\\begin", "\\end", "\\item", "\\varepsilon", "\\frac",
-                "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%", "\\&"}
+                "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%", "\\&",
+                "\\^", "\\~", "\\textbackslash"}
 TEX_TOKENS = re.compile(r"\\[A-Za-z]+|\\.|.")
 
 
 def tex_faults(text):
     """What TeX would reject in a LaTeX report, line by line: an unknown
-    control sequence, unbalanced braces or `$`, `_` outside math, a bare
-    `#`, `%` or `&`, or an `\\item` label cut short by a `]` inside it."""
+    control sequence, unbalanced braces or `$`, `_` or `^` outside math, a
+    bare `#`, `%` or `&`, or an `\\item` label cut short by a `]` inside it."""
     faults = []
     for line in text.splitlines():
         if line.startswith("%"):  # a comment line
@@ -501,7 +504,7 @@ def tex_faults(text):
                 if depth < 0:
                     faults.append(f"unbalanced braces: {line}")
                     depth = 0
-            elif (tok == "_" and not math) or tok in ("#", "%", "&"):
+            elif (tok in ("_", "^") and not math) or tok in ("#", "%", "&"):
                 faults.append(f"bare {tok}: {line}")
         if depth or math:
             faults.append(f"unclosed brace or $: {line}")
@@ -513,6 +516,7 @@ def test_tex_faults_finds_unescaped_labels_and_run_on_control_words():
     assert tex_faults("\\item[{involution_D {H[0],H[1]} (pass)}] residual $= 0$")
     assert tex_faults("\\item[{flux (pass)}] residual $= 6\\varepsilonu$")
     assert tex_faults("  \\\\ max_drift: $1.0$")
+    assert tex_faults("  \\\\ error: (Dx^2) o (Dxi)")
     assert tex_faults("\\item[{a (pass)}] residual $= \\frac{1}{2$")
     assert tex_faults("\\item[{100% (pass)}] residual $= 0$")
     assert not tex_faults("% eps_order\n\\begin{description}\n"
@@ -541,3 +545,22 @@ def test_latex_reports_are_well_formed(capsys):
         assert code in (0, 1) and err == "", argv
         assert out.count("\\item[") >= 1, argv
         assert tex_faults(out) == [], argv
+
+
+def test_latex_prose_certificates_are_escaped_text(capsys):
+    # an error message is prose: text mode, not run-together math symbols
+    code, out, _ = run(capsys, "validate-numeric", "gardner", "--system",
+                       "gardner", "--density", "M", "--dt", "0.005",
+                       "--t-end", "0.05", "--format", "latex")
+    assert code == 1
+    assert "  \\\\ error: non-finite value at step 4 (t=0.02)\n" in out
+    assert tex_faults(out) == []
+    report = CheckReport("recursion R", False, None, {
+        "error": "(Dx^2 + u_x*Dxi) o (Dxi) leaves the class",
+        "max_drift": "3.162952e-05", "samples": "11"})
+    out = emit_report([report], "check-recursion", "abc", 1, 12, "latex")
+    assert ("  \\\\ error: (Dx\\^{}2 + u\\_x*Dxi) o (Dxi) leaves the class\n"
+            in out)
+    # a number is set in math mode, like a formula
+    assert "  \\\\ max\\_drift: $3.162952e-05$\n  \\\\ samples: $11$" in out
+    assert tex_faults(out) == []

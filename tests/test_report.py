@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from jetflow import (CheckReport, Functional, check_conservation,
-                     format_poly, generate_hierarchy, load_fixture)
+                     format_poly, generate_hierarchy, load_fixture,
+                     parse_model, print_model)
 from jetflow.engine import NONDEGENERACY_ASSUMPTION
 from jetflow.operators import PseudoDiffOp
 from jetflow.printing import format_eps_poly, format_operator
@@ -43,6 +46,26 @@ def test_eps_poly_rendering():
 def test_operator_rendering_round_trip_forms(ctx, gardner):
     text = format_operator(gardner.operators["R"])
     assert "Dxi" in text and "Dx^2" in text
+
+
+@pytest.mark.parametrize("text, latex", [
+    # a one-monomial coefficient of several eps degrees is one factor
+    ("(1 + eps)*Dx", "(1 + \\varepsilon)D_x"),
+    ("(1 - 2*eps)*u*Dx^2", "(1 - 2\\varepsilon)uD_x^{2}"),
+    ("Dxi*(1 + 2*eps)*u", "D_x^{-1}(1 + 2\\varepsilon)u"),
+    # a coefficient -1 is a sign, for Dxi as for Dx
+    ("-Dxi", "-D_x^{-1}"),
+    ("-Dx - Dxi", "-D_x - D_x^{-1}"),
+    ("-Dxi*u_x", "-D_x^{-1}u_x"),
+])
+def test_operator_print_parse_round_trip(text, latex):
+    model = parse_model(f"operator A {{ {text} }}\n")
+    A = model.operators["A"]
+    assert format_operator(A) == text
+    assert format_operator(A, latex=True) == latex
+    printed = print_model(model)
+    assert f"operator A {{ {text} }}\n" in printed
+    assert parse_model(printed).operators["A"] == A
 
 
 def test_json_report_schema(ctx, gardner, gardner_sys):
