@@ -461,6 +461,11 @@ def euler(P: DiffPoly) -> DiffPoly:
 euler1 = euler  # public alias
 
 
+def _valuation(P: DiffPoly) -> int:
+    """The lowest eps degree of P, or p + 1 when P is zero."""
+    return min((e for _, e in P._flat), default=P.eps_order + 1)
+
+
 def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     """Apply the Frechet derivative of `target` to `direction`.
 
@@ -468,10 +473,20 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     characteristic `direction` on `target`.  `direction` may also be given
     as its D_x tower, a list as `_dx_tower` builds it, which grows in place
     to the jet order `target` needs, so that callers can share it.
+
+    Neither D_x nor a partial derivative lowers the eps valuation v, so
+    every product here has valuation at least v(direction) + v(target).
+    When that sum exceeds p the result is zero mod eps^(p+1), and it is
+    returned before the tower grows: at p = 1 two O(eps) flows commute by
+    truncation alone.  Mixed truncation orders raise OrderMismatch first.
     """
     tower = direction if isinstance(direction, list) else [direction]
+    target._check_compat(tower[0])
+    p = target.eps_order
+    if _valuation(tower[0]) + _valuation(target) > p:
+        return DiffPoly.zero(p)
     _dx_tower(tower[0], target.max_jet_order(), tower)
-    out = DiffPoly.zero(target.eps_order)
+    out = DiffPoly.zero(p)
     for k in sorted(target.jet_vars()):
         out = out + diff_partial(target, k) * tower[k]
     return out

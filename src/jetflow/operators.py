@@ -15,7 +15,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _accumulate,
-                   _dx_tower, _exact, diff_partial, dt_total, integrate_x)
+                   _dx_tower, _exact, diff_partial, dt_total, euler,
+                   integrate_x)
 from .ring import EpsPoly
 
 
@@ -342,22 +343,37 @@ def frechet(P: DiffPoly) -> PseudoDiffOp:
     return PseudoDiffOp(local, (), P.eps_order)
 
 
+def _homotopy_density(g: DiffPoly) -> DiffPoly:
+    """h = int_0^1 u*g[lambda*u] d(lambda), termwise u*m/(jet degree of m + 1)."""
+    u = Monomial(0, 0, ((0, 1),))
+    return DiffPoly._from_flat(
+        {(u.mul(mon), e): _exact(Fraction(c, mon.jet_degree() + 1))
+         for (mon, e), c in g._flat.items()}, g.eps_order)
+
+
 def helmholtz_selfadjoint(g: DiffPoly) -> bool:
-    """True when the linearization of g is self-adjoint (g is variational)."""
-    D = frechet(g)
-    return adjoint(D) == D
+    """True when g is variational, i.e. its linearization is self-adjoint.
+
+    Decided as reconstruct_density decides it, by one Euler derivative of
+    the homotopy density: g is variational exactly when euler(h) == g
+    (Olver, Applications of Lie Groups to Differential Equations, 2nd ed.,
+    section 5.4).
+    """
+    return euler(_homotopy_density(g)) == g
 
 
 def reconstruct_density(g: DiffPoly) -> Functional:
     """Invert the variational derivative with the homotopy formula.
 
-    For a variational g the density int_0^1 u*g[lambda*u] d(lambda) collapses
-    termwise to u*m/(jet degree of m + 1); its Euler derivative is g again.
+    The density is h = int_0^1 u*g[lambda*u] d(lambda), which collapses
+    termwise to u*m/(jet degree of m + 1).  g is variational exactly when
+    euler(h) == g (Olver, Applications of Lie Groups to Differential
+    Equations, 2nd ed., section 5.4), so one Euler derivative is the whole
+    test.  On failure NotVariational carries frechet(g) minus its adjoint,
+    which is then nonzero.
     """
-    if not helmholtz_selfadjoint(g):
-        obstruction = frechet(g) - adjoint(frechet(g))
-        raise NotVariational("linearization is not self-adjoint", obstruction)
-    u = Monomial(0, 0, ((0, 1),))
-    density = {(u.mul(mon), e): _exact(Fraction(c, mon.jet_degree() + 1))
-               for (mon, e), c in g._flat.items()}
-    return Functional(DiffPoly._from_flat(density, g.eps_order))
+    density = _homotopy_density(g)
+    if euler(density) != g:
+        D = frechet(g)
+        raise NotVariational("linearization is not self-adjoint", D - adjoint(D))
+    return Functional(density)

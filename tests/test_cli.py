@@ -411,12 +411,13 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
     assert bad["residual"] == "-3*eps*u_x*u_xx"
 
 
-# Byte-exact stdout of five commands, one per code path that a change of
+# Byte-exact stdout of six commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
 # Noether inversion (LaTeX) and the multivector pair check (text), plus a
 # seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
-# pins the pairwise checks at depth, and a four-step hierarchy whose
-# functionals the ansatz finds through the second structure E (JSON).
+# pins the pairwise checks at depth, the ten-step hierarchy at the step cap
+# (JSON, 199 checks, flow jet orders 3 to 23), and a four-step hierarchy
+# whose functionals the ansatz finds through the second structure E (JSON).
 # Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
@@ -434,9 +435,12 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
     ("hierarchy_gardner_jet24_R_Kbar1_steps7.json",
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
       "Kbar1", "--steps", "7", "--dop", "D", "--format", "json"]),
+    ("hierarchy_gardner_jet24_R_Kbar1_steps10.json",
+     ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
+      "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"]),
     ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
-        "hierarchy-deep-json", "hierarchy-dopE-json"])
+        "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

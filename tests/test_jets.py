@@ -8,7 +8,7 @@ from jetflow import (Context, EvolutionSystem, Functional, NotExact,
                      NotVariational, OrderMismatch, diff_partial, dt_total,
                      dx_total, dx_total_n, euler1, helmholtz_selfadjoint,
                      integrate_x, prolong_apply, reconstruct_density,
-                     apply_op, frechet, noether_inverse,
+                     adjoint, apply_op, frechet, noether_inverse,
                      solve_operator_equation)
 
 from conftest import diff_polys
@@ -64,6 +64,19 @@ def test_prolong_apply(v):
     assert prolong_apply(K, v.u ** 2 / 2) == v.u * K
 
 
+def test_prolong_apply_of_two_eps_multiples_grows_no_tower(v):
+    tower = [v.eps * v.u1]
+    assert prolong_apply(tower, v.eps * v.u * v.u3).is_zero()
+    assert len(tower) == 1
+
+
+def test_prolong_apply_mixed_orders_raise_before_the_short_cut(v):
+    # the valuations sum to 2 + 0 > 1, but the truncation orders differ
+    ctx2 = Context(eps_order=2)
+    with pytest.raises(OrderMismatch):
+        prolong_apply(ctx2.eps ** 2 * ctx2.u(1), v.u2)
+
+
 def test_integrate_x(v):
     assert integrate_x(v.u * v.u1) == v.u ** 2 / 2
     with pytest.raises(NotExact) as err:
@@ -96,6 +109,24 @@ def test_reconstruct_density(v):
 def test_reconstruct_density_rejects_nonvariational(v):
     with pytest.raises(NotVariational):
         reconstruct_density(v.u1 ** 2)
+
+
+# g is variational exactly when its linearization is self-adjoint (the
+# Helmholtz condition, written out here), whatever test the package runs.
+# Random g are rarely variational, so half the draws are Euler derivatives.
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(diff_polys(max_jet_order=3),
+                 diff_polys(max_jet_order=2).map(euler1)))
+def test_reconstruct_density_matches_helmholtz_condition(g):
+    D = frechet(g)
+    variational = adjoint(D) == D
+    assert helmholtz_selfadjoint(g) == variational
+    if variational:
+        assert euler1(reconstruct_density(g).density) == g
+    else:
+        with pytest.raises(NotVariational) as err:
+            reconstruct_density(g)
+        assert err.value.obstruction == D - adjoint(D)
 
 
 def test_functional_equivalence_is_mod_dx(v):
@@ -174,13 +205,35 @@ def test_euler_matches_alternating_sum_oracle(p):
     assert euler1(p) == expected
 
 
+def _valuation(P):
+    """The lowest eps degree of P, p + 1 for zero."""
+    return min((e for c in P.terms.values()
+                for e, x in enumerate(c.coeffs) if x),
+               default=P.eps_order + 1)
+
+
+@st.composite
+def _eps_multiple_pairs(draw):
+    """Two diff_polys at one order p in 1..3, each times eps^k, k in 0..p."""
+    p = draw(st.integers(1, 3))
+    eps = Context(eps_order=p).eps
+    return tuple(draw(diff_polys(max_terms=2, order=p))
+                 * eps ** draw(st.integers(0, p)) for _ in range(2))
+
+
+# prolong_apply returns zero before it grows the tower when the eps
+# valuations of its arguments sum above p; the value must not change.
 @settings(max_examples=150, deadline=None)
-@given(diff_polys(max_terms=2), diff_polys(max_terms=2))
-def test_prolong_apply_matches_frechet_sum_oracle(q, p):
-    expected = Context(eps_order=p.eps_order).zero
-    for k in _jet_orders(p):
-        expected = expected + diff_partial(p, k) * dx_total_n(q, k)
-    assert prolong_apply(q, p) == expected
+@given(_eps_multiple_pairs())
+def test_prolong_apply_matches_frechet_sum_oracle(pair):
+    direction, target = pair
+    expected = Context(eps_order=target.eps_order).zero
+    for k in _jet_orders(target):
+        expected = expected + diff_partial(target, k) * dx_total_n(direction, k)
+    tower = [direction]
+    assert prolong_apply(tower, target) == expected
+    if _valuation(direction) + _valuation(target) > target.eps_order:
+        assert expected.is_zero() and len(tower) == 1
 
 
 # Stored coefficients are canonical: a nonzero int when integral, otherwise
