@@ -18,8 +18,9 @@ from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
 DEFAULT_MAX_JET_ORDER = 12
-# The most steps one hierarchy run may take.  Each Gardner step costs about
-# 2.7x the one before; ten steps from Kbar1 took 10.6 s of CPU (2-vCPU Xeon).
+# The most steps one hierarchy run may take.  Late Gardner steps cost about
+# 1.4x the one before; ten steps from Kbar1 took 0.5-0.7 s of CPU and 26 MB
+# (2-vCPU Xeon).
 MAX_HIERARCHY_STEPS = 10
 # The most (monomial, eps degree) pairs one order tier of the
 # operator-inversion ansatz may hold, counted in the preimage's weight space.

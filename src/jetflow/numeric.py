@@ -40,6 +40,8 @@ class GridSpec:
             raise ValueError("points must be a power of two, at least 16")
         if not all(0 < v < np.inf for v in (self.dt, self.length, self.t_end)):
             raise ValueError("length, dt and t_end must be positive and finite")
+        if not np.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
 
     @property
     def dx(self) -> float:

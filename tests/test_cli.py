@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from jetflow import CheckReport, dsl, engine, parse_model
-from jetflow.cli import main
+from jetflow.cli import build_parser, main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import MAX_POINTS
 from jetflow.report import emit_report
@@ -215,12 +215,74 @@ def test_action_mode_without_seeds_is_usage_error(capsys):
      "--points", "0"),
     ("hierarchy", "gardner", "--op", "R", "--seed", "Kbar1", "--steps", "-1",
      "--dop", "D"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--epsilon", "nan"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--epsilon", "inf"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--amplitude", "nan"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--width", "0"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--width", "inf"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err
     assert "[PASS]" not in out
+
+
+@pytest.mark.parametrize("contents", [None, b"\xff\xfe"],
+                         ids=["directory", "not-utf-8"])
+def test_unreadable_model_exits_2(capsys, tmp_path, contents):
+    model = tmp_path
+    if contents is not None:
+        model = tmp_path / "model.jf"
+        model.write_bytes(contents)
+    code, out, err = run(capsys, "print", str(model))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read model {str(model)!r}: ")
+
+
+# Each subcommand: its required arguments in usage order, and the defaults of
+# its other options in the order they are declared
+SUBCOMMANDS = {
+    "check-symmetry": (["model", "--char", "--system"], {}),
+    "check-claw": (["model", "--density", "--system"], {}),
+    "noether": (["model", "--char", "--op"], {}),
+    "check-recursion": (["model", "--op", "--system"],
+                        {"mode": "operator", "seeds": None}),
+    "check-pair": (["model", "--op1", "--op2"], {}),
+    "hierarchy": (["model", "--op", "--seed", "--steps", "--dop"],
+                  {"system": None}),
+    "validate-numeric": (["model", "--system", "--density"],
+                         {"epsilon": 0.01, "points": 256, "length": 40.0,
+                          "dt": 1e-4, "t_end": 1.0, "amplitude": 2.0,
+                          "width": 1.0}),
+    "print": (["model"], {}),
+}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_subcommand_usage_help_and_defaults(capsys, name):
+    required, defaults = SUBCOMMANDS[name]
+    code, out, err = run(capsys, name)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        f"jetflow {name}: error: the following arguments are required: "
+        + ", ".join(required))
+    # the help lists every flag, in the order the subcommand declares them
+    code, out, err = run(capsys, name, "--help")
+    assert code == 0 and err == ""
+    optional = ["--" + dest.replace("_", "-") for dest in defaults]
+    assert re.findall(r"^  (-[-\w]+)", out, re.M) == [
+        "-h", "--format", *required[1:], *optional]
+    args = build_parser().parse_args(
+        [name, "model.jf", *(x for flag in required[1:] for x in (flag, "1"))])
+    assert args.format == "text"
+    assert {dest: getattr(args, dest) for dest in defaults} == defaults
 
 
 NON_SKEW_MODEL = """set eps_order = 1;
