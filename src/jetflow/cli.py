@@ -16,7 +16,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import __version__
-from .dsl import ModelIR, parse_model, print_model
+from .dsl import DECLARATIONS, ModelIR, parse_model, print_model
 from .engine import (CheckReport, HierarchyResult, check_conservation,
                      check_recursion_operator, check_symmetry,
                      generate_hierarchy, noether_inverse)
@@ -46,10 +46,8 @@ def load_model(spec: str) -> ModelIR:
 
 
 # What an option naming a model value reads: (ModelIR table, word for errors)
-CHAR = ("characteristics", "characteristic")
-OP = ("operators", "operator")
-SYSTEM = ("systems", "system")
-DENSITY = ("densities", "density")
+CHAR, OP, SYSTEM, DENSITY = (DECLARATIONS[keyword][:2] for keyword
+                             in ("char", "operator", "system", "density"))
 
 
 def _named(table: dict, name: str, what: str):
@@ -61,7 +59,7 @@ def _named(table: dict, name: str, what: str):
 
 def _resolve(model: ModelIR, args, flag: str, kwargs: dict, ref: tuple):
     table, given = getattr(model, ref[0]), getattr(args, flag[2:])
-    if not (given or kwargs["required"]):  # the first declared, if any
+    if given is None:  # left out: the first declared, if any
         if not table:
             raise ModelError(f"{args.command} needs a {ref[1]}, "
                              f"and the model declares none")

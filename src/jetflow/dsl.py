@@ -15,6 +15,9 @@ parentheses.  ``*`` between operators is composition; a plain function used
 in operator position acts by multiplication; ``/`` divides a polynomial or
 an operator by a nonzero rational constant.
 
+The declaration kinds live in one table, ``DECLARATIONS``: the parser, the
+printer, ``ModelIR`` and the CLI's model references all read it.
+
 Numbers are ASCII digits; names are letters, digits and ``_``, starting with
 a letter or ``_``; ``#`` comments run to the end of the line.  Any other
 character outside a comment is a ParseError.
@@ -28,7 +31,7 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
-from .errors import JetflowError, ParseError, ResourceLimit, UnknownName
+from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
 from .jets import Context, DiffPoly, EvolutionSystem, Functional
 from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
@@ -52,8 +55,20 @@ MAX_EPS_ORDER = 64
 # for printed hierarchy flows (12 by default, 24 for a seven-step Gardner
 # hierarchy).
 MAX_JET_INDEX = 64
+# The deepest parentheses may nest: each level is a few Python frames, and
+# printed models nest at most two deep.
+MAX_NESTING = 100
 
-KEYWORDS = {"set", "system", "operator", "char", "density", "rhs"}
+# Declaration keyword -> (ModelIR field, the noun errors use, the text before
+# the value, the text after it).  Systems and densities are stored as an
+# EvolutionSystem and a Functional; an operator may end in an optional `;`.
+DECLARATIONS = {
+    "system": ("systems", "system", "{ rhs:", "; }"),
+    "operator": ("operators", "operator", "{", " }"),
+    "char": ("characteristics", "characteristic", "=", ";"),
+    "density": ("densities", "density", "=", ";"),
+}
+KEYWORDS = {"set", "rhs", *DECLARATIONS}
 RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
 # a name that spells the jet u_k as u_x...x (k letters x), reserved as well
 _SPELT_JET = re.compile(r"u_x+")
@@ -109,6 +124,11 @@ class Token(NamedTuple):
     column: int
 
 
+def _limit(tok: Token, message: str) -> ResourceLimit:
+    """The ResourceLimit for `message`, positioned at `tok`."""
+    return ResourceLimit(f"line {tok.line}, column {tok.column}: {message}")
+
+
 def tokenize(text: str) -> List[Token]:
     tokens = []
     line, line_start = 1, 0
@@ -127,12 +147,27 @@ def tokenize(text: str) -> List[Token]:
             # decimal digits, but an identifier starts with a letter or '_'
             raise ParseError(f"unexpected character {word[0]!r}", line, column)
         elif kind in ("INT", "JET") and len(word) > MAX_LITERAL_DIGITS:
-            raise ResourceLimit(f"line {line}, column {column}: integer literal "
-                                f"longer than {MAX_LITERAL_DIGITS} digits")
+            raise _limit(Token(kind, word, line, column), f"integer literal "
+                         f"longer than {MAX_LITERAL_DIGITS} digits")
         else:
             tokens.append(Token(kind, word, line, column))
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
+
+
+# The (kind, text) of each token before and after a declaration's value
+_DELIMITERS = {keyword: tuple([tok[:2] for tok in tokenize(text)[:-1]]
+                              for text in spec[2:])
+               for keyword, spec in DECLARATIONS.items()}
+
+
+def _value(stored):
+    """The expression a declared value stands for (rhs, density or itself)."""
+    if isinstance(stored, EvolutionSystem):
+        return stored.rhs
+    if isinstance(stored, Functional):
+        return stored.density
+    return stored
 
 
 @dataclass
@@ -151,23 +186,18 @@ class ModelIR:
         return Context(eps_order=self.eps_order)
 
     def lookup(self, name: str):
-        for table in (self.systems, self.operators,
-                      self.characteristics, self.densities):
-            if name in table:
-                return table[name]
+        for table, *_ in DECLARATIONS.values():
+            if name in getattr(self, table):
+                return getattr(self, table)[name]
         return None
 
     def __eq__(self, other):
         if not isinstance(other, ModelIR):
             return NotImplemented
-        return (self.eps_order == other.eps_order
-                and self.max_jet_order == other.max_jet_order
-                and {k: v.rhs for k, v in self.systems.items()}
-                    == {k: v.rhs for k, v in other.systems.items()}
-                and self.operators == other.operators
-                and self.characteristics == other.characteristics
-                and {k: v.density for k, v in self.densities.items()}
-                    == {k: v.density for k, v in other.densities.items()})
+        view = lambda m: [m.eps_order, m.max_jet_order, *(
+            {name: _value(v) for name, v in getattr(m, table).items()}
+            for table, *_ in DECLARATIONS.values())]
+        return view(self) == view(other)
 
 
 class _Parser:
@@ -177,6 +207,7 @@ class _Parser:
         self.model = ModelIR()
         self.ctx = Context(eps_order=self.model.eps_order)
         self.declared = False
+        self.depth = 0  # of the parentheses open at the current token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -191,9 +222,8 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            expected = {text if text is not None else kind.lower()}
-            raise ParseError(f"found {tok.text!r}" if tok.text else "unexpected end of input",
-                             tok.line, tok.column, expected)
+            self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
+                      tok, {text if text is not None else kind.lower()})
         return self.advance()
 
     def fail(self, message: str, tok: Optional[Token] = None, expected=None):
@@ -203,15 +233,14 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> ModelIR:
-        declarations = {"set": self.parse_set, "system": self.parse_system,
-                        "operator": self.parse_operator, "char": self.parse_char,
-                        "density": self.parse_density}
         while self.peek().kind != "EOF":
             tok = self.advance()
-            parse = declarations.get(tok.text) if tok.kind == "IDENT" else None
-            if parse is None:
-                self.fail(f"found {tok.text!r}", tok, expected=set(declarations))
-            parse()
+            if tok.text == "set":
+                self.parse_set()
+            elif tok.text in DECLARATIONS:
+                self.parse_declaration(tok.text)
+            else:
+                self.fail(f"found {tok.text!r}", tok, {"set", *DECLARATIONS})
         return self.model
 
     def parse_set(self):
@@ -223,75 +252,48 @@ class _Parser:
         if key.text == "eps_order":
             if self.declared:
                 self.fail("set eps_order must precede all declarations", key)
-            if value < 0:
-                self.fail("eps_order must be non-negative", value_tok)
             if value > MAX_EPS_ORDER:
-                raise ResourceLimit(f"line {value_tok.line}, column "
-                                    f"{value_tok.column}: eps_order {value} "
-                                    f"exceeds the cap {MAX_EPS_ORDER}")
+                raise _limit(value_tok, f"eps_order {value} exceeds the cap "
+                                        f"{MAX_EPS_ORDER}")
             self.model.eps_order = value
             self.ctx = Context(eps_order=value)
         elif key.text == "max_jet_order":
             if value < 1:
                 self.fail("max_jet_order must be positive", value_tok)
             if value > MAX_JET_INDEX:
-                raise ResourceLimit(f"line {value_tok.line}, column "
-                                    f"{value_tok.column}: max_jet_order {value} "
-                                    f"exceeds the cap {MAX_JET_INDEX}")
+                raise _limit(value_tok, f"max_jet_order {value} exceeds the "
+                                        f"cap {MAX_JET_INDEX}")
             self.model.max_jet_order = value
         else:
             self.fail(f"unknown setting {key.text!r}", key,
                       expected={"eps_order", "max_jet_order"})
 
-    def declare(self, name_tok: Token) -> str:
+    def parse_declaration(self, keyword: str):
+        table, noun = DECLARATIONS[keyword][:2]
+        before, after = _DELIMITERS[keyword]
+        name_tok = self.expect("IDENT")
         name = name_tok.text
         if name in RESERVED or _SPELT_JET.fullmatch(name):
             self.fail(f"{name!r} is reserved", name_tok)
         if self.model.lookup(name) is not None:
             self.fail(f"name {name!r} is already declared", name_tok)
-        self.declared = True
-        self.pairs = 0
-        return name
-
-    def parse_system(self):
-        name = self.declare(self.expect("IDENT"))
-        self.expect("PUNCT", "{")
-        self.expect("IDENT", "rhs")
-        self.expect("PUNCT", ":")
-        rhs = self.require_poly(self.parse_expr(), "system right-hand side")
-        self.expect("PUNCT", ";")
-        self.expect("PUNCT", "}")
-        self.model.systems[name] = EvolutionSystem(rhs, name=name)
-
-    def parse_operator(self):
-        name = self.declare(self.expect("IDENT"))
-        self.expect("PUNCT", "{")
+        self.declared, self.pairs = True, 0
+        for kind, text in before:
+            self.expect(kind, text)
         value = self.parse_expr()
-        if self.peek().kind == "PUNCT" and self.peek().text == ";":
-            self.advance()
-        self.expect("PUNCT", "}")
-        if isinstance(value, DiffPoly):
-            value = PseudoDiffOp.from_poly(value)
-        self.model.operators[name] = value
-
-    def parse_char(self):
-        name = self.declare(self.expect("IDENT"))
-        self.expect("PUNCT", "=")
-        value = self.require_poly(self.parse_expr(), "characteristic")
-        self.expect("PUNCT", ";")
-        self.model.characteristics[name] = value
-
-    def parse_density(self):
-        name = self.declare(self.expect("IDENT"))
-        self.expect("PUNCT", "=")
-        value = self.require_poly(self.parse_expr(), "density")
-        self.expect("PUNCT", ";")
-        self.model.densities[name] = Functional(value, name=name)
-
-    def require_poly(self, value: Value, what: str) -> DiffPoly:
-        if isinstance(value, PseudoDiffOp):
+        if keyword == "operator":
+            if self.peek()[:2] == ("PUNCT", ";"):
+                self.advance()
+            if isinstance(value, DiffPoly):
+                value = PseudoDiffOp.from_poly(value)
+        elif isinstance(value, PseudoDiffOp):
+            what = "system right-hand side" if keyword == "system" else noun
             self.fail(f"{what} must be a differential polynomial, not an operator")
-        return value
+        for kind, text in after:
+            self.expect(kind, text)
+        store = {"system": EvolutionSystem, "density": Functional}.get(keyword)
+        getattr(self.model, table)[name] = (store(value, name=name) if store
+                                            else value)
 
     # -- expressions ---------------------------------------------------------
 
@@ -299,41 +301,26 @@ class _Parser:
         value = self.parse_term()
         while self.peek().kind == "PUNCT" and self.peek().text in "+-":
             op = self.advance().text
-            rhs = self.parse_term()
-            value = self.binary(op, value, rhs)
+            value = self.binary(op, value, self.parse_term())
         return value
 
     def parse_term(self) -> Value:
         value = self.parse_factor()
         while self.peek().kind == "PUNCT" and self.peek().text in "*/":
             op = self.advance().text
-            rhs = self.parse_factor()
-            value = self.binary(op, value, rhs)
+            value = self.binary(op, value, self.parse_factor())
         return value
 
     def parse_factor(self) -> Value:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text in "+-":
-            self.advance()
-            value = self.parse_factor()
-            return value if tok.text == "+" else -value
+        """Signs, an atom and an optional `^ n`; the signs apply last."""
+        negate = False
+        while self.peek().kind == "PUNCT" and self.peek().text in "+-":
+            negate ^= self.advance().text == "-"
         value = self.parse_atom()
         if self.peek().kind == "PUNCT" and self.peek().text == "^":
             caret = self.advance()
-            exp_tok = self.expect("INT")
-            exponent = int(exp_tok.text)
-            try:
-                result = (DiffPoly.constant(1, value.eps_order)
-                          if isinstance(value, DiffPoly)
-                          else PseudoDiffOp.identity(value.eps_order))
-                for _ in range(exponent):
-                    result = self.multiply(result, value)
-                value = result
-            except ResourceLimit:
-                raise
-            except JetflowError as err:
-                self.fail(str(err), caret)
-        return value
+            value = self.binary("^", value, int(self.expect("INT").text), caret)
+        return -value if negate else value
 
     def parse_atom(self) -> Value:
         tok = self.advance()
@@ -342,17 +329,18 @@ class _Parser:
         if tok.kind == "JET":
             return self.jet(int(tok.text), tok)
         if tok.kind == "PUNCT" and tok.text == "(":
+            if self.depth >= MAX_NESTING:
+                raise _limit(tok, f"parentheses nest deeper than the cap "
+                                  f"{MAX_NESTING}")
+            self.depth += 1
             value = self.parse_expr()
+            self.depth -= 1
             self.expect("PUNCT", ")")
             return value
         if tok.kind == "IDENT":
             name = tok.text
-            if name == "x":
-                return self.ctx.x
-            if name == "t":
-                return self.ctx.t
-            if name == "eps":
-                return self.ctx.eps
+            if name in ("x", "t", "eps"):
+                return getattr(self.ctx, name)
             if name == "u":
                 return self.ctx.u(0)
             if _SPELT_JET.fullmatch(name):
@@ -366,22 +354,20 @@ class _Parser:
             value = self.model.lookup(name)
             if value is None:
                 raise UnknownName(name, tok.line, tok.column)
-            if isinstance(value, EvolutionSystem):
-                return value.rhs
-            if isinstance(value, Functional):
-                return value.density
-            return value
+            return _value(value)
         self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
-                  tok, expected={"an expression"})
+                  tok, {"an expression"})
 
     def jet(self, order: int, tok: Token) -> DiffPoly:
         """u_order, or ResourceLimit above MAX_JET_INDEX."""
         if order > MAX_JET_INDEX:
-            raise ResourceLimit(f"line {tok.line}, column {tok.column}: jet "
-                                f"order {order} exceeds the cap {MAX_JET_INDEX}")
+            raise _limit(tok, f"jet order {order} exceeds the cap "
+                              f"{MAX_JET_INDEX}")
         return self.ctx.u(order)
 
-    def binary(self, op: str, left: Value, right: Value) -> Value:
+    def binary(self, op: str, left: Value, right, at: Optional[Token] = None) -> Value:
+        """left op right (for `^` an int); a composition that leaves the
+        class is a ParseError at `at`, by default the current token."""
         if op == "/":
             if not isinstance(right, DiffPoly):
                 self.fail("division only by rational constants")
@@ -392,11 +378,15 @@ class _Parser:
         try:
             if op == "*":
                 return self.multiply(left, right)
+            if op == "^":
+                power = (self.ctx.one if isinstance(left, DiffPoly)
+                         else PseudoDiffOp.identity(left.eps_order))
+                for _ in range(right):
+                    power = self.multiply(power, left)
+                return power
             return left + right if op == "+" else left - right
-        except ResourceLimit:
-            raise
-        except JetflowError as err:
-            self.fail(str(err))
+        except ClosureError as err:
+            self.fail(str(err), at)
 
     def multiply(self, left: Value, right: Value) -> Value:
         """left * right, or ResourceLimit before multiplying when the current
@@ -421,12 +411,10 @@ def print_model(model: ModelIR) -> str:
     """Canonical, re-parseable rendering of a model (deterministic)."""
     lines = [f"set eps_order = {model.eps_order};",
              f"set max_jet_order = {model.max_jet_order};"]
-    for name, system in model.systems.items():
-        lines.append(f"system {name} {{ rhs: {format_poly(system.rhs)}; }}")
-    for name, op in model.operators.items():
-        lines.append(f"operator {name} {{ {format_operator(op)} }}")
-    for name, poly in model.characteristics.items():
-        lines.append(f"char {name} = {format_poly(poly)};")
-    for name, functional in model.densities.items():
-        lines.append(f"density {name} = {format_poly(functional.density)};")
+    for keyword, (table, _, before, after) in DECLARATIONS.items():
+        for name, stored in getattr(model, table).items():
+            value = _value(stored)
+            text = (format_operator(value) if isinstance(value, PseudoDiffOp)
+                    else format_poly(value))
+            lines.append(f"{keyword} {name} {before} {text}{after}")
     return "\n".join(lines) + "\n"

@@ -115,6 +115,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus-command")[0] == 2
     assert run(capsys, "check-symmetry", "gardner", "--char", "Q1",
                "--system", "gardner", "--format", "yaml")[0] == 2
+    # an empty name is an unknown system, not a left-out --system
+    assert run(capsys, "hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
+               "--steps", "1", "--dop", "D", "--system", "")[:3:2] == (
+        2, "error: unknown system '' (known: gardner)\n")
 
 
 def test_parse_error_exit_2(capsys, tmp_path):
@@ -373,7 +377,8 @@ def test_parse_time_product_cap_boundary(capsys, tmp_path, monkeypatch):
 @pytest.mark.parametrize("line", [
     "char Q = " + "1" * 5000 + "*u_x;",   # past Python's int-string limit
     "set eps_order = 100000;",
-], ids=["long-literal", "huge-eps-order"])
+    "char Qdeep = " + "(" * 300 + "u" + ")" * 300 + ";",
+], ids=["long-literal", "huge-eps-order", "deep-nesting"])
 def test_parse_time_literal_and_eps_order_caps_exit_3(capsys, tmp_path, line):
     model = tmp_path / "caps.jf"
     source = GARDNER_SOURCE.replace("set eps_order = 1;", "")

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from jetflow import (ModelError, ParseError, PseudoDiffOp, ResourceLimit,
-                     UnknownName, compose, parse_model, print_model)
+from jetflow import (EvolutionSystem, Functional, ModelError, ParseError,
+                     PseudoDiffOp, ResourceLimit, UnknownName, compose,
+                     parse_model, print_model)
 from jetflow import dsl
 from jetflow.fixtures import FIXTURES, load_fixture
 
@@ -81,6 +82,45 @@ def test_parse_error_cases():
             parse_model(source)
 
 
+CLOSURE = "composition of two nonlocal operators leaves the class: (Dxi) o (Dxi)"
+
+
+@pytest.mark.parametrize("source, message", [
+    ("system s { rhs: u_x }", "line 1, column 21: found '}' (expected ;)"),
+    ("operator A { Dx; u }", "line 1, column 18: found 'u' (expected })"),
+    ("operator A {\n  Dx u }", "line 2, column 6: found 'u' (expected })"),
+    ("operator A { Dx;",
+     "line 1, column 17: unexpected end of input (expected })"),
+    ("system s { rhs: Dx; }", "line 1, column 19: system right-hand side "
+     "must be a differential polynomial, not an operator"),
+    ("char a = Dx;", "line 1, column 12: characteristic "
+     "must be a differential polynomial, not an operator"),
+    ("density d = u*Dx;", "line 1, column 17: density "
+     "must be a differential polynomial, not an operator"),
+    ("system s { rhs: u_x; }\nchar s = u;",
+     "line 2, column 6: name 's' is already declared"),
+    ("char u = u;", "line 1, column 6: 'u' is reserved"),
+    ("char u_xx = u^2;", "line 1, column 6: 'u_xx' is reserved"),
+    ("set speed = 3;", "line 1, column 5: unknown setting 'speed' "
+     "(expected eps_order, max_jet_order)"),
+    ("char a = u;\nset eps_order = 2;",
+     "line 2, column 5: set eps_order must precede all declarations"),
+    ("chars a = u;", "line 1, column 1: found 'chars' "
+     "(expected char, density, operator, set, system)"),
+    ("char a = Dxi^2;", f"line 1, column 13: {CLOSURE}"),      # at the caret
+    ("char a = Dxi*Dxi;", f"line 1, column 17: {CLOSURE}"),    # after it
+    ("operator A { u + Dxi^2 }", f"line 1, column 21: {CLOSURE}"),
+], ids=["system-no-semicolon", "operator-semicolon", "operator-no-semicolon",
+        "operator-eof", "operator-in-system", "operator-in-char",
+        "operator-in-density", "duplicate", "reserved", "spelt-jet",
+        "unknown-setting", "late-eps-order", "unknown-word", "closure-power",
+        "closure-product", "closure-power-in-operator"])
+def test_parse_error_messages(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(source)
+    assert str(err.value) == message
+
+
 def test_eps_order_setting_controls_ring():
     model = parse_model("set eps_order = 2;\nchar c = eps^2;")
     assert model.eps_order == 2
@@ -120,6 +160,11 @@ def test_fixture_round_trip(name):
     reparsed = parse_model(text)
     assert reparsed == model
     assert print_model(reparsed) == text  # canonical form is a fixed point
+    # every kind of declaration takes part in ==
+    for table in ("systems", "operators", "characteristics", "densities"):
+        changed = parse_model(text)
+        getattr(changed, table).clear()
+        assert (changed == model) == (not getattr(model, table))
 
 
 def test_print_deterministic():
@@ -179,6 +224,23 @@ def test_jet_index_is_capped(monkeypatch):
             parse_model(text)
 
 
+def test_parenthesis_nesting_is_capped(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_NESTING", 3)
+    assert (parse_model("char Q = (((u))) + (((u)));")
+            == parse_model("char Q = 2*u;"))  # siblings do not add up
+    with pytest.raises(ResourceLimit) as err:
+        parse_model("char Q = u + ((((u))));")
+    assert str(err.value).startswith("line 1, column 17: ")
+
+
+def test_leading_signs_are_read_without_recursion():
+    assert parse_model("char Q = " + "-" * 5000 + "u;") == parse_model("char Q = u;")
+    # the signs apply after the power: -u^2 is -(u^2)
+    assert parse_model("char Q = -u^2 + 2*u^2;") == parse_model("char Q = u^2;")
+    assert parse_model("char Q = -+-u^2;") == parse_model("char Q = u^2;")
+    assert parse_model("char Q = --u_x - -u;") == parse_model("char Q = u_x + u;")
+
+
 def test_max_jet_order_setting_is_capped():
     cap = dsl.MAX_JET_INDEX
     assert parse_model(f"set max_jet_order = {cap};").max_jet_order == cap
@@ -208,6 +270,7 @@ def test_end_of_input_column_after_a_trailing_comment():
 @example("operator A { Dx/2 }")
 @example("char Q = ²*u_x;")
 @example("char u_xx = u^2; char Q = u_xx;")
+@example("char Qdeep = " + "(" * 3000 + "u" + ")" * 3000 + ";")
 def test_parse_model_raises_only_model_errors(text):
     try:
         parse_model(text)
@@ -216,7 +279,9 @@ def test_parse_model_raises_only_model_errors(text):
 
 
 @settings(max_examples=150, deadline=None)
-@given(diff_polys(), nonlocal_ops())
-def test_print_parse_round_trip(P, A):
-    model = dsl.ModelIR(operators={"A": A}, characteristics={"Q": P})
+@given(diff_polys(), nonlocal_ops(), diff_polys(), diff_polys())
+def test_print_parse_round_trip(P, A, K, T):
+    model = dsl.ModelIR(systems={"s": EvolutionSystem(K, name="s")},
+                        operators={"A": A}, characteristics={"Q": P},
+                        densities={"T": Functional(T, name="T")})
     assert parse_model(print_model(model)) == model
