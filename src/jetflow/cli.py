@@ -223,15 +223,18 @@ def cmd_print(args, model):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand `name` only."""
     parser = argparse.ArgumentParser(
         prog="jetflow",
         description="Verify approximate symmetries, conservation laws and "
                     "bi-Hamiltonian structures of perturbed evolution equations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
+    for command_name, spec in COMMANDS.items():
+        if name not in (None, command_name):
+            continue
+        p = sub.add_parser(command_name, help=spec.help)
         p.add_argument("model", help="model file (.jf) or built-in name")
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text")
@@ -241,12 +244,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    # A call that names a subcommand first builds only its parser.  The
+    # errors argparse reports with the top-level usage, which lists every
+    # subcommand, come from the full parser.
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(
+            argv[0] if argv and argv[0] in COMMANDS else None
+        ).parse_known_args(argv)
         spec = COMMANDS[args.command]
-        if spec.check and (error := spec.check(args)):
-            parser.error(error)
+        error = (extra and f"unrecognized arguments: {' '.join(extra)}"
+                 or spec.check and spec.check(args))
+        if error:
+            build_parser().error(error)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

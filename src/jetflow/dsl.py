@@ -32,7 +32,8 @@ from typing import Dict, List, NamedTuple, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
-from .jets import Context, DiffPoly, EvolutionSystem, Functional
+from .jets import (ONE_MONOMIAL, Context, DiffPoly, EvolutionSystem,
+                   Functional, Monomial, _exact)
 from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
 
@@ -73,12 +74,21 @@ RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
 # a name that spells the jet u_k as u_x...x (k letters x), reserved as well
 _SPELT_JET = re.compile(r"u_x+")
 
-Value = Union[DiffPoly, PseudoDiffOp]
+# A product of atoms is folded into one term, a plain tuple (c, Monomial, e)
+# standing for c*mon*eps^e with c a stored rational, 0 for a zero term.  It
+# becomes a DiffPoly only where it meets a sum, an operator, a named value or
+# any other product, and it costs the caps what that DiffPoly would.
+Value = Union[DiffPoly, PseudoDiffOp, tuple]
+_ONE, _ZERO = (1, ONE_MONOMIAL, 0), (0, ONE_MONOMIAL, 0)
+_ATOMS = {"x": (1, Monomial(1, 0, ()), 0), "t": (1, Monomial(0, 1, ()), 0),
+          "u": (1, Monomial(0, 0, ((0, 1),)), 0)}
 
 
 def _size(value: Value) -> int:
     """Terms a product pairs up.  For an operator these are the terms of its
     coefficients, a*Dx^j counting j + 1 times for its Leibniz expansion."""
+    if type(value) is tuple:
+        return 1
     if isinstance(value, DiffPoly):
         return max(1, len(value._flat))
     return max(1, sum((j + 1) * len(c._flat)
@@ -90,6 +100,10 @@ def _size(value: Value) -> int:
 def _bits(value: Value) -> int:
     """Bit length of the largest numerator plus that of the largest
     denominator among the coefficients of a value."""
+    if type(value) is tuple:
+        c = value[0]
+        return (abs(c).bit_length() + 1 if type(c) is int else
+                abs(c.numerator).bit_length() + c.denominator.bit_length())
     polys = ((value,) if isinstance(value, DiffPoly)
              else (*value.local_terms.values(), *chain(*value.nonlocal_terms)))
     top, den = 0, 1
@@ -205,7 +219,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.model = ModelIR()
-        self.ctx = Context(eps_order=self.model.eps_order)
         self.declared = False
         self.depth = 0  # of the parentheses open at the current token
 
@@ -256,7 +269,6 @@ class _Parser:
                 raise _limit(value_tok, f"eps_order {value} exceeds the cap "
                                         f"{MAX_EPS_ORDER}")
             self.model.eps_order = value
-            self.ctx = Context(eps_order=value)
         elif key.text == "max_jet_order":
             if value < 1:
                 self.fail("max_jet_order must be positive", value_tok)
@@ -280,7 +292,7 @@ class _Parser:
         self.declared, self.pairs = True, 0
         for kind, text in before:
             self.expect(kind, text)
-        value = self.parse_expr()
+        value = self.poly(self.parse_expr())
         if keyword == "operator":
             if self.peek()[:2] == ("PUNCT", ";"):
                 self.advance()
@@ -320,12 +332,14 @@ class _Parser:
         if self.peek().kind == "PUNCT" and self.peek().text == "^":
             caret = self.advance()
             value = self.binary("^", value, int(self.expect("INT").text), caret)
-        return -value if negate else value
+        if not negate:
+            return value
+        return (-value[0], *value[1:]) if type(value) is tuple else -value
 
     def parse_atom(self) -> Value:
         tok = self.advance()
         if tok.kind == "INT":
-            return self.ctx.const(int(tok.text))
+            return int(tok.text), ONE_MONOMIAL, 0
         if tok.kind == "JET":
             return self.jet(int(tok.text), tok)
         if tok.kind == "PUNCT" and tok.text == "(":
@@ -339,10 +353,10 @@ class _Parser:
             return value
         if tok.kind == "IDENT":
             name = tok.text
-            if name in ("x", "t", "eps"):
-                return getattr(self.ctx, name)
-            if name == "u":
-                return self.ctx.u(0)
+            if name in _ATOMS:
+                return _ATOMS[name]
+            if name == "eps":
+                return (1, ONE_MONOMIAL, 1) if self.model.eps_order else _ZERO
             if _SPELT_JET.fullmatch(name):
                 return self.jet(len(name) - 2, tok)
             if name == "Dx":
@@ -358,32 +372,43 @@ class _Parser:
         self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
                   tok, {"an expression"})
 
-    def jet(self, order: int, tok: Token) -> DiffPoly:
+    def jet(self, order: int, tok: Token) -> tuple:
         """u_order, or ResourceLimit above MAX_JET_INDEX."""
         if order > MAX_JET_INDEX:
             raise _limit(tok, f"jet order {order} exceeds the cap "
                               f"{MAX_JET_INDEX}")
-        return self.ctx.u(order)
+        return 1, Monomial(0, 0, ((order, 1),)), 0
+
+    def poly(self, value: Value) -> Union[DiffPoly, PseudoDiffOp]:
+        """A value with a term made a DiffPoly."""
+        if type(value) is not tuple:
+            return value
+        c, mon, e = value
+        return DiffPoly._from_flat({(mon, e): c} if c else {},
+                                   self.model.eps_order)
 
     def binary(self, op: str, left: Value, right, at: Optional[Token] = None) -> Value:
         """left op right (for `^` an int); a composition that leaves the
         class is a ParseError at `at`, by default the current token."""
         if op == "/":
-            if not isinstance(right, DiffPoly):
+            if isinstance(right, PseudoDiffOp):
                 self.fail("division only by rational constants")
-            r = right.rational_constant()
+            r = self.poly(right).rational_constant()
             if r is None or r == 0:
                 self.fail("division only by nonzero rational constants")
+            if type(left) is tuple:
+                return (_exact(left[0] * (1 / r)), *left[1:])
             return left * (1 / r)
         try:
             if op == "*":
                 return self.multiply(left, right)
             if op == "^":
-                power = (self.ctx.one if isinstance(left, DiffPoly)
-                         else PseudoDiffOp.identity(left.eps_order))
+                power = (PseudoDiffOp.identity(left.eps_order)
+                         if isinstance(left, PseudoDiffOp) else _ONE)
                 for _ in range(right):
                     power = self.multiply(power, left)
                 return power
+            left, right = self.poly(left), self.poly(right)
             return left + right if op == "+" else left - right
         except ClosureError as err:
             self.fail(str(err), at)
@@ -399,7 +424,13 @@ class _Parser:
         if _bits(left) + _bits(right) > MAX_COEFF_BITS:
             raise ResourceLimit(f"the coefficients of a product have more "
                                 f"than {MAX_COEFF_BITS} bits")
-        return left * right
+        if type(left) is not tuple or type(right) is not tuple:
+            return self.poly(left) * self.poly(right)
+        (c, m, e), (c2, m2, e2) = left, right
+        c, e = c * c2, e + e2
+        if not c or e > self.model.eps_order:
+            return _ZERO
+        return _exact(c), m.mul(m2), e
 
 
 def parse_model(text: str) -> ModelIR:

@@ -45,6 +45,9 @@ class Monomial(NamedTuple):
     jets: Tuple[Tuple[int, int], ...]
 
     def mul(self, other: "Monomial") -> "Monomial":
+        if not self.jets or not other.jets:
+            return Monomial(self.x + other.x, self.t + other.t,
+                            self.jets or other.jets)
         merged = dict(self.jets)
         for k, e in other.jets:
             merged[k] = merged.get(k, 0) + e

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from jetflow import CheckReport, dsl, engine, parse_model
-from jetflow.cli import build_parser, main
+from jetflow import CheckReport, dsl, engine, parse_model, print_model
+from jetflow.cli import COMMANDS, build_parser, main
 from jetflow.fixtures import GARDNER_SOURCE
-from jetflow.numeric import MAX_POINTS
-from jetflow.report import emit_report
+from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
+                             MAX_RHS_JET_ORDER)
+from jetflow.report import emit_report, model_hash
 
 from conftest import model_texts
 
@@ -289,6 +290,70 @@ def test_subcommand_usage_help_and_defaults(capsys, name):
     assert {dest: getattr(args, dest) for dest in defaults} == defaults
 
 
+def full_parser_run(argv):
+    """The exit code of main's argument phase with every subcommand's parser
+    built, for an argv that ends there."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        check = COMMANDS[args.command].check
+        if check and (error := check(args)):
+            parser.error(error)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    raise AssertionError(f"{argv} passed the argument checks")
+
+
+def minimal_argv(name):
+    required = SUBCOMMANDS[name][0]
+    return [name, "gardner",
+            *(x for flag in required[1:] for x in (flag, "1"))]
+
+
+PARSE_PHASE_ARGVS = [
+    [], ["-h"], ["--version"], ["-h", "print"], ["bogus-command"],
+    *([name] for name in SUBCOMMANDS),
+    *([name, "-h"] for name in SUBCOMMANDS),
+    *(minimal_argv(name) + ["--bogus"] for name in SUBCOMMANDS),
+    *(minimal_argv(name) + ["extra"] for name in SUBCOMMANDS),
+    ["print", "gardner", "--version"],
+    ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1", "--steps", "-1",
+     "--dop", "D"],
+    ["check-recursion", "gardner", "--op", "R", "--system", "gardner",
+     "--mode", "action"],
+    ["validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--epsilon", "nan"],
+    ["print", "gardner", "--format", "yaml"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_PHASE_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parse_phase_output_matches_the_full_parser(capsys, monkeypatch, argv):
+    # help, usage errors and argument-check errors print the same bytes and
+    # exit with the same code whichever subparsers main builds
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = (full_parser_run(argv), *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+
+
+def test_each_call_reads_the_model_file_afresh(capsys, tmp_path):
+    model = tmp_path / "model.jf"
+    argv = ("check-symmetry", str(model), "--char", "Q", "--system", "S",
+            "--format", "json")
+    # u_x is a symmetry of u_t = u_xxx and u^2 is not; a second call on the
+    # rewritten file reports the new model, so nothing was kept between calls
+    for char, code, verdict in (("u_x", 0, "pass"), ("u^2", 1, "fail")):
+        text = f"system S {{ rhs: u_xxx; }}\nchar Q = {char};\n"
+        model.write_text(text)
+        status, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert status == code
+        canonical = print_model(parse_model(text))
+        assert report["model_hash"] == model_hash(canonical)
+        assert report["checks"][0]["verdict"] == verdict
+
+
 NON_SKEW_MODEL = """set eps_order = 1;
 system S { rhs: u_xxx; }
 operator A { u*Dx }
@@ -346,6 +411,21 @@ def test_validate_numeric_caps_exit_3(capsys):
                              flag, value)
         assert code == 3
         assert err.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("rhs, density", [
+    (f"u{{{MAX_RHS_JET_ORDER + 1}}}", "u"),
+    ("u_xxx", f"u{{{MAX_DENSITY_JET_ORDER + 1}}}^2"),
+], ids=["rhs", "density"])
+def test_validate_numeric_jet_order_caps_exit_2(capsys, tmp_path, rhs,
+                                                density):
+    model = tmp_path / "orders.jf"
+    model.write_text(f"system S {{ rhs: {rhs}; }}\ndensity H = {density};\n")
+    code, out, err = run(capsys, "validate-numeric", str(model), "--system",
+                         "S", "--density", "H", "--t-end", "0.001")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("unsupported:")
 
 
 def test_parse_time_product_cap_exit_3(capsys, tmp_path):

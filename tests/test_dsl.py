@@ -202,6 +202,37 @@ def test_zero_powers_are_capped():
         parse_model("char Q = 0^100000;")
 
 
+@pytest.mark.parametrize("atom", ["u", "eps"])
+def test_each_product_of_a_power_counts_one_pair(monkeypatch, atom):
+    # at p = 1, eps^k is zero for k > 1, but each of its products still
+    # pairs one term with one
+    k = 5
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", k)
+    parse_model(f"set eps_order = 1; char Q = {atom}^{k};")
+    with pytest.raises(ResourceLimit, match=f"more than {k} terms"):
+        parse_model(f"set eps_order = 1; char Q = {atom}^{k + 1};")
+
+
+def test_a_product_meeting_a_sum_counts_its_terms(monkeypatch):
+    # 2*u pairs 1 x 1 terms, and (2*u)*(u_x + 1) pairs 1 x 2 more
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 3)
+    parse_model("char Q = 2*u*(u_x + 1);")
+    monkeypatch.setattr(dsl, "MAX_PRODUCT_PAIRS", 2)
+    with pytest.raises(ResourceLimit, match="more than 2 terms"):
+        parse_model("char Q = 2*u*(u_x + 1);")
+
+
+def test_coefficient_bits_of_a_product_of_atoms_are_capped(monkeypatch):
+    # the last product of 3^8*u has 3^8 (13 + 1 bits of numerator +
+    # denominator) and 1 (1 + 1 bits) as factors: 16 in all; 3^9 has 15 + 1
+    a = 8
+    assert (3 ** a).bit_length() + 1 + 2 == 16
+    monkeypatch.setattr(dsl, "MAX_COEFF_BITS", 16)
+    parse_model(f"char Q = 3^{a}*u;")
+    with pytest.raises(ResourceLimit, match="more than 16 bits"):
+        parse_model(f"char Q = 3^{a + 1}*u;")
+
+
 def test_literals_and_eps_order_are_capped():
     long = "1" * (dsl.MAX_LITERAL_DIGITS + 1)
     for text in (f"char Q = {long}*u_x;", f"char Q = u{{{long}}};",

@@ -4,7 +4,8 @@ import pytest
 from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
                      ResourceLimit, Unsupported, integrate_pde, max_drift,
                      monitor_functional, sech_squared_profile)
-from jetflow.numeric import MAX_POINTS, MAX_SAVED_VALUES, MAX_STEPS
+from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
+                             MAX_RHS_JET_ORDER, MAX_SAVED_VALUES, MAX_STEPS)
 
 
 @pytest.fixture(scope="module")
@@ -140,17 +141,19 @@ def test_jet_order_caps():
 def test_jet_order_caps_at_the_boundary():
     # one RK4 step of a zero profile: the right-hand side cap is u{6} and the
     # density cap u_xxxx; one order more raises before any work
+    rhs_cap, density_cap = MAX_RHS_JET_ORDER, MAX_DENSITY_JET_ORDER
+    assert (rhs_cap, density_cap) == (6, 4)
     ctx = Context(eps_order=1)
     grid = GridSpec(t_end=1e-4)
     zero = np.zeros(grid.points)
-    traj = integrate_pde(EvolutionSystem(ctx.u(6)), grid, zero)
+    traj = integrate_pde(EvolutionSystem(ctx.u(rhs_cap)), grid, zero)
     assert len(traj.times) == 2 and np.all(traj.profiles == 0.0)
     with pytest.raises(Unsupported):
-        integrate_pde(EvolutionSystem(ctx.u(7)), grid, zero)
-    rows = monitor_functional(traj, Functional(ctx.u(4) ** 2))
+        integrate_pde(EvolutionSystem(ctx.u(rhs_cap + 1)), grid, zero)
+    rows = monitor_functional(traj, Functional(ctx.u(density_cap) ** 2))
     assert [row["value"] for row in rows] == [0.0, 0.0]
     with pytest.raises(Unsupported):
-        monitor_functional(traj, Functional(ctx.u(5) ** 2))
+        monitor_functional(traj, Functional(ctx.u(density_cap + 1) ** 2))
 
 
 def test_explicit_x_t_in_density(gardner_sys):

@@ -11,10 +11,10 @@ own parser reading the printed text, with each jet as a plain symbol.
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetflow import (DiffPoly, EpsPoly, dx_total, euler1, format_poly,
-                     integrate_x, reconstruct_density)
+                     integrate_x, parse_model, reconstruct_density)
 
 from conftest import diff_polys
 
@@ -110,3 +110,31 @@ def test_printed_poly_reads_back_under_sympy(args):
     eps_k = EpsPoly(tuple(int(i == k) for i in range(order + 1)), order=order)
     p = p * DiffPoly.constant(eps_k, order)
     assert same(read_printed(format_poly(p)), from_flat(p))
+
+
+def polynomial_texts():
+    """Model-file expressions in atoms of one term each, with + - * / by a
+    nonzero integer, ^ 0..3, parentheses and unary minus."""
+    # eps twice, so that products truncated above eps^p come up often
+    atoms = st.sampled_from(["eps", "u", "u_x", "u_xxx", "u{4}", "x", "t",
+                             "eps", "0", "1", "2", "12"])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
+        st.tuples(inner, st.integers(1, 7)).map(lambda a: f"{a[0]}/{a[1]}"),
+        st.tuples(inner, st.integers(0, 3)).map(lambda a: f"({a[0]})^{a[1]}"),
+        inner.map(lambda a: f"({a})"),
+        inner.map(lambda a: f"-{a}")), max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2), polynomial_texts())
+@example(1, "eps*eps*u - 3*eps*u_x/2")
+@example(2, "(1 + eps)^3/2 - u*(eps)^3")
+@example(0, "eps*u + -(2*x)^2/4")
+def test_parsed_arithmetic_matches_sympy(p, text):
+    # sympy's reading of the text, expanded and truncated above eps^p
+    model = parse_model(f"set eps_order = {p}; char Q = {text};")
+    Q = model.characteristics["Q"]
+    expected = sympy.expand(read_printed(text))
+    truncated = sum(expected.coeff(EPS, k) * EPS ** k for k in range(p + 1))
+    assert same(from_flat(Q), truncated)
