@@ -32,13 +32,15 @@ from typing import Dict, List, NamedTuple, Optional, Union
 
 from .engine import DEFAULT_MAX_JET_ORDER
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
-from .jets import (ONE_MONOMIAL, Context, DiffPoly, EvolutionSystem,
-                   Functional, Monomial, _exact)
+from .jets import (Context, DiffPoly, EvolutionSystem, Functional, Monomial,
+                   _checked, _exact, _pack, _u)
 from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
 
 # Term pairs that the products of one declaration may multiply in all (a
 # power counts each of its products), so that no model file parses for long.
+# A power reaches u^16384 at most; any one exponent is capped by
+# jets._MAX_EXPONENT (65535), so two such powers still multiply.
 MAX_PRODUCT_PAIRS = 2 ** 14
 # Bits that the largest numerator plus the largest denominator of the two
 # factors of one product may have together, so that no coefficient grows
@@ -74,14 +76,15 @@ RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
 # a name that spells the jet u_k as u_x...x (k letters x), reserved as well
 _SPELT_JET = re.compile(r"u_x+")
 
-# A product of atoms is folded into one term, a plain tuple (c, Monomial, e)
-# standing for c*mon*eps^e with c a stored rational, 0 for a zero term.  It
-# becomes a DiffPoly only where it meets a sum, an operator, a named value or
-# any other product, and it costs the caps what that DiffPoly would.
+# A product of atoms is folded into one term, a plain tuple (c, m, e)
+# standing for c*m*eps^e with m a packed monomial and c a stored rational, 0
+# for a zero term.  It becomes a DiffPoly only where it meets a sum, an
+# operator, a named value or any other product, and it costs the caps what
+# that DiffPoly would.
 Value = Union[DiffPoly, PseudoDiffOp, tuple]
-_ONE, _ZERO = (1, ONE_MONOMIAL, 0), (0, ONE_MONOMIAL, 0)
-_ATOMS = {"x": (1, Monomial(1, 0, ()), 0), "t": (1, Monomial(0, 1, ()), 0),
-          "u": (1, Monomial(0, 0, ((0, 1),)), 0)}
+_ONE, _ZERO = (1, 0, 0), (0, 0, 0)
+_ATOMS = {"x": (1, _pack(Monomial(1, 0, ())), 0),
+          "t": (1, _pack(Monomial(0, 1, ())), 0), "u": (1, _u(0), 0)}
 
 
 def _size(value: Value) -> int:
@@ -339,7 +342,7 @@ class _Parser:
     def parse_atom(self) -> Value:
         tok = self.advance()
         if tok.kind == "INT":
-            return int(tok.text), ONE_MONOMIAL, 0
+            return int(tok.text), 0, 0
         if tok.kind == "JET":
             return self.jet(int(tok.text), tok)
         if tok.kind == "PUNCT" and tok.text == "(":
@@ -356,7 +359,7 @@ class _Parser:
             if name in _ATOMS:
                 return _ATOMS[name]
             if name == "eps":
-                return (1, ONE_MONOMIAL, 1) if self.model.eps_order else _ZERO
+                return (1, 0, 1) if self.model.eps_order else _ZERO
             if _SPELT_JET.fullmatch(name):
                 return self.jet(len(name) - 2, tok)
             if name == "Dx":
@@ -377,7 +380,7 @@ class _Parser:
         if order > MAX_JET_INDEX:
             raise _limit(tok, f"jet order {order} exceeds the cap "
                               f"{MAX_JET_INDEX}")
-        return 1, Monomial(0, 0, ((order, 1),)), 0
+        return 1, _u(order), 0
 
     def poly(self, value: Value) -> Union[DiffPoly, PseudoDiffOp]:
         """A value with a term made a DiffPoly."""
@@ -430,7 +433,7 @@ class _Parser:
         c, e = c * c2, e + e2
         if not c or e > self.model.eps_order:
             return _ZERO
-        return _exact(c), m.mul(m2), e
+        return _exact(c), _checked(m + m2), e
 
 
 def parse_model(text: str) -> ModelIR:

@@ -11,9 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
-from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _exact, diff_partial, dt_total, euler1, integrate_x,
-                   prolong_apply)
+from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
+                   _monomial_order, _pack, _unpack, diff_partial, dt_total,
+                   euler1, integrate_x, prolong_apply)
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
@@ -115,7 +115,8 @@ def _features(poly: DiffPoly) -> list:
     of poly, with jet weight s = sum k*n_k and jet degree d = sum n_k.
     D_x adds exactly (1, 0, 0, 0) to every feature."""
     return [(sum(k * n for k, n in mon.jets) - mon.x, mon.t, e,
-             mon.jet_degree()) for mon, e in poly._flat]
+             mon.jet_degree())
+            for mon, e in ((_unpack(m), e) for m, e in poly._flat)]
 
 
 def _op_features(D: PseudoDiffOp) -> list:
@@ -330,10 +331,11 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
         if count > MAX_ANSATZ_MONOMIALS:
             raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
                                 f"cap {MAX_ANSATZ_MONOMIALS}")
-        basis: List[Tuple[Monomial, int]] = []
+        basis: List[Tuple[int, int]] = []
         # coordinate equations: one row per (monomial, eps degree)
-        rows_map: Dict[Tuple[Monomial, int], Dict[int, Fraction]] = {}
-        for key in _graded_pairs(shapes, degree_bound, order_bound):
+        rows_map: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        for mon, e in _graded_pairs(shapes, degree_bound, order_bound):
+            key = _pack(mon), e
             try:
                 img = apply_op(D, DiffPoly._from_flat({key: 1}, p))
             except NotExact:
@@ -341,7 +343,7 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
             for row, value in img._flat.items():
                 rows_map.setdefault(row, {})[len(basis)] = value
             basis.append(key)
-        keys = sorted(set(rows_map) | set(Q._flat))
+        keys = sorted(set(rows_map) | set(Q._flat), key=_monomial_order)
         rows = [(rows_map.get(k, {}), Q._flat.get(k, 0)) for k in keys]
         solution = _solve_rational_system(rows)
         if solution is None:

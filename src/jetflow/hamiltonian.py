@@ -47,18 +47,15 @@ class MultiVector:
     increasing; the Koszul sign of sorting a wedge is folded into its
     coefficient.  All arithmetic goes through DiffPoly.  Terms of different
     grades may coexist during intermediate arithmetic.  The constructor
-    takes {(Monomial, wedge): EpsPoly}.
+    takes {(Monomial, wedge): EpsPoly}, with wedges in any order.
     """
 
     __slots__ = ("_parts", "eps_order")
 
     def __init__(self, terms: Mapping[WedgeKey, EpsPoly], eps_order: int):
-        by_wedge: dict = {}
-        for (mon, wedge), coeff in terms.items():
-            by_wedge.setdefault(wedge, {})[mon] = coeff
         summed = MultiVector._summed(
-            ((1, wedge, DiffPoly(t, eps_order)) for wedge, t in by_wedge.items()),
-            eps_order)
+            ((1, wedge, DiffPoly({mon: coeff}, eps_order))
+             for (mon, wedge), coeff in terms.items()), eps_order)
         object.__setattr__(self, "_parts", summed._parts)
         object.__setattr__(self, "eps_order", eps_order)
 

@@ -6,19 +6,33 @@ of monomials in ``x``, ``t`` and jet variables with coefficients in
 Q[eps]/(eps^(p+1)).  Total derivatives, the Euler operator, prolongation
 and formal integration all live here.
 
-Coefficients are stored flat: a polynomial is one map
-``{(Monomial, e): c}`` from a monomial and an eps degree e <= p to a
-nonzero rational c.  A coefficient is a Python ``int`` whenever it is
-integral and a ``Fraction`` with denominator > 1 otherwise, never a float,
-so the common integer case skips Fraction arithmetic.  Every division
-builds a ``Fraction`` first, because ``int / int`` is a float.  Every
-primitive here works on that map, and products drop degree pairs above p
-before multiplying.  The operator, engine, numeric and printing layers
-read it; the multivector calculus is a map ``{wedge: DiffPoly}`` and does
-all of its arithmetic through DiffPoly.  :class:`~jetflow.ring.EpsPoly`
-stays the public scalar type: ``DiffPoly(terms, p)`` accepts a
-``{Monomial: EpsPoly}`` mapping and ``DiffPoly.terms`` gives one back,
-Fraction-valued, as a derived read-only view.
+Coefficients are stored flat: a polynomial is one map ``{(m, e): c}`` from
+a packed monomial m and an eps degree e <= p to a nonzero rational c.  A
+coefficient is a Python ``int`` whenever it is integral and a ``Fraction``
+with denominator > 1 otherwise, never a float, so the common integer case
+skips Fraction arithmetic.  Every division builds a ``Fraction`` first,
+because ``int / int`` is a float.  Every primitive here works on that map,
+and products drop degree pairs above p before multiplying.  The operator,
+engine, numeric and printing layers read it; the multivector calculus is a
+map ``{wedge: DiffPoly}`` and does all of its arithmetic through DiffPoly.
+
+A packed monomial is one int holding the exponent vector (x, t, u_0, u_1,
+...) in fields of ``_W`` = 17 bits, x lowest, then t, then u_k in field
+k + 2 (the packed exponent vectors of Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A field holds an exponent up to ``_MAX_EXPONENT`` = 2^16 - 1 below
+its top bit, a guard bit that every stored key keeps clear, so the sum of
+two keys never carries from one field into the next.  A product of
+monomials is then one int addition, a partial derivative one subtraction,
+the ``u_(k+1)`` step of ``D_x`` one addition, and the highest jet order
+of a key its ``bit_length``; an int has no fixed length, so jet orders are
+unbounded.  Every operation that can raise an exponent (a product, D_x,
+an antiderivative) checks the guard bits of the keys it builds and raises
+ResourceLimit when one is set: an exponent has passed the cap.
+:class:`Monomial` and :class:`~jetflow.ring.EpsPoly` stay the public types:
+``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping, packed in
+canonical form, and ``DiffPoly.terms`` gives one back, Fraction-valued, as
+a derived read-only view.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .errors import NotExact, OrderMismatch
+from .errors import NotExact, OrderMismatch, ResourceLimit
 from .ring import EpsPoly, _as_fraction
 
 JetVar = int  # number of x-derivatives of u
@@ -44,41 +58,89 @@ class Monomial(NamedTuple):
     t: int
     jets: Tuple[Tuple[int, int], ...]
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        if not self.jets or not other.jets:
-            return Monomial(self.x + other.x, self.t + other.t,
-                            self.jets or other.jets)
-        merged = dict(self.jets)
-        for k, e in other.jets:
-            merged[k] = merged.get(k, 0) + e
-        jets = tuple(sorted((k, e) for k, e in merged.items() if e))
-        return Monomial(self.x + other.x, self.t + other.t, jets)
-
-    def degree(self) -> int:
-        return self.x + self.t + sum(e for _, e in self.jets)
-
     def jet_degree(self) -> int:
         return sum(e for _, e in self.jets)
 
-    def max_jet_order(self) -> int:
-        return self.jets[-1][0] if self.jets else -1
-
-    def exponent(self, order: int) -> int:
-        for k, e in self.jets:
-            if k == order:
-                return e
-        return 0
-
-    def with_exponent(self, order: int, exp: int) -> "Monomial":
-        jets = dict(self.jets)
-        if exp:
-            jets[order] = exp
-        else:
-            jets.pop(order, None)
-        return Monomial(self.x, self.t, tuple(sorted(jets.items())))
-
 
 ONE_MONOMIAL = Monomial(0, 0, ())
+
+# Packed monomials: field i of _W bits at bit _W*i, x in field 0, t in
+# field 1 and u_k in field k + 2; the top bit of each field is its guard.
+_W = 17
+_MASK = (1 << _W) - 1
+# The largest exponent of x, t or one jet.  One declaration can build u^16384
+# under dsl.MAX_PRODUCT_PAIRS, and the product of two such terms still fits.
+_MAX_EXPONENT = (1 << (_W - 1)) - 1
+_JETS = 2 * _W  # the bit where the u_0 field starts
+
+
+def _u(order: int) -> int:
+    """The packed jet u_order."""
+    return 1 << _W * (order + 2)
+
+
+def _pack(mon: Monomial) -> int:
+    """The packed key of a Monomial, in canonical form: zero exponents drop
+    out and repeated jet orders add.  A negative x, t, jet order or
+    exponent is a ValueError; an exponent above _MAX_EXPONENT is a
+    ResourceLimit."""
+    x, t, jets = mon
+    if min(x, t, *(n for jet in jets for n in jet)) < 0:
+        raise ValueError(f"a negative exponent or jet order in {mon}")
+    exps = {-2: x, -1: t}
+    for k, e in jets:
+        exps[k] = exps.get(k, 0) + e
+    if max(exps.values()) > _MAX_EXPONENT:
+        raise ResourceLimit(f"an exponent exceeds the cap {_MAX_EXPONENT}")
+    return sum(e << _W * (k + 2) for k, e in exps.items())
+
+
+def _unpack(m: int) -> Monomial:
+    """The Monomial of a packed key."""
+    jets, k, rest = [], 0, m >> _JETS
+    while rest:
+        e = rest & _MASK
+        if e:
+            jets.append((k, e))
+        k, rest = k + 1, rest >> _W
+    return Monomial(m & _MASK, m >> _W & _MASK, tuple(jets))
+
+
+def _monomial_order(key) -> tuple:
+    """Sort key of a flat key (m, e): Monomial order, then eps degree."""
+    return _unpack(key[0]), key[1]
+
+
+def _span(flat) -> int:
+    """The bitwise or of the packed monomials of a flat map: a field or a
+    guard bit is nonzero in it exactly when it is in some key."""
+    span = 0
+    for m, _ in flat:
+        span |= m
+    return span
+
+
+def _checked(m: int) -> int:
+    """m, or ResourceLimit when one of its fields has reached its guard bit.
+
+    A sum of two keys, or a key with one field raised by one, has each
+    field below 2^_W, so an exponent past the cap shows as a set guard bit
+    and never as a carry into the next field.  Checked on a product of
+    terms, or on the _span of a new flat map.
+    """
+    ones = ((1 << _W * (m.bit_length() // _W + 1)) - 1) // _MASK  # 1 per field
+    if m & ones << (_W - 1):
+        raise ResourceLimit(f"an exponent exceeds the cap {_MAX_EXPONENT}")
+    return m
+
+
+def _degree(m: int) -> int:
+    """The sum of the fields of m: its degree, or for m >> _JETS its jet
+    degree."""
+    d = 0
+    while m:
+        d, m = d + (m & _MASK), m >> _W
+    return d
 
 
 def _exact(c):
@@ -103,12 +165,12 @@ class DiffPoly:
 
     Treated as immutable: every operation returns a new value, and equality
     is term-map equality.  The terms are stored flat, one rational per
-    (monomial, eps degree) in a private map ``{(Monomial, e): c}`` holding
-    nonzero values only, each an int when integral and a Fraction
-    otherwise, so a term of a single eps degree costs one number and a
-    product skips every pair of degrees above p.  ``terms`` groups that map
-    into a read-only ``{Monomial: EpsPoly}`` view, built on each access, for
-    callers outside the package.
+    (monomial, eps degree) in a private map ``{(m, e): c}``, m a packed
+    monomial, holding nonzero values only, each an int when integral and a
+    Fraction otherwise, so a term of a single eps degree costs one number
+    and a product skips every pair of degrees above p.  ``terms`` groups
+    that map into a read-only ``{Monomial: EpsPoly}`` view, built on each
+    access, for callers outside the package.
     """
 
     __slots__ = ("_flat", "eps_order")
@@ -120,15 +182,17 @@ class DiffPoly:
                 raise OrderMismatch(
                     f"coefficient order {coeff.order} != polynomial order {eps_order}"
                 )
+            m = _pack(mon)
             for e, c in enumerate(coeff.coeffs):
                 if c:
-                    flat[mon, e] = _exact(c)
+                    _accumulate(flat, (m, e), c)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
 
     @classmethod
     def _from_flat(cls, flat: dict, eps_order: int) -> "DiffPoly":
-        """Wrap a {(Monomial, e): c} map of nonzero stored values as is."""
+        """Wrap a {(packed monomial, e): c} map of nonzero stored values as
+        is."""
         self = object.__new__(cls)
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
@@ -138,21 +202,21 @@ class DiffPoly:
         raise AttributeError("DiffPoly is immutable")
 
     def _grouped(self) -> dict:
-        """{Monomial: [value per eps degree, 0 where absent]}, in
+        """{packed monomial: [value per eps degree, 0 where absent]}, in
         first-appearance order."""
         grouped: dict = {}
         zeros = [0] * (self.eps_order + 1)
-        for (mon, e), c in self._flat.items():
-            if mon not in grouped:
-                grouped[mon] = list(zeros)
-            grouped[mon][e] = c
+        for (m, e), c in self._flat.items():
+            if m not in grouped:
+                grouped[m] = list(zeros)
+            grouped[m][e] = c
         return grouped
 
     @property
     def terms(self) -> Mapping[Monomial, EpsPoly]:
         """The terms as a read-only {Monomial: EpsPoly} view."""
-        return MappingProxyType({mon: EpsPoly(cs)
-                                 for mon, cs in self._grouped().items()})
+        return MappingProxyType({_unpack(m): EpsPoly(cs)
+                                 for m, cs in self._grouped().items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -166,8 +230,7 @@ class DiffPoly:
             return cls({ONE_MONOMIAL: value}, eps_order)
         if type(value) is not int:
             value = _exact(_as_fraction(value))
-        return cls._from_flat({(ONE_MONOMIAL, 0): value} if value else {},
-                              eps_order)
+        return cls._from_flat({(0, 0): value} if value else {}, eps_order)
 
     # -- queries -----------------------------------------------------------
 
@@ -176,20 +239,21 @@ class DiffPoly:
 
     def rational_constant(self) -> Optional[Fraction]:
         """This polynomial as a pure rational number, or None."""
-        if any(key != (ONE_MONOMIAL, 0) for key in self._flat):
+        if any(key != (0, 0) for key in self._flat):
             return None
-        return Fraction(self._flat.get((ONE_MONOMIAL, 0), 0))
+        return Fraction(self._flat.get((0, 0), 0))
 
     def max_jet_order(self) -> int:
-        """Highest derivative order present (-1 when jet-free)."""
-        return max((m.max_jet_order() for m, _ in self._flat), default=-1)
+        """Highest derivative order present (-1 when jet-free), read from
+        the bit length of the highest field in use."""
+        return max((_span(self._flat).bit_length() - 1) // _W - 2, -1)
 
     def total_degree(self) -> int:
-        return max((m.degree() for m, _ in self._flat), default=0)
+        return max((_degree(m) for m, _ in self._flat), default=0)
 
     def jet_vars(self) -> set:
         """The jet orders present."""
-        return {k for m, _ in self._flat for k, _ in m.jets}
+        return {k for k, _ in _unpack(_span(self._flat)).jets}
 
     def eps_component(self, degree: int) -> "DiffPoly":
         """The coefficient of eps^degree, as a polynomial of the same order."""
@@ -257,7 +321,8 @@ class DiffPoly:
         for (m1, e1), c1 in self._flat.items():
             for (m2, e2), c2 in other._flat.items():
                 if e1 + e2 <= p:
-                    _accumulate(flat, (m1.mul(m2), e1 + e2), c1 * c2)
+                    _accumulate(flat, (m1 + m2, e1 + e2), c1 * c2)
+        _checked(_span(flat))
         return DiffPoly._from_flat(flat, p)
 
     __rmul__ = __mul__
@@ -299,16 +364,16 @@ class Context:
             raise ValueError("eps_order must be non-negative")
         self.eps_order = eps_order
 
-    def _mono(self, mon: Monomial) -> DiffPoly:
-        return DiffPoly._from_flat({(mon, 0): 1}, self.eps_order)
+    def _mono(self, m: int) -> DiffPoly:
+        return DiffPoly._from_flat({(m, 0): 1}, self.eps_order)
 
     @property
     def x(self) -> DiffPoly:
-        return self._mono(Monomial(1, 0, ()))
+        return self._mono(_pack(Monomial(1, 0, ())))
 
     @property
     def t(self) -> DiffPoly:
-        return self._mono(Monomial(0, 1, ()))
+        return self._mono(_pack(Monomial(0, 1, ())))
 
     @property
     def eps(self) -> DiffPoly:
@@ -317,7 +382,7 @@ class Context:
     def u(self, order: int = 0) -> DiffPoly:
         if order < 0:
             raise ValueError("jet order must be non-negative")
-        return self._mono(Monomial(0, 0, ((order, 1),)))
+        return self._mono(_u(order))
 
     def const(self, value) -> DiffPoly:
         return DiffPoly.constant(value, self.eps_order)
@@ -376,49 +441,56 @@ class Functional:
 
 
 def diff_partial(P: DiffPoly, var) -> DiffPoly:
-    """Partial derivative with respect to 'x', 't' or a jet order."""
-    flat: dict = {}
-    for (mon, e), c in P._flat.items():
-        if var == "x":
-            factor, new = mon.x, Monomial(mon.x - 1, mon.t, mon.jets)
-        elif var == "t":
-            factor, new = mon.t, Monomial(mon.x, mon.t - 1, mon.jets)
-        else:
-            factor = mon.exponent(var)
-            new = mon.with_exponent(var, factor - 1) if factor else None
-        if factor:
-            _accumulate(flat, (new, e), c if factor == 1 else c * factor)
+    """Partial derivative with respect to 'x', 't' or a jet order, an int
+    k >= 0; any other var is a ValueError."""
+    if var == "x" or var == "t":
+        shift = 0 if var == "x" else _W
+    elif isinstance(var, int) and not isinstance(var, bool) and var >= 0:
+        shift = _W * (var + 2)
+    else:
+        raise ValueError(f"cannot differentiate by {var!r}: expected 'x', "
+                         f"'t' or a jet order k >= 0")
+    one = 1 << shift
+    flat = {}
+    for (m, e), c in P._flat.items():
+        n = m >> shift & _MASK
+        if n:  # m -> m - one is one-to-one, so no two terms meet
+            flat[m - one, e] = c if n == 1 else _exact(c * n)
     return DiffPoly._from_flat(flat, P.eps_order)
 
 
-def _dx_monomial(mon: Monomial):
-    """Chain rule on one monomial: the (factor, monomial) terms of D_x(mon).
+def _dx_monomial(m: int):
+    """Chain rule on one packed monomial: the (factor, monomial) terms of
+    D_x(m), x first and then the jets by increasing order.
 
-    x^a gives a*x^(a-1) and u_k^e gives e*u_k^(e-1)*u_(k+1); the results are
-    pairwise distinct monomials.
+    x^a gives a*x^(a-1) and u_k^e gives e*u_k^(e-1)*u_(k+1), which adds
+    _MASK shifted to the u_k field: one off u_k and one onto u_(k+1).  Only
+    the nonzero jet fields are visited, and the results are pairwise
+    distinct monomials.
     """
-    x, t, jets = mon
     out = []
+    x = m & _MASK
     if x:
-        out.append((x, Monomial(x - 1, t, jets)))
-    for i, (k, e) in enumerate(jets):
-        head = jets[:i] + (((k, e - 1),) if e > 1 else ())
-        rest = jets[i + 1:]
-        # jets are sorted, so an existing u_(k+1) factor comes right after u_k
-        if rest and rest[0][0] == k + 1:
-            new = head + ((k + 1, rest[0][1] + 1),) + rest[1:]
-        else:
-            new = head + ((k + 1, 1),) + rest
-        out.append((e, Monomial(x, t, new)))
+        out.append((x, m - 1))
+    shift, rest = _JETS, m >> _JETS
+    while rest:
+        e = rest & _MASK
+        if not e:  # skip to the next nonzero field
+            skip = ((rest & -rest).bit_length() - 1) // _W * _W
+            shift, rest = shift + skip, rest >> skip
+            e = rest & _MASK
+        out.append((e, m + (_MASK << shift)))
+        shift, rest = shift + _W, rest >> _W
     return out
 
 
 def dx_total(P: DiffPoly) -> DiffPoly:
     """Total x-derivative: chain rule over x and every jet variable."""
     flat: dict = {}
-    for (mon, e), c in P._flat.items():
-        for factor, new in _dx_monomial(mon):
+    for (m, e), c in P._flat.items():
+        for factor, new in _dx_monomial(m):
             _accumulate(flat, (new, e), c if factor == 1 else c * factor)
+    _checked(_span(flat))  # a u_(k+1) exponent may have passed the cap
     return DiffPoly._from_flat(flat, P.eps_order)
 
 
@@ -454,8 +526,8 @@ def euler(P: DiffPoly) -> DiffPoly:
     It vanishes exactly on total x-derivatives.  Evaluated in Horner form,
     acc = dP/du_k - D_x(acc) from the top order down to 0.
     """
-    top = P.max_jet_order()
-    acc = diff_partial(P, top)  # zero when top is -1
+    top = max(P.max_jet_order(), 0)  # a jet-free P has euler(P) = dP/du = 0
+    acc = diff_partial(P, top)
     for k in range(top - 1, -1, -1):
         acc = diff_partial(P, k) - dx_total(acc)
     return acc
@@ -495,19 +567,15 @@ def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
     return out
 
 
-def _integrate_explicit_x(P: DiffPoly) -> DiffPoly:
-    flat = {(Monomial(mon.x + 1, mon.t, mon.jets), e):
-            _exact(Fraction(c, mon.x + 1)) if mon.x else c
-            for (mon, e), c in P._flat.items()}
-    return DiffPoly._from_flat(flat, P.eps_order)
-
-
-def _antiderivative_in(P: DiffPoly, order: int) -> DiffPoly:
+def _antiderivative(P: DiffPoly, shift: int) -> DiffPoly:
+    """The termwise antiderivative in the variable of the field at bit
+    `shift`: a term with exponent n there gets n + 1 and c/(n + 1)."""
+    one = 1 << shift
     flat = {}
-    for (mon, e), c in P._flat.items():
-        k = mon.exponent(order)
-        flat[mon.with_exponent(order, k + 1), e] = (
-            _exact(Fraction(c, k + 1)) if k else c)
+    for (m, e), c in P._flat.items():
+        n = m >> shift & _MASK
+        flat[m + one, e] = _exact(Fraction(c, n + 1)) if n else c
+    _checked(_span(flat))
     return DiffPoly._from_flat(flat, P.eps_order)
 
 
@@ -524,10 +592,10 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
     while True:
         top = rest.max_jet_order()
         if top == -1:
-            return result + _integrate_explicit_x(rest)
+            return result + _antiderivative(rest, 0)
         lead = diff_partial(rest, top)
-        if top == 0 or any(m.exponent(top) for m, _ in lead._flat):
+        if top == 0 or _span(lead._flat) >> _W * (top + 2):  # u_top is left
             raise NotExact("not a total x-derivative", euler(P))
-        piece = _antiderivative_in(lead, top - 1)
+        piece = _antiderivative(lead, _W * (top + 1))  # in u_(top - 1)
         result = result + piece
         rest = rest - dx_total(piece)

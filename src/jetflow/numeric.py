@@ -16,7 +16,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import Diverged, ResourceLimit, Unsupported
-from .jets import DiffPoly, EvolutionSystem, Functional
+from .jets import DiffPoly, EvolutionSystem, Functional, _unpack
 
 MAX_RHS_JET_ORDER = 6
 MAX_DENSITY_JET_ORDER = 4
@@ -73,13 +73,14 @@ class _Evaluator:
         if order > max_order:
             raise Unsupported(f"{what} jet order {order} exceeds {max_order}")
         values: dict = {}
-        for (mon, e), c in poly._flat.items():
-            values[mon] = values.get(mon, 0.0) + float(c) * eps_value ** e
+        for (m, e), c in poly._flat.items():
+            values[m] = values.get(m, 0.0) + float(c) * eps_value ** e
         x = grid.x_grid()
         self.terms = []
-        for mon, value in values.items():
+        for m, value in values.items():
             if value == 0.0:
                 continue
+            mon = _unpack(m)
             self.terms.append((value, x ** mon.x if mon.x else None, mon.t,
                                mon.jets))
         self.orders = sorted({o for *_, jets in self.terms for o, _ in jets}

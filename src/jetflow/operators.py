@@ -14,8 +14,9 @@ from math import comb
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
-from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _accumulate,
-                   _dx_tower, _exact, diff_partial, dt_total, euler,
+from .jets import (_JETS, DiffPoly, EvolutionSystem, Functional, _accumulate,
+                   _checked, _degree, _dx_tower, _exact, _monomial_order,
+                   _span, _u, _unpack, diff_partial, dt_total, euler,
                    integrate_x)
 from .ring import EpsPoly
 
@@ -39,10 +40,11 @@ def _normalize_nonlocal(pairs, eps_order):
                 if f + e <= eps_order:
                     _accumulate(B_m, (n, f + e), r * c)
     groups: dict = {}  # b as a frozenset of ((n, e), c) -> {m: (k_m, c_m)}
-    for m in sorted(right):
+    for m in sorted(right, key=_unpack):
         B = right[m]
         if B:
-            k, lead = min(e for _, e in B), B[min(B)]
+            k = min(e for _, e in B)
+            lead = B[min(B, key=_monomial_order)]
             b = frozenset(((n, e - k), _ratio(c, lead)) for (n, e), c in B.items())
             groups.setdefault(b, {})[m] = (k, lead)
     return tuple(
@@ -345,10 +347,11 @@ def frechet(P: DiffPoly) -> PseudoDiffOp:
 
 def _homotopy_density(g: DiffPoly) -> DiffPoly:
     """h = int_0^1 u*g[lambda*u] d(lambda), termwise u*m/(jet degree of m + 1)."""
-    u = Monomial(0, 0, ((0, 1),))
-    return DiffPoly._from_flat(
-        {(u.mul(mon), e): _exact(Fraction(c, mon.jet_degree() + 1))
-         for (mon, e), c in g._flat.items()}, g.eps_order)
+    u = _u(0)
+    flat = {(m + u, e): _exact(Fraction(c, _degree(m >> _JETS) + 1))
+            for (m, e), c in g._flat.items()}
+    _checked(_span(flat))
+    return DiffPoly._from_flat(flat, g.eps_order)
 
 
 def helmholtz_selfadjoint(g: DiffPoly) -> bool:

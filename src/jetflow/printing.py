@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .jets import ONE_MONOMIAL, DiffPoly, Monomial
+from .jets import ONE_MONOMIAL, DiffPoly, Monomial, _unpack
 from .ring import EpsPoly
 
 # where '\varepsilon' meets a letter, which TeX would read as one control word
@@ -95,8 +95,9 @@ def _term_str(mon: Monomial, pairs, latex=False):
 def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
     terms = {}
-    for (mon, e), c in P._flat.items():
-        terms.setdefault(mon, []).append((e, c))
+    for (m, e), c in P._flat.items():
+        terms.setdefault(m, []).append((e, c))
+    terms = {_unpack(m): pairs for m, pairs in terms.items()}
     # factor a common pure eps^k out front when every term carries it
     degrees = {pairs[0][0] if len(pairs) == 1 else -1 for pairs in terms.values()}
     prefix = ""
@@ -111,10 +112,10 @@ def format_poly(P: DiffPoly, latex=False) -> str:
 def _coeff_factor(P: DiffPoly, latex=False):
     """A polynomial as a multiplicative factor: (negated, text).  A
     polynomial of one monomial is one term, such as '(1 + eps)*u'."""
-    mons = {mon for mon, _ in P._flat}
+    mons = {m for m, _ in P._flat}
     if len(mons) == 1:
-        return _term_str(mons.pop(), [(e, c) for (_, e), c in P._flat.items()],
-                         latex)
+        return _term_str(_unpack(mons.pop()),
+                         [(e, c) for (_, e), c in P._flat.items()], latex)
     return False, f"({format_poly(P, latex)})"
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from jetflow import (Context, DiffPoly, EpsPoly, Monomial, MultiVector,
                      PseudoDiffOp, adjoint, load_fixture)
+from jetflow.jets import _unpack
 
 P = 1  # truncation order used throughout the suite
 
@@ -32,6 +33,12 @@ def gardner_sys(gardner):
 @pytest.fixture(scope="session")
 def burgers_sys(burgers):
     return burgers.systems["potential_burgers"]
+
+
+def stored_terms(P):
+    """The stored {(monomial, eps degree): value} map of P, each packed
+    monomial decoded into its Monomial."""
+    return {(_unpack(m), e): c for (m, e), c in P._flat.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -586,8 +586,13 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
       "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"]),
     ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4),
+    # the unbarred hierarchy: O(1) flows, so every pair check multiplies
+    ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
+     ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
+      "Q1", "--steps", "6", "--dop", "D", "--format", "json"]),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
-        "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json"])
+        "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
+        "hierarchy-Rt-json"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

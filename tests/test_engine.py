@@ -13,6 +13,8 @@ from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
 from jetflow import engine
 from jetflow.errors import JetflowError, NotASymmetry
 
+from conftest import stored_terms
+
 
 MODELS = Path(__file__).parent / "models"
 
@@ -174,7 +176,7 @@ def test_textbook_gardner_recursion_operator_passes(gardner, gardner_sys):
     report = check_recursion_operator(R, gardner_sys)
     assert not report.passed
     assert all(e == 1 for c in report.residual.local_terms.values()
-               for _, e in c._flat)
+               for _, e in stored_terms(c))
     # the nonlocal part of R_t - [D_K, R] is (a_t - D_K(a))*Dxi
     (a, one), = R.nonlocal_terms
     K = gardner_sys.rhs

@@ -16,7 +16,7 @@ from jetflow import (DiffPoly, EpsPoly, Monomial, apply_op,
                      solve_operator_equation)
 from jetflow import engine
 
-from conftest import diff_polys, local_ops, rationals
+from conftest import diff_polys, local_ops, rationals, stored_terms
 
 
 def span_equals(found, expected):
@@ -93,10 +93,10 @@ def test_graded_basis_is_the_filtered_dense_basis(gardner):
     assert engine._graded_pairs(shapes, degree_bound, top) == expected
     assert engine._tier_size(shapes, degree_bound, top) == len(expected)
     # and E maps each of them to terms of the weight of Q
-    q_feature = feature(*next(iter(Q._flat)))
+    q_feature = feature(*next(iter(stored_terms(Q))))
     for mon, e in expected:
         image = apply_op(E, DiffPoly({mon: EpsPoly.eps(1, e)}, 1))
-        for key in image._flat:
+        for key in stored_terms(image):
             for w, _ in gradings:
                 assert weight(w, feature(*key)) == weight(w, q_feature)
 
@@ -107,9 +107,9 @@ def test_graded_pairs_and_count_match_brute_force(D, Q, top):
     # each grading makes Q and D homogeneous, and the target is the weight
     # of a term of Q minus that of a term of D
     gradings = engine._gradings(D, Q)
-    q_features = [feature(*key) for key in Q._flat]
+    q_features = [feature(*key) for key in stored_terms(Q)]
     d_shifts = [(f[0] + j, *f[1:]) for j, c in D.local_terms.items()
-                for f in (feature(*key) for key in c._flat)]
+                for f in (feature(*key) for key in stored_terms(c))]
     for w, target in gradings:
         assert len({weight(w, f) for f in q_features}) == 1
         assert len({weight(w, f) for f in d_shifts}) == 1
@@ -147,9 +147,9 @@ def test_images_under_E_invert(gardner, g):
 def test_gradings_span_the_whole_null_space(D, Q):
     # sound gradings (checked above) that number 4 - rank of the feature
     # differences and are independent span every grading
-    q_features = [feature(*key) for key in Q._flat]
+    q_features = [feature(*key) for key in stored_terms(Q)]
     d_shifts = [(f[0] + j, *f[1:]) for j, c in D.local_terms.items()
-                for f in (feature(*key) for key in c._flat)]
+                for f in (feature(*key) for key in stored_terms(c))]
     gradings = engine._gradings(D, Q)
     if not q_features or not d_shifts:
         assert gradings == []

@@ -2,13 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetflow import (Context, EvolutionSystem, Functional,
-                     MultiVector, PseudoDiffOp, Unsupported, euler1,
+from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem, Functional,
+                     Monomial, MultiVector, PseudoDiffOp, Unsupported, euler1,
                      flow_derivative_identity, ham_vector_field,
                      in_involution, is_distinguished, is_skew_adjoint,
                      pair_check, poisson_bracket)
 
-from conftest import diff_polys, multivectors, rationals, skew_ops
+from conftest import (diff_polys, eps_polys, monomials, multivectors,
+                      rationals, skew_ops)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,26 @@ def test_multivector_wedge_normalization(v):
     assert a.wedge(b) == -(b.wedge(a))
     assert MultiVector.from_poly(v.u, (2, 2)).is_zero()
     assert MultiVector.from_poly(v.u, (2, 0)) == -MultiVector.from_poly(v.u, (0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(monomials(), st.lists(st.integers(0, 3), max_size=3).map(tuple)),
+    eps_polys(), max_size=4))
+def test_multivector_from_terms_is_the_sum_of_its_pieces(terms):
+    # wedges given unsorted or repeated take their Koszul sign or vanish
+    expected = MultiVector.zero(1)
+    for (mon, wedge), coeff in terms.items():
+        expected = expected + MultiVector.from_poly(DiffPoly({mon: coeff}, 1),
+                                                    wedge)
+    assert MultiVector(terms, 1) == expected
+
+
+def test_multivector_from_terms_signs(v):
+    mon, one = Monomial(0, 0, ((1, 1),)), EpsPoly.one(1)
+    assert MultiVector({(mon, (2, 0)): one}, 1) == -MultiVector.from_poly(v.u1, (0, 2))
+    assert MultiVector({(mon, (0, 2)): one, (mon, (2, 0)): one}, 1).is_zero()
+    assert MultiVector({(mon, (1, 1)): one}, 1).is_zero()
 
 
 @settings(max_examples=100, deadline=None)

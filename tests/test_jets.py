@@ -11,7 +11,7 @@ from jetflow import (Context, EvolutionSystem, Functional, NotExact,
                      adjoint, apply_op, frechet, noether_inverse,
                      solve_operator_equation)
 
-from conftest import diff_polys
+from conftest import diff_polys, stored_terms
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +245,7 @@ def _canonical(P):
                 or (type(c) is Fraction and c.denominator > 1))
                and all(e >= 1 for _, e in mon.jets)
                and all(a < b for (a, _), (b, _) in zip(mon.jets, mon.jets[1:]))
-               for (mon, _), c in P._flat.items())
+               for (mon, _), c in stored_terms(P).items())
 
 
 @settings(max_examples=150, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from jetflow import (DiffPoly, EpsPoly, dx_total, euler1, format_poly,
                      integrate_x, parse_model, reconstruct_density)
 
-from conftest import diff_polys
+from conftest import diff_polys, stored_terms
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -90,7 +90,7 @@ def read_printed(text):
 def from_flat(P):
     """The polynomial of the stored {(monomial, eps degree): value} map."""
     expr = sympy.Integer(0)
-    for (mon, e), c in P._flat.items():
+    for (mon, e), c in stored_terms(P).items():
         term = sympy.Rational(c.numerator, c.denominator) * EPS ** e
         term *= X ** mon.x * T ** mon.t
         for k, power in mon.jets:
