@@ -12,8 +12,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
-                   _monomial_order, _pack, _unpack, diff_partial, dt_total,
-                   euler1, integrate_x, prolong_apply)
+                   _monomial_order, _pack, _unpack, dt_total, euler1,
+                   integrate_x, prolong_apply)
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
@@ -77,16 +77,8 @@ def check_symmetry(Q: DiffPoly, sys: EvolutionSystem, name: str = "symmetry") ->
     The residual is dQ/dt + D_Q(K) - D_K(Q); it vanishes modulo eps^(p+1)
     exactly when v_Q is an approximate symmetry.
     """
-    residual = _symmetry_residual([Q], [sys.rhs])
+    residual = dt_total(Q, sys) - prolong_apply(Q, sys.rhs)
     return CheckReport(name, residual.is_zero(), residual)
-
-
-def _symmetry_residual(q_tower: list, k_tower: list) -> DiffPoly:
-    """The check_symmetry residual of Q for u_t = K, from the D_x towers of
-    Q and K (lists starting at Q and at K, grown in place as needed)."""
-    Q, K = q_tower[0], k_tower[0]
-    return (diff_partial(Q, "t") + prolong_apply(k_tower, Q)
-            - prolong_apply(q_tower, K))
 
 
 def check_conservation(T: Functional, sys: EvolutionSystem,
@@ -438,28 +430,24 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     `stopped_at` together with its obstruction.  A seed that is not a
     symmetry raises NotASymmetry carrying its residual.
 
-    Every derived quantity is computed once.  Per flow, its D_x tower is
-    kept (``towers[i]`` belongs to ``flows[i]``, ``rhs_tower`` to the system
-    right-hand side) and shared by every symmetry and commutation check
-    that uses it.  Per functional, the gradient ``grads[j]`` = delta H_j and
-    its image ``d_images[j]`` = D(delta H_j) are kept from the inversion
-    step, so {H_i, H_j}_D has density grads[i] * d_images[j].  The second
-    bracket's image (R*D)(delta H_j) is built the first time a pair needs
-    it; when it is not exact, each pair that needs it fails with the
-    obstruction as its residual.  More than MAX_HIERARCHY_STEPS steps raise
-    ResourceLimit before any work.
+    Every derived quantity is computed once.  Each flow's D_x derivatives
+    are kept on the flow by dx_total, so the symmetry and commutation
+    checks (the commutation [v_i, v_j] is check_symmetry of flow i for
+    u_t = flow j) share them.  Per functional, the gradient ``grads[j]`` =
+    delta H_j and its image ``d_images[j]`` = D(delta H_j) are kept from
+    the inversion step, so {H_i, H_j}_D has density grads[i] * d_images[j].
+    The second bracket's image (R*D)(delta H_j) is built the first time a
+    pair needs it; when it is not exact, each pair that needs it fails with
+    the obstruction as its residual.  A negative `steps` is a ValueError,
+    and more than MAX_HIERARCHY_STEPS steps raise ResourceLimit, both
+    before any work.
     """
+    if steps < 0:
+        raise ValueError(f"hierarchy steps must be non-negative, got {steps}")
     if steps > MAX_HIERARCHY_STEPS:
         raise ResourceLimit(f"{steps} hierarchy steps exceed the cap "
                             f"{MAX_HIERARCHY_STEPS}")
-    rhs_tower = [sys.rhs]
-    towers = [[seed]]
-
-    def symmetry(i: int, k_tower: list, name: str) -> CheckReport:
-        residual = _symmetry_residual(towers[i], k_tower)
-        return CheckReport(name, residual.is_zero(), residual)
-
-    seed_report = symmetry(0, rhs_tower, "seed symmetry")
+    seed_report = check_symmetry(seed, sys, "seed symmetry")
     if not seed_report.passed:
         raise NotASymmetry("hierarchy seed is not an approximate symmetry",
                            seed_report.residual)
@@ -505,8 +493,7 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
                     f"jet order {K.max_jet_order()} exceeds the cap {max_jet_order}"
                 )
             flows.append(K)
-            towers.append([K])
-            reports.append(symmetry(i, rhs_tower, f"symmetry K[{i}]"))
+            reports.append(check_symmetry(K, sys, f"symmetry K[{i}]"))
             if not invert(K, i):
                 break
 
@@ -533,7 +520,8 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         if second_op is not None:
             reports.append(involution_e(i, j))
     for i, j in combinations(range(len(flows)), 2):
-        reports.append(symmetry(i, towers[j], f"commutation [v[{i}],v[{j}]]"))
+        reports.append(check_symmetry(flows[i], EvolutionSystem(flows[j]),
+                                      f"commutation [v[{i}],v[{j}]]"))
 
     return HierarchyResult(flows, functionals, stopped_at, reports,
                            assumptions=(NONDEGENERACY_ASSUMPTION,))

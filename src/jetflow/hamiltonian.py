@@ -254,6 +254,5 @@ def flow_derivative_identity(D: PseudoDiffOp, sys: EvolutionSystem,
         return False
     DK = frechet(K)
     rhs = compose(DK, D) + compose(D, adjoint(DK))
-    tower = [K]
-    lhs = _derive_coefficients(D, lambda c: prolong_apply(tower, c))
+    lhs = _derive_coefficients(D, lambda c: prolong_apply(K, c))
     return lhs == rhs

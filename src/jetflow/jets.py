@@ -15,6 +15,9 @@ because ``int / int`` is a float.  Every primitive here works on that map,
 and products drop degree pairs above p before multiplying.  The operator,
 engine, numeric and printing layers read it; the multivector calculus is a
 map ``{wedge: DiffPoly}`` and does all of its arithmetic through DiffPoly.
+Since no flat map changes once wrapped, ``dx_total(P)`` keeps its result
+on P in the private slot ``_dx``, so every chain P, D_x P, D_x^2 P, ... is
+computed once, whichever check needs it.
 
 A packed monomial is one int holding the exponent vector (x, t, u_0, u_1,
 ...) in fields of ``_W`` = 17 bits, x lowest, then t, then u_k in field
@@ -173,7 +176,7 @@ class DiffPoly:
     access, for callers outside the package.
     """
 
-    __slots__ = ("_flat", "eps_order")
+    __slots__ = ("_flat", "eps_order", "_dx")
 
     def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int):
         flat = {}
@@ -276,15 +279,18 @@ class DiffPoly:
             return DiffPoly.constant(other, self.eps_order)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _plus(self, other: "DiffPoly", sign: int) -> "DiffPoly":
+        """self + other, or self - other when sign is -1, in one pass over
+        the terms of other."""
         self._check_compat(other)
         flat = dict(self._flat)
         for key, c in other._flat.items():
-            _accumulate(flat, key, c)
+            _accumulate(flat, key, c if sign > 0 else -c)
         return DiffPoly._from_flat(flat, self.eps_order)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -294,15 +300,11 @@ class DiffPoly:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self._plus(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other._plus(self, -1)
 
     def _scaled(self, r) -> "DiffPoly":
         r = _exact(r)
@@ -485,29 +487,32 @@ def _dx_monomial(m: int):
 
 
 def dx_total(P: DiffPoly) -> DiffPoly:
-    """Total x-derivative: chain rule over x and every jet variable."""
+    """Total x-derivative: chain rule over x and every jet variable.  The
+    result is kept on P; one that raises ResourceLimit is not."""
+    D = getattr(P, "_dx", None)
+    if D is not None:
+        return D
     flat: dict = {}
     for (m, e), c in P._flat.items():
         for factor, new in _dx_monomial(m):
             _accumulate(flat, (new, e), c if factor == 1 else c * factor)
     _checked(_span(flat))  # a u_(k+1) exponent may have passed the cap
-    return DiffPoly._from_flat(flat, P.eps_order)
+    D = DiffPoly._from_flat(flat, P.eps_order)
+    object.__setattr__(P, "_dx", D)
+    return D
 
 
 def dx_total_n(P: DiffPoly, n: int) -> DiffPoly:
-    for _ in range(n):
-        P = dx_total(P)
-    return P
+    """D_x^n P for an int n >= 0; a negative n is a ValueError."""
+    if n < 0:
+        raise ValueError(f"cannot differentiate {n} times: expected n >= 0")
+    return _dx_tower(P, n)[n]
 
 
-def _dx_tower(P: DiffPoly, n: int, tower: Optional[list] = None) -> list:
-    """[P, D_x P, ..., D_x^n P], each entry the derivative of the one before.
-
-    A given tower (a list starting at P) is grown in place to order n at
-    least and returned, so that its derivatives are computed only once.
-    """
-    if tower is None:
-        tower = [P]
+def _dx_tower(P: DiffPoly, n: int) -> list:
+    """[P, D_x P, ..., D_x^n P], each entry the derivative of the one
+    before."""
+    tower = [P]
     while len(tower) <= n:
         tower.append(dx_total(tower[-1]))
     return tower
@@ -541,26 +546,26 @@ def _valuation(P: DiffPoly) -> int:
     return min((e for _, e in P._flat), default=P.eps_order + 1)
 
 
-def prolong_apply(direction, target: DiffPoly) -> DiffPoly:
-    """Apply the Frechet derivative of `target` to `direction`.
+def prolong_apply(direction: DiffPoly, target: DiffPoly) -> DiffPoly:
+    """Apply the Frechet derivative of `target` to `direction`:
+    sum_k (d target/du_k) * D_x^k direction.
 
     Equals the action of the prolonged evolutionary field with
-    characteristic `direction` on `target`.  `direction` may also be given
-    as its D_x tower, a list as `_dx_tower` builds it, which grows in place
-    to the jet order `target` needs, so that callers can share it.
+    characteristic `direction` on `target`.  dx_total keeps the
+    derivatives of `direction` on it, so every check that prolongs along
+    one direction shares them.
 
     Neither D_x nor a partial derivative lowers the eps valuation v, so
     every product here has valuation at least v(direction) + v(target).
     When that sum exceeds p the result is zero mod eps^(p+1), and it is
-    returned before the tower grows: at p = 1 two O(eps) flows commute by
+    returned before any D_x is taken: at p = 1 two O(eps) flows commute by
     truncation alone.  Mixed truncation orders raise OrderMismatch first.
     """
-    tower = direction if isinstance(direction, list) else [direction]
-    target._check_compat(tower[0])
+    target._check_compat(direction)
     p = target.eps_order
-    if _valuation(tower[0]) + _valuation(target) > p:
+    if _valuation(direction) + _valuation(target) > p:
         return DiffPoly.zero(p)
-    _dx_tower(tower[0], target.max_jet_order(), tower)
+    tower = _dx_tower(direction, target.max_jet_order())
     out = DiffPoly.zero(p)
     for k in sorted(target.jet_vars()):
         out = out + diff_partial(target, k) * tower[k]

@@ -113,10 +113,12 @@ def test_hierarchy_step_cap(gardner, gardner_sys, monkeypatch):
     def residual(*args):
         raise AssertionError("a residual was computed")
 
-    monkeypatch.setattr(engine, "_symmetry_residual", residual)
+    monkeypatch.setattr(engine, "check_symmetry", residual)
     with pytest.raises(ResourceLimit, match="2 hierarchy steps exceed the "
                                             "cap 1"):
         generate_hierarchy(R, seed, 2, D, gardner_sys)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        generate_hierarchy(R, seed, -1, D, gardner_sys)
 
 
 def test_ansatz_monomial_cap(v, gardner, monkeypatch):

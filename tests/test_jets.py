@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetflow import (Context, EvolutionSystem, Functional, NotExact,
-                     NotVariational, OrderMismatch, diff_partial, dt_total,
-                     dx_total, dx_total_n, euler1, helmholtz_selfadjoint,
-                     integrate_x, prolong_apply, reconstruct_density,
-                     adjoint, apply_op, frechet, noether_inverse,
-                     solve_operator_equation)
+from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
+                     Functional, Monomial, NotExact, NotVariational,
+                     OrderMismatch, ResourceLimit, diff_partial, dt_total,
+                     dx_total, dx_total_n, euler1, format_poly,
+                     helmholtz_selfadjoint, integrate_x, prolong_apply,
+                     reconstruct_density, adjoint, apply_op, frechet,
+                     noether_inverse, solve_operator_equation)
+from jetflow.jets import _MAX_EXPONENT, _dx_tower
 
 from conftest import diff_polys, stored_terms
 
@@ -65,9 +67,37 @@ def test_prolong_apply(v):
 
 
 def test_prolong_apply_of_two_eps_multiples_grows_no_tower(v):
-    tower = [v.eps * v.u1]
-    assert prolong_apply(tower, v.eps * v.u * v.u3).is_zero()
-    assert len(tower) == 1
+    direction = v.eps * v.u1
+    assert prolong_apply(direction, v.eps * v.u * v.u3).is_zero()
+    assert not hasattr(direction, "_dx")
+
+
+def test_dx_total_is_kept_on_the_polynomial(v):
+    K = gardner_rhs(v)
+    first = dx_total(K)
+    assert dx_total(K) is first
+    assert _dx_tower(K, 3)[2] is _dx_tower(K, 5)[2]
+    assert dx_total_n(K, 4) is _dx_tower(K, 5)[4]
+    # equality, printing and terms ignore the kept derivative
+    fresh = gardner_rhs(v)
+    assert not hasattr(fresh, "_dx")
+    assert K == fresh and fresh == K
+    assert format_poly(K) == format_poly(fresh)
+    assert K.terms == fresh.terms
+    # D_x(u*u_x^top) holds u_x^(top + 1): nothing is kept, and it raises again
+    P = DiffPoly({Monomial(0, 0, ((0, 1), (1, _MAX_EXPONENT))): EpsPoly((1, 0))},
+                 1)
+    for _ in range(2):
+        with pytest.raises(ResourceLimit):
+            dx_total(P)
+        assert not hasattr(P, "_dx")
+
+
+def test_dx_total_n(v):
+    assert dx_total_n(v.u, 0) == v.u
+    assert dx_total_n(v.u ** 2, 2) == 2 * v.u1 ** 2 + 2 * v.u * v.u2
+    with pytest.raises(ValueError):
+        dx_total_n(v.u, -1)
 
 
 def test_prolong_apply_mixed_orders_raise_before_the_short_cut(v):
@@ -221,19 +251,19 @@ def _eps_multiple_pairs(draw):
                  * eps ** draw(st.integers(0, p)) for _ in range(2))
 
 
-# prolong_apply returns zero before it grows the tower when the eps
+# prolong_apply returns zero before it takes any D_x when the eps
 # valuations of its arguments sum above p; the value must not change.
 @settings(max_examples=150, deadline=None)
 @given(_eps_multiple_pairs())
 def test_prolong_apply_matches_frechet_sum_oracle(pair):
     direction, target = pair
+    fresh = direction * 1  # equal to direction, with no D_x kept on it
     expected = Context(eps_order=target.eps_order).zero
     for k in _jet_orders(target):
         expected = expected + diff_partial(target, k) * dx_total_n(direction, k)
-    tower = [direction]
-    assert prolong_apply(tower, target) == expected
+    assert prolong_apply(fresh, target) == expected
     if _valuation(direction) + _valuation(target) > target.eps_order:
-        assert expected.is_zero() and len(tower) == 1
+        assert expected.is_zero() and not hasattr(fresh, "_dx")
 
 
 # Stored coefficients are canonical: a nonzero int when integral, otherwise
@@ -251,7 +281,7 @@ def _canonical(P):
 @settings(max_examples=150, deadline=None)
 @given(diff_polys(), diff_polys(), st.integers(1, 6))
 def test_stored_coefficients_are_canonical(p, q, k):
-    results = [p, p * q, p + q, p - q, p / k, dx_total(p),
+    results = [p, p * q, p + q, p - q, k - p, p / k, dx_total(p),
                diff_partial(p, "x"), diff_partial(p, 1), euler1(p),
                integrate_x(dx_total(p)),
                reconstruct_density(euler1(p)).density]

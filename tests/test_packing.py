@@ -104,6 +104,11 @@ def test_polynomial_primitives_match_the_tuple_arithmetic(p, q):
                 key = ref_mul(m1, m2), e1 + e2
                 prod[key] = prod.get(key, 0) + c1 * c2
     assert stored_terms(p * q) == {k: c for k, c in prod.items() if c}
+    difference = dict(stored_terms(p))
+    for key, c in stored_terms(q).items():
+        difference[key] = difference.get(key, 0) - c
+    assert stored_terms(p - q) == {k: c for k, c in difference.items() if c}
+    assert stored_terms(1 - q) == stored_terms(-(q - 1))
     assert stored_terms(dx_total(p)) == ref_apply(p, ref_dx)
     for var in ("x", "t", 0, 1, 2, 5):
         assert stored_terms(diff_partial(p, var)) == ref_apply(
