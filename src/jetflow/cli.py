@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import __version__
@@ -197,6 +196,8 @@ def _check_grid(args) -> Optional[str]:
          _opt("--amplitude", type=float, default=2.0),
          _opt("--width", type=float, default=1.0), check=_check_grid)
 def cmd_validate_numeric(args, model, system, T):
+    from dataclasses import asdict
+
     from .numeric import (integrate_pde, max_drift, monitor_functional,
                           sech_squared_profile)
 

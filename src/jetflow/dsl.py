@@ -26,11 +26,9 @@ character outside a comment is a ParseError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Union
 
-from .engine import DEFAULT_MAX_JET_ORDER
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
 from .jets import (Context, DiffPoly, EvolutionSystem, Functional, Monomial,
                    _checked, _exact, _pack, _u)
@@ -51,6 +49,8 @@ MAX_LITERAL_DIGITS = 1000
 # The highest `set eps_order`: `eps` and every EpsPoly view of a coefficient
 # hold one slot per degree.
 MAX_EPS_ORDER = 64
+# The jet order a check may reach when a model does not `set max_jet_order`.
+DEFAULT_MAX_JET_ORDER = 12
 # The highest jet order `u{k}` or `u_x...x` may name, and the highest
 # `set max_jet_order`: a check builds D_x towers up to the orders its
 # operands hold, so a huge one would run for minutes, and a flow of a higher
@@ -187,16 +187,34 @@ def _value(stored):
     return stored
 
 
-@dataclass
-class ModelIR:
+class _Record:
+    """Field-wise equality and repr for a plain record class."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class ModelIR(_Record):
     """Parsed model: named values plus session settings."""
 
-    eps_order: int = 1
-    max_jet_order: int = DEFAULT_MAX_JET_ORDER
-    systems: Dict[str, EvolutionSystem] = field(default_factory=dict)
-    operators: Dict[str, PseudoDiffOp] = field(default_factory=dict)
-    characteristics: Dict[str, DiffPoly] = field(default_factory=dict)
-    densities: Dict[str, Functional] = field(default_factory=dict)
+    def __init__(self, eps_order: int = 1,
+                 max_jet_order: int = DEFAULT_MAX_JET_ORDER,
+                 systems: Optional[Dict[str, EvolutionSystem]] = None,
+                 operators: Optional[Dict[str, PseudoDiffOp]] = None,
+                 characteristics: Optional[Dict[str, DiffPoly]] = None,
+                 densities: Optional[Dict[str, Functional]] = None):
+        self.eps_order = eps_order
+        self.max_jet_order = max_jet_order
+        self.systems = {} if systems is None else systems
+        self.operators = {} if operators is None else operators
+        self.characteristics = {} if characteristics is None else characteristics
+        self.densities = {} if densities is None else densities
 
     @property
     def context(self) -> Context:

@@ -4,11 +4,11 @@ correspondence, recursion-operator verification, and hierarchy generation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .dsl import DEFAULT_MAX_JET_ORDER, _Record
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
@@ -17,7 +17,6 @@ from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
-DEFAULT_MAX_JET_ORDER = 12
 # The most steps one hierarchy run may take.  Late Gardner steps cost about
 # 1.4x the one before; ten steps from Kbar1 took 0.5-0.7 s of CPU and 26 MB
 # (2-vCPU Xeon).
@@ -30,33 +29,34 @@ MAX_HIERARCHY_STEPS = 10
 MAX_ANSATZ_MONOMIALS = 1024
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of a single verification.
 
     `residual` is zero exactly when the check passes; certificates carry
     side products such as fluxes, densities or hierarchy members.
     """
 
-    name: str
-    passed: bool
-    residual: object = None
-    certificates: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, residual: object = None,
+                 certificates: Optional[dict] = None):
+        self.name, self.passed, self.residual = name, passed, residual
+        self.certificates = {} if certificates is None else certificates
 
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
 
 
-@dataclass
-class HierarchyResult:
+class HierarchyResult(_Record):
     """Flows and functionals produced by iterating a recursion operator."""
 
-    flows: List[DiffPoly]
-    functionals: List[Functional]
-    stopped_at: Optional[Tuple[int, object]] = None
-    reports: List[CheckReport] = field(default_factory=list)
-    assumptions: Tuple[str, ...] = ()
+    def __init__(self, flows: List[DiffPoly], functionals: List[Functional],
+                 stopped_at: Optional[Tuple[int, object]] = None,
+                 reports: Optional[List[CheckReport]] = None,
+                 assumptions: Tuple[str, ...] = ()):
+        self.flows, self.functionals = flows, functionals
+        self.stopped_at = stopped_at
+        self.reports = [] if reports is None else reports
+        self.assumptions = assumptions
 
     @property
     def all_passed(self) -> bool:
@@ -357,6 +357,12 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
     bounded linear ansatz otherwise), demands that g be variational, and
     reconstructs a density with Euler derivative g.
     """
+    return _noether_pair(Q, D)[1]
+
+
+def _noether_pair(Q: DiffPoly, D: PseudoDiffOp) -> Tuple[DiffPoly, Functional]:
+    """(g, H) for noether_inverse: the preimage g of Q under D, which is
+    the Euler derivative of H's density."""
     if D == PseudoDiffOp.dx(D.eps_order):
         try:
             g = integrate_x(Q)
@@ -368,7 +374,7 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
         if g is None:
             raise NotInImage("no preimage found within the ansatz bounds", Q)
     try:
-        return reconstruct_density(g)
+        return g, reconstruct_density(g)
     except NotVariational as err:
         raise NotVariational("preimage is not a variational derivative",
                              g) from err
@@ -434,8 +440,10 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     are kept on the flow by dx_total, so the symmetry and commutation
     checks (the commutation [v_i, v_j] is check_symmetry of flow i for
     u_t = flow j) share them.  Per functional, the gradient ``grads[j]`` =
-    delta H_j and its image ``d_images[j]`` = D(delta H_j) are kept from
-    the inversion step, so {H_i, H_j}_D has density grads[i] * d_images[j].
+    delta H_j is the preimage the inversion solved for (reconstructing H_j
+    proved that its Euler derivative equals it), and its image
+    ``d_images[j]`` = D(delta H_j) is kept too, so {H_i, H_j}_D has density
+    grads[i] * d_images[j].
     The second bracket's image (R*D)(delta H_j) is built the first time a
     pair needs it; when it is not exact, each pair that needs it fails with
     the obstruction as its residual.  A negative `steps` is a ValueError,
@@ -467,15 +475,15 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     def invert(K: DiffPoly, index: int) -> bool:
         nonlocal stopped_at
         try:
-            H = noether_inverse(K, D)
+            g, H = _noether_pair(K, D)
         except (NotInImage, NotVariational) as err:
             stopped_at = (index, err.obstruction)
             return False
         H.name = f"H[{index}]"
         functionals.append(H)
         reports.append(check_conservation(H, sys, f"conservation H[{index}]"))
-        grads.append(euler1(H.density))
-        regen = apply_op(D, grads[-1])
+        grads.append(g)
+        regen = apply_op(D, g)
         d_images.append(regen)
         reports.append(CheckReport(f"D(delta H[{index}]) == K[{index}]",
                                    regen == K, regen - K))

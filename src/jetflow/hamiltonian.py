@@ -79,6 +79,10 @@ class MultiVector:
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _summed, not the blocked setattr
+        return MultiVector._summed, (list(self._pieces()), self.eps_order)
+
     @classmethod
     def zero(cls, eps_order: int) -> "MultiVector":
         return cls._summed((), eps_order)

@@ -204,6 +204,10 @@ class DiffPoly:
     def __setattr__(self, name, value):
         raise AttributeError("DiffPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the terms only; a kept D_x is left behind
+        return DiffPoly._from_flat, (dict(self._flat), self.eps_order)
+
     def _grouped(self) -> dict:
         """{packed monomial: [value per eps degree, 0 where absent]}, in
         first-appearance order."""

@@ -89,6 +89,11 @@ class PseudoDiffOp:
     def __setattr__(self, name, value):
         raise AttributeError("PseudoDiffOp is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked setattr
+        return PseudoDiffOp, (self.local_terms, self.nonlocal_terms,
+                              self.eps_order)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -87,6 +87,10 @@ class EpsPoly:
     def __setattr__(self, name, value):
         raise AttributeError("EpsPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the blocked setattr
+        return EpsPoly, (self.coeffs,)
+
     # -- ring operations ---------------------------------------------------
 
     def _check_order(self, other: "EpsPoly") -> None:
