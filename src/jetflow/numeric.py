@@ -6,10 +6,18 @@ monitors functional values along the trajectory.  Approximate conservation
 shows up as functional drift that shrinks with eps.  Space derivatives take
 one rfft and one batched irfft per evaluation (see _Evaluator); odd orders
 drop the Nyquist mode (Trefethen, Spectral Methods in MATLAB, ch. 3).
+
+The transforms write into arrays each _Evaluator allocates once, and the
+RK4 loop sums its stages in place.  The inverse transform is unscaled: the
+1/n of a default-norm irfft is folded into the multipliers, which is exact
+because n is a power of two.  Every floating-point operation, and its
+order, is that of the textbook form `u + dt/6 (k1 + 2 k2 + 2 k3 + k4)` with
+default-norm FFTs, so trajectories are bit for bit those of that form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -27,7 +35,11 @@ MAX_SAVED_VALUES = 2 ** 24  # saved profiles x points: 128 MiB of float64
 
 @dataclass
 class GridSpec:
-    """Periodic spatial grid and time-stepping parameters."""
+    """Periodic spatial grid and time-stepping parameters.
+
+    t_end must be a whole number of dt steps, at least one (up to rounding),
+    so that a run ends exactly at t_end.
+    """
 
     length: float = 40.0
     points: int = 256
@@ -42,6 +54,11 @@ class GridSpec:
             raise ValueError("length, dt and t_end must be positive and finite")
         if not np.isfinite(self.epsilon):
             raise ValueError("epsilon must be finite")
+        steps = self.t_end / self.dt  # inf is left to the step cap
+        if steps < np.inf and (round(steps) < 1
+                               or abs(steps - round(steps)) > 1e-9 * steps):
+            raise ValueError("t_end must be a whole number of dt steps, "
+                             "at least one")
 
     @property
     def dx(self) -> float:
@@ -62,9 +79,11 @@ class _Evaluator:
     """A differential polynomial compiled for one grid and eps value.
 
     Called with a periodic sample u and a time t, it returns the polynomial
-    at every grid point.  It keeps the real-FFT multipliers (i k)^m of just
-    the derivative orders its terms use, so a call is one rfft of u, one
-    batched irfft for all of those orders, and a product per term.
+    at every grid point as a new array.  It keeps the real-FFT multipliers
+    (i k)^m / n of just the derivative orders its terms use, and the arrays
+    the transforms write into, so a call is one rfft of u, one product, one
+    unscaled batched irfft for all of those orders, and a product per term.
+    A term names each factor by its row of derivatives, None meaning u.
     """
 
     def __init__(self, poly: DiffPoly, grid: GridSpec, eps_value: float,
@@ -75,37 +94,50 @@ class _Evaluator:
         values: dict = {}
         for (m, e), c in poly._flat.items():
             values[m] = values.get(m, 0.0) + float(c) * eps_value ** e
+        monomials = [(value, _unpack(m)) for m, value in values.items()
+                     if value != 0.0]
+        orders = sorted({o for _, mon in monomials for o, _ in mon.jets}
+                        - {0})
+        row = {o: i for i, o in enumerate(orders)}
         x = grid.x_grid()
-        self.terms = []
-        for m, value in values.items():
-            if value == 0.0:
-                continue
-            mon = _unpack(m)
-            self.terms.append((value, x ** mon.x if mon.x else None, mon.t,
-                               mon.jets))
-        self.orders = sorted({o for *_, jets in self.terms for o, _ in jets}
-                             - {0})
+        self.terms = [(value, x ** mon.x if mon.x else None, mon.t,
+                       tuple((row.get(o), e) for o, e in mon.jets))
+                      for value, mon in monomials]
         # (i k)^m = i^m k^m; odd orders drop the Nyquist mode so that odd
-        # derivatives stay real and skew
-        m = np.array(self.orders, dtype=int).reshape(-1, 1)
+        # derivatives stay real and skew.  points is a power of two, so the
+        # 1/n folded in here is exact and the unscaled irfft returns the bits
+        # of a default-norm irfft of the unscaled product
+        m = np.array(orders, dtype=int).reshape(-1, 1)
         k = 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.dx)
-        self.multipliers = np.array([1, 1j, -1, -1j])[m % 4] * k ** m
-        self.multipliers[m[:, 0] % 2 == 1, -1] = 0.0
+        multipliers = np.array([1, 1j, -1, -1j])[m % 4] * k ** m
+        multipliers[m[:, 0] % 2 == 1, -1] = 0.0
+        self.multipliers = multipliers / grid.points
+        self.spectrum = np.empty(grid.points // 2 + 1, dtype=complex)
+        self.scaled = np.empty_like(self.multipliers)
+        self.derivatives = np.empty((len(orders), grid.points))
+        self.rows = list(self.derivatives)
         self.points = grid.points
 
     def __call__(self, u: np.ndarray, t: float) -> np.ndarray:
-        derivs = {0: u}
-        if self.orders:
-            derivs.update(zip(self.orders, np.fft.irfft(
-                self.multipliers * np.fft.rfft(u), self.points)))
+        rows = self.rows
+        if rows:
+            np.fft.rfft(u, out=self.spectrum)
+            np.multiply(self.multipliers, self.spectrum, out=self.scaled)
+            np.fft.irfft(self.scaled, self.points, norm="forward",
+                         out=self.derivatives)
         total = None
         for value, x_pow, t_exp, factors in self.terms:
             acc = value * t ** t_exp if t_exp else value
             if x_pow is not None:
                 acc = acc * x_pow
-            for order, e in factors:
-                acc = acc * (derivs[order] if e == 1 else derivs[order] ** e)
-            total = acc if total is None else total + acc
+            for i, e in factors:
+                f = u if i is None else rows[i]
+                acc = acc * (f if e == 1 else f ** e)
+            # acc is a new array (or a float), never a kept one
+            if total is None:
+                total = acc
+            else:
+                total += acc
         if total is None or np.ndim(total) == 0:
             return np.full(self.points, total or 0.0)
         return total
@@ -127,7 +159,8 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
 
     A profile is kept every `save_every` steps (default: about 200 in all),
     plus the first and the last.  Raises ValueError when `save_every` is
-    below 1, ResourceLimit before allocating anything when the grid exceeds
+    below 1 or `ic` is complex, not finite or not of the grid's length,
+    ResourceLimit before allocating anything when the grid exceeds
     MAX_POINTS or MAX_STEPS or the kept profiles would hold more than
     MAX_SAVED_VALUES floats, and Diverged (with the offending step) as soon
     as a non-finite value appears, which is how CFL violations surface.
@@ -143,24 +176,39 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
                             f"exceed the cap of {MAX_SAVED_VALUES} values")
     rhs = _Evaluator(sys.rhs, grid, grid.epsilon, MAX_RHS_JET_ORDER,
                      "right-hand side")
+    if np.iscomplexobj(ic):
+        raise ValueError("initial profile must be real")
     ic = np.asarray(ic, dtype=float)
     if ic.shape != (grid.points,):
         raise ValueError("initial profile length must match the grid")
+    if not np.isfinite(ic).all():
+        raise ValueError("initial profile must be finite")
 
     u = ic.copy()
+    stage = np.empty_like(u)
     times = [0.0]
     profiles = [u.copy()]
     t = 0.0
+    dt = grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            dt = grid.dt
-            k1 = rhs(u, t)
-            k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(u + dt * k3, t + dt)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = step * grid.dt
-            if not np.all(np.isfinite(u)):
+            # stage = u + c k and acc = k1 + 2 k2 + 2 k3 + k4, summed in
+            # place in that order; each k is a new array, free to scale
+            acc = rhs(u, t)
+            np.add(u, np.multiply(acc, half, out=stage), out=stage)
+            k = rhs(stage, t + half)
+            np.add(u, np.multiply(k, half, out=stage), out=stage)
+            acc += np.multiply(k, 2.0, out=k)
+            k = rhs(stage, t + half)
+            np.add(u, np.multiply(k, dt, out=stage), out=stage)
+            acc += np.multiply(k, 2.0, out=k)
+            acc += rhs(stage, t + dt)
+            acc *= sixth
+            u += acc
+            t = step * dt
+            # a sum of finite values may overflow, so confirm before raising
+            if not math.isfinite(u.sum()) and not np.isfinite(u).all():
                 raise Diverged(f"non-finite value at step {step} (t={t:.6g})", step)
             if step % save_every == 0 or step == nsteps:
                 times.append(t)

@@ -230,6 +230,11 @@ def test_action_mode_without_seeds_is_usage_error(capsys):
      "--width", "0"),
     ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
      "--width", "inf"),
+    # no step at all, or a last step that stops short of t_end
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--t-end", "1e-5"),
+    ("validate-numeric", "gardner", "--system", "gardner", "--density", "M",
+     "--t-end", "0.00015", "--dt", "0.0001"),
 ])
 def test_bad_numbers_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -405,10 +410,11 @@ def test_hierarchy_on_a_model_without_a_system_is_a_model_error(capsys, tmp_path
 
 
 def test_validate_numeric_caps_exit_3(capsys):
-    for flag, value in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS))):
+    # t_end / dt of the last overflows to inf
+    for args in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS)),
+                 ("--t-end", "1e300", "--dt", "1e-10")):
         code, out, err = run(capsys, "validate-numeric", "gardner",
-                             "--system", "gardner", "--density", "M",
-                             flag, value)
+                             "--system", "gardner", "--density", "M", *args)
         assert code == 3
         assert err.startswith("resource limit:")
 

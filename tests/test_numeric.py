@@ -4,8 +4,10 @@ import pytest
 from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
                      ResourceLimit, Unsupported, integrate_pde, max_drift,
                      monitor_functional, sech_squared_profile)
+from jetflow.jets import _unpack
 from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
-                             MAX_RHS_JET_ORDER, MAX_SAVED_VALUES, MAX_STEPS)
+                             MAX_RHS_JET_ORDER, MAX_SAVED_VALUES, MAX_STEPS,
+                             _Evaluator)
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +22,22 @@ def test_grid_validation():
         GridSpec(points=8)
     with pytest.raises(ValueError):
         GridSpec(dt=-1e-4)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e-5, 1e-4), (1.5e-4, 1e-4),
+                                       (0.3, 0.2)])
+def test_grid_rejects_t_end_off_the_step_grid(t_end, dt):
+    # no step, or a last step short of t_end, would report a run that was
+    # never made
+    with pytest.raises(ValueError, match="whole number of dt steps"):
+        GridSpec(t_end=t_end, dt=dt)
+
+
+def test_grid_accepts_whole_step_counts_up_to_rounding():
+    for t_end, dt in ((1e-4, 1e-4), (0.3, 0.1), (1.0, 1e-4), (0.1, 1.25e-5)):
+        GridSpec(t_end=t_end, dt=dt)
+    # a ratio past the float range is left to the step cap
+    GridSpec(t_end=1e300, dt=1e-10)
 
 
 @pytest.mark.parametrize("field", ["length", "dt", "t_end"])
@@ -52,7 +70,8 @@ def test_cfl_violation_diverges_and_halving_dt_recovers(gardner_sys):
     bad = GridSpec(dt=5e-3, t_end=0.05, epsilon=0.0)
     with pytest.raises(Diverged) as err:
         integrate_pde(gardner_sys, bad, sech_squared_profile(bad))
-    assert err.value.step is not None
+    # the first non-finite step, as the textbook RK4 form reaches it
+    assert err.value.step == 5
     ok = GridSpec(dt=1e-4, t_end=0.05, epsilon=0.0)
     integrate_pde(gardner_sys, ok, sech_squared_profile(ok))
 
@@ -235,6 +254,87 @@ def test_gardner_run_matches_per_order_fft_reference(gardner_sys):
     traj = integrate_pde(gardner_sys, grid, u0)
     expected = _reference_gardner(grid, u0, 1e-2)
     assert np.max(np.abs(traj.profiles[-1] - expected)) <= 1e-12
+
+
+def _textbook_profiles(system, grid, u0):
+    """Every profile of the textbook RK4 run of `system`: per call a dict of
+    derivatives from default-norm FFTs and the terms multiplied out into new
+    arrays, per step u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) into a new array."""
+    values = {}
+    for (m, e), c in system.rhs._flat.items():
+        values[m] = values.get(m, 0.0) + float(c) * grid.epsilon ** e
+    terms = [(value, _unpack(m)) for m, value in values.items() if value]
+    orders = sorted({o for _, mon in terms for o, _ in mon.jets} - {0})
+    m = np.array(orders, dtype=int).reshape(-1, 1)
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.points, d=grid.dx)
+    multipliers = np.array([1, 1j, -1, -1j])[m % 4] * k ** m
+    multipliers[m[:, 0] % 2 == 1, -1] = 0.0
+    x = grid.x_grid()
+
+    def rhs(u, t):
+        derivs = {0: u}
+        derivs.update(zip(orders, np.fft.irfft(multipliers * np.fft.rfft(u),
+                                               grid.points)))
+        total = None
+        for value, mon in terms:
+            acc = value * t ** mon.t if mon.t else value
+            if mon.x:
+                acc = acc * x ** mon.x
+            for order, e in mon.jets:
+                acc = acc * (derivs[order] if e == 1 else derivs[order] ** e)
+            total = acc if total is None else total + acc
+        return total
+
+    u, t, dt = u0.copy(), 0.0, grid.dt
+    profiles = [u]
+    for step in range(1, int(round(grid.t_end / dt)) + 1):
+        k1 = rhs(u, t)
+        k2 = rhs(u + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(u + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(u + dt * k3, t + dt)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = step * dt
+        profiles.append(u)
+    return np.array(profiles)
+
+
+def test_runs_are_bit_identical_to_the_textbook_form(gardner_sys):
+    # kept buffers, the 1/n folded into the multipliers and the in-place
+    # sums change no bit of any profile
+    ctx = Context(eps_order=1)
+    u = ctx.u
+    mixed = EvolutionSystem(ctx.eps * (ctx.x * u(1) + 3 * ctx.t * u(0) ** 2
+                                       + u(6)) + u(0) ** 2 * u(1) - u(3))
+    for system, grid in (
+            (gardner_sys, GridSpec(t_end=0.01, epsilon=1e-2)),
+            (mixed, GridSpec(points=64, dt=1e-3, t_end=0.05, epsilon=0.1))):
+        u0 = sech_squared_profile(grid)
+        traj = integrate_pde(system, grid, u0, save_every=1)
+        expected = _textbook_profiles(system, grid, u0)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(traj.profiles, expected)
+
+
+def test_evaluator_returns_a_new_array_per_call(gardner_sys):
+    grid = GridSpec(epsilon=1e-2)
+    rhs = _Evaluator(gardner_sys.rhs, grid, grid.epsilon, MAX_RHS_JET_ORDER,
+                     "right-hand side")
+    u = sech_squared_profile(grid)
+    first = rhs(u, 0.0)
+    kept = first.copy()
+    second = rhs(0.5 * u, 0.0)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def test_initial_profile_must_be_real_and_finite(gardner_sys, short_grid):
+    ic = sech_squared_profile(short_grid)
+    for bad, what in ((ic + 0j, "real"), (np.where(ic > 1.0, np.nan, ic),
+                                          "finite"),
+                      (np.where(ic > 1.0, np.inf, ic), "finite")):
+        with pytest.raises(ValueError, match=what):
+            integrate_pde(gardner_sys, short_grid, bad)
 
 
 def test_step_and_point_caps_raise_before_allocating(gardner_sys):
