@@ -21,18 +21,29 @@ printer, ``ModelIR`` and the CLI's model references all read it.
 Numbers are ASCII digits; names are letters, digits and ``_``, starting with
 a letter or ``_``; ``#`` comments run to the end of the line.  Any other
 character outside a comment is a ParseError.
+
+Tokens carry their character offset only; the line and column that an
+error reports are counted from the offset when the error is raised.  Most
+products skip the general algebra: a product of atoms folds into one term,
+a term times a polynomial shifts the polynomial's keys, a function times an
+operator scales the operator's coefficients (the first case of
+``operators.compose``), and a power of ``Dx^j`` or of a term of coefficient
+1 or -1 is built in one step.  Each counts against the caps exactly what
+the general product would, so every cap raises at the same product.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
-from .jets import (Context, DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _checked, _exact, _pack, _u)
-from .operators import PseudoDiffOp
+from .jets import (_MAX_EXPONENT, Context, DiffPoly, EvolutionSystem,
+                   Functional, Monomial, _accumulate, _checked, _degree,
+                   _exact, _pack, _span, _u)
+from .operators import PseudoDiffOp, _ratio
 from .printing import format_operator, format_poly
 
 # Term pairs that the products of one declaration may multiply in all (a
@@ -100,6 +111,25 @@ def _size(value: Value) -> int:
                      for a, b in value.nonlocal_terms))
 
 
+def _items(value: Value):
+    """The ((packed monomial, e), c) pairs of a term or a polynomial."""
+    if type(value) is tuple:
+        c, m, e = value
+        return (((m, e), c),) if c else ()
+    return value._flat.items()
+
+
+def _shifted(P: DiffPoly, term: tuple) -> DiffPoly:
+    """P times the term c*m*eps^e: each key moves by (m, e), so no two
+    products meet, and the keys above eps^p drop out."""
+    c, m, e = term
+    p = P.eps_order
+    flat = {(n + m, f + e): _exact(d * c) for (n, f), d in P._flat.items()
+            if f + e <= p} if c else {}
+    _checked(_span(flat))
+    return DiffPoly._from_flat(flat, p)
+
+
 def _bits(value: Value) -> int:
     """Bit length of the largest numerator plus that of the largest
     denominator among the coefficients of a value."""
@@ -123,8 +153,7 @@ def _bits(value: Value) -> int:
 # One alternative per lexeme; the last takes any character no other does, so
 # that every character of the text is matched.
 _LEXEME = re.compile(r"""
-    (?P<NL>\n)
-  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+    (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
   | u\{(?P<JET>[0-9]+)\}
   | (?P<BADJET>u\{)
   | (?P<INT>[0-9]+)
@@ -132,43 +161,44 @@ _LEXEME = re.compile(r"""
   | (?P<PUNCT>[{}()=;:+\-*/^])
   | (?P<OTHER>.)
 """, re.VERBOSE)
+_SIGNS, _PRODUCTS = ("+", "-"), ("*", "/")
 
 
-class Token(NamedTuple):
-    kind: str  # INT IDENT JET PUNCT EOF
-    text: str
-    line: int
-    column: int
+def _position(text: str, offset: int):
+    """The line and column of a character offset, both counted from 1; only
+    an error needs them, so tokens carry the offset alone."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _limit(tok: Token, message: str) -> ResourceLimit:
-    """The ResourceLimit for `message`, positioned at `tok`."""
-    return ResourceLimit(f"line {tok.line}, column {tok.column}: {message}")
+def _limit(text: str, offset: int, message: str) -> ResourceLimit:
+    """The ResourceLimit for `message`, positioned at `offset`."""
+    line, column = _position(text, offset)
+    return ResourceLimit(f"line {line}, column {column}: {message}")
 
 
-def tokenize(text: str) -> List[Token]:
+def tokenize(text: str) -> List[tuple]:
+    """The lexemes of `text` as (kind, text, offset) tuples, kind one of
+    INT IDENT JET PUNCT (a JET's text is its digits), then one EOF."""
     tokens = []
-    line, line_start = 1, 0
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
         if kind == "SKIP":
             continue
-        word, column = m[kind], m.start() - line_start + 1
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-        elif kind == "BADJET":
-            raise ParseError("malformed jet index after 'u{'", line, column)
-        elif kind == "OTHER" or kind == "IDENT" and not (word[0].isalpha()
-                                                         or word[0] == "_"):
+        word, offset = m[kind], m.start()
+        if kind == "BADJET":
+            raise ParseError("malformed jet index after 'u{'",
+                             *_position(text, offset))
+        if kind == "OTHER" or kind == "IDENT" and not (word[0].isalpha()
+                                                       or word[0] == "_"):
             # [^\W\d] also takes '²', '½' and other numerals that are not
             # decimal digits, but an identifier starts with a letter or '_'
-            raise ParseError(f"unexpected character {word[0]!r}", line, column)
-        elif kind in ("INT", "JET") and len(word) > MAX_LITERAL_DIGITS:
-            raise _limit(Token(kind, word, line, column), f"integer literal "
-                         f"longer than {MAX_LITERAL_DIGITS} digits")
-        else:
-            tokens.append(Token(kind, word, line, column))
-    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
+            raise ParseError(f"unexpected character {word[0]!r}",
+                             *_position(text, offset))
+        if len(word) > MAX_LITERAL_DIGITS and kind in ("INT", "JET"):
+            raise _limit(text, offset, f"integer literal longer than "
+                                       f"{MAX_LITERAL_DIGITS} digits")
+        tokens.append((kind, word, offset))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -236,8 +266,9 @@ class ModelIR(_Record):
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.model = ModelIR()
         self.declared = False
@@ -245,67 +276,72 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
+    def expect(self, kind: str, text: Optional[str] = None) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            self.fail(f"found {tok[1]!r}" if tok[1] else "unexpected end of input",
                       tok, {text if text is not None else kind.lower()})
-        return self.advance()
+        self.pos += 1
+        return tok
 
-    def fail(self, message: str, tok: Optional[Token] = None, expected=None):
+    def fail(self, message: str, tok: Optional[tuple] = None, expected=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column, expected)
+        raise ParseError(message, *_position(self.text, tok[2]), expected)
+
+    def limit(self, tok: tuple, message: str) -> ResourceLimit:
+        return _limit(self.text, tok[2], message)
 
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> ModelIR:
-        while self.peek().kind != "EOF":
+        while self.peek()[0] != "EOF":
             tok = self.advance()
-            if tok.text == "set":
+            if tok[1] == "set":
                 self.parse_set()
-            elif tok.text in DECLARATIONS:
-                self.parse_declaration(tok.text)
+            elif tok[1] in DECLARATIONS:
+                self.parse_declaration(tok[1])
             else:
-                self.fail(f"found {tok.text!r}", tok, {"set", *DECLARATIONS})
+                self.fail(f"found {tok[1]!r}", tok, {"set", *DECLARATIONS})
         return self.model
 
     def parse_set(self):
-        key = self.expect("IDENT")
+        key_tok = self.expect("IDENT")
+        key = key_tok[1]
         self.expect("PUNCT", "=")
         value_tok = self.expect("INT")
         self.expect("PUNCT", ";")
-        value = int(value_tok.text)
-        if key.text == "eps_order":
+        value = int(value_tok[1])
+        if key == "eps_order":
             if self.declared:
-                self.fail("set eps_order must precede all declarations", key)
+                self.fail("set eps_order must precede all declarations", key_tok)
             if value > MAX_EPS_ORDER:
-                raise _limit(value_tok, f"eps_order {value} exceeds the cap "
-                                        f"{MAX_EPS_ORDER}")
+                raise self.limit(value_tok, f"eps_order {value} exceeds the "
+                                            f"cap {MAX_EPS_ORDER}")
             self.model.eps_order = value
-        elif key.text == "max_jet_order":
+        elif key == "max_jet_order":
             if value < 1:
                 self.fail("max_jet_order must be positive", value_tok)
             if value > MAX_JET_INDEX:
-                raise _limit(value_tok, f"max_jet_order {value} exceeds the "
-                                        f"cap {MAX_JET_INDEX}")
+                raise self.limit(value_tok, f"max_jet_order {value} exceeds "
+                                            f"the cap {MAX_JET_INDEX}")
             self.model.max_jet_order = value
         else:
-            self.fail(f"unknown setting {key.text!r}", key,
+            self.fail(f"unknown setting {key!r}", key_tok,
                       expected={"eps_order", "max_jet_order"})
 
     def parse_declaration(self, keyword: str):
         table, noun = DECLARATIONS[keyword][:2]
         before, after = _DELIMITERS[keyword]
         name_tok = self.expect("IDENT")
-        name = name_tok.text
+        name = name_tok[1]
         if name in RESERVED or _SPELT_JET.fullmatch(name):
             self.fail(f"{name!r} is reserved", name_tok)
         if self.model.lookup(name) is not None:
@@ -315,8 +351,8 @@ class _Parser:
             self.expect(kind, text)
         value = self.poly(self.parse_expr())
         if keyword == "operator":
-            if self.peek()[:2] == ("PUNCT", ";"):
-                self.advance()
+            if self.peek()[1] == ";":
+                self.pos += 1
             if isinstance(value, DiffPoly):
                 value = PseudoDiffOp.from_poly(value)
         elif isinstance(value, PseudoDiffOp):
@@ -332,72 +368,80 @@ class _Parser:
 
     def parse_expr(self) -> Value:
         value = self.parse_term()
-        while self.peek().kind == "PUNCT" and self.peek().text in "+-":
-            op = self.advance().text
-            value = self.binary(op, value, self.parse_term())
+        tokens = self.tokens
+        while tokens[self.pos][1] in _SIGNS:  # only PUNCT texts are signs
+            negate = tokens[self.pos][1] == "-"
+            self.pos += 1
+            value = self.add(value, self.parse_term(), negate)
         return value
 
     def parse_term(self) -> Value:
         value = self.parse_factor()
-        while self.peek().kind == "PUNCT" and self.peek().text in "*/":
-            op = self.advance().text
-            value = self.binary(op, value, self.parse_factor())
+        tokens = self.tokens
+        while tokens[self.pos][1] in _PRODUCTS:
+            divide = tokens[self.pos][1] == "/"
+            self.pos += 1
+            right = self.parse_factor()
+            value = (self.divide(value, right) if divide
+                     else self.multiply(value, right))
         return value
 
     def parse_factor(self) -> Value:
         """Signs, an atom and an optional `^ n`; the signs apply last."""
         negate = False
-        while self.peek().kind == "PUNCT" and self.peek().text in "+-":
-            negate ^= self.advance().text == "-"
+        tokens = self.tokens
+        while tokens[self.pos][1] in _SIGNS:
+            negate ^= tokens[self.pos][1] == "-"
+            self.pos += 1
         value = self.parse_atom()
-        if self.peek().kind == "PUNCT" and self.peek().text == "^":
+        if tokens[self.pos][1] == "^":
             caret = self.advance()
-            value = self.binary("^", value, int(self.expect("INT").text), caret)
+            value = self.power(value, int(self.expect("INT")[1]), caret)
         if not negate:
             return value
         return (-value[0], *value[1:]) if type(value) is tuple else -value
 
     def parse_atom(self) -> Value:
         tok = self.advance()
-        if tok.kind == "INT":
-            return int(tok.text), 0, 0
-        if tok.kind == "JET":
-            return self.jet(int(tok.text), tok)
-        if tok.kind == "PUNCT" and tok.text == "(":
+        kind, word = tok[0], tok[1]
+        if kind == "INT":
+            return int(word), 0, 0
+        if kind == "JET":
+            return self.jet(int(word), tok)
+        if word == "(":
             if self.depth >= MAX_NESTING:
-                raise _limit(tok, f"parentheses nest deeper than the cap "
-                                  f"{MAX_NESTING}")
+                raise self.limit(tok, f"parentheses nest deeper than the cap "
+                                      f"{MAX_NESTING}")
             self.depth += 1
             value = self.parse_expr()
             self.depth -= 1
             self.expect("PUNCT", ")")
             return value
-        if tok.kind == "IDENT":
-            name = tok.text
-            if name in _ATOMS:
-                return _ATOMS[name]
-            if name == "eps":
+        if kind == "IDENT":
+            if word in _ATOMS:
+                return _ATOMS[word]
+            if word == "eps":
                 return (1, 0, 1) if self.model.eps_order else _ZERO
-            if _SPELT_JET.fullmatch(name):
-                return self.jet(len(name) - 2, tok)
-            if name == "Dx":
+            if _SPELT_JET.fullmatch(word):
+                return self.jet(len(word) - 2, tok)
+            if word == "Dx":
                 return PseudoDiffOp.dx(self.model.eps_order)
-            if name == "Dxi":
+            if word == "Dxi":
                 return PseudoDiffOp.dxi(self.model.eps_order)
-            if name in KEYWORDS:
-                self.fail(f"keyword {name!r} cannot appear in an expression", tok)
-            value = self.model.lookup(name)
+            if word in KEYWORDS:
+                self.fail(f"keyword {word!r} cannot appear in an expression", tok)
+            value = self.model.lookup(word)
             if value is None:
-                raise UnknownName(name, tok.line, tok.column)
+                raise UnknownName(word, *_position(self.text, tok[2]))
             return _value(value)
-        self.fail(f"found {tok.text!r}" if tok.text else "unexpected end of input",
+        self.fail(f"found {word!r}" if word else "unexpected end of input",
                   tok, {"an expression"})
 
-    def jet(self, order: int, tok: Token) -> tuple:
+    def jet(self, order: int, tok: tuple) -> tuple:
         """u_order, or ResourceLimit above MAX_JET_INDEX."""
         if order > MAX_JET_INDEX:
-            raise _limit(tok, f"jet order {order} exceeds the cap "
-                              f"{MAX_JET_INDEX}")
+            raise self.limit(tok, f"jet order {order} exceeds the cap "
+                                  f"{MAX_JET_INDEX}")
         return 1, _u(order), 0
 
     def poly(self, value: Value) -> Union[DiffPoly, PseudoDiffOp]:
@@ -408,55 +452,95 @@ class _Parser:
         return DiffPoly._from_flat({(mon, e): c} if c else {},
                                    self.model.eps_order)
 
-    def binary(self, op: str, left: Value, right, at: Optional[Token] = None) -> Value:
-        """left op right (for `^` an int); a composition that leaves the
-        class is a ParseError at `at`, by default the current token."""
-        if op == "/":
-            if isinstance(right, PseudoDiffOp):
-                self.fail("division only by rational constants")
-            r = self.poly(right).rational_constant()
-            if r is None or r == 0:
-                self.fail("division only by nonzero rational constants")
-            if type(left) is tuple:
-                return (_exact(left[0] * (1 / r)), *left[1:])
-            return left * (1 / r)
-        try:
-            if op == "*":
-                return self.multiply(left, right)
-            if op == "^":
-                power = (PseudoDiffOp.identity(left.eps_order)
-                         if isinstance(left, PseudoDiffOp) else _ONE)
-                for _ in range(right):
-                    power = self.multiply(power, left)
-                return power
+    def add(self, left: Value, right: Value, negate: bool) -> Value:
+        """left + right, or left - right when `negate`; polynomials and terms
+        are summed into one new map."""
+        if isinstance(left, PseudoDiffOp) or isinstance(right, PseudoDiffOp):
             left, right = self.poly(left), self.poly(right)
-            return left + right if op == "+" else left - right
-        except ClosureError as err:
-            self.fail(str(err), at)
+            return left - right if negate else left + right
+        flat = dict(_items(left))
+        for key, c in _items(right):
+            _accumulate(flat, key, -c if negate else c)
+        return DiffPoly._from_flat(flat, self.model.eps_order)
 
-    def multiply(self, left: Value, right: Value) -> Value:
-        """left * right, or ResourceLimit before multiplying when the current
-        declaration would pair up more than MAX_PRODUCT_PAIRS terms or the
-        coefficients of the factors have more than MAX_COEFF_BITS bits."""
-        self.pairs += _size(left) * _size(right)
+    def divide(self, left: Value, right: Value) -> Value:
+        """left / right for a nonzero rational constant right; an error is
+        a ParseError at the current token."""
+        if isinstance(right, PseudoDiffOp):
+            self.fail("division only by rational constants")
+        if type(right) is tuple:
+            r = right[0] if right[1:] == (0, 0) else None
+        else:
+            r = right.rational_constant()
+        if not r:
+            self.fail("division only by nonzero rational constants")
+        if type(left) is tuple:
+            return (_ratio(left[0], r), *left[1:])
+        return left * Fraction(1, r)
+
+    def count(self, pairs: int, bits: int):
+        """Count a product of `pairs` term pairs whose two factors have
+        coefficients of `bits` bits together: ResourceLimit, before it is
+        multiplied, when the products of the declaration pair up more than
+        MAX_PRODUCT_PAIRS terms or `bits` exceeds MAX_COEFF_BITS."""
+        self.pairs += pairs
         if self.pairs > MAX_PRODUCT_PAIRS:
             raise ResourceLimit(f"products in one declaration pair up more "
                                 f"than {MAX_PRODUCT_PAIRS} terms")
-        if _bits(left) + _bits(right) > MAX_COEFF_BITS:
+        if bits > MAX_COEFF_BITS:
             raise ResourceLimit(f"the coefficients of a product have more "
                                 f"than {MAX_COEFF_BITS} bits")
-        if type(left) is not tuple or type(right) is not tuple:
+
+    def multiply(self, left: Value, right: Value,
+                 at: Optional[tuple] = None) -> Value:
+        """left * right, counted; a composition that leaves the class is a
+        ParseError at `at`, by default the current token.  A term times a
+        term or a polynomial shifts keys, and a function times an operator
+        scales the operator's coefficients (see operators.compose)."""
+        self.count(_size(left) * _size(right), _bits(left) + _bits(right))
+        if type(left) is tuple:
+            if type(right) is tuple:
+                (c, m, e), (c2, m2, e2) = left, right
+                c, e = c * c2, e + e2
+                if not c or e > self.model.eps_order:
+                    return _ZERO
+                return _exact(c), _checked(m + m2), e
+            if isinstance(right, DiffPoly):
+                return _shifted(right, left)
+        elif type(right) is tuple and isinstance(left, DiffPoly):
+            return _shifted(left, right)
+        try:
             return self.poly(left) * self.poly(right)
-        (c, m, e), (c2, m2, e2) = left, right
-        c, e = c * c2, e + e2
-        if not c or e > self.model.eps_order:
-            return _ZERO
-        return _exact(c), _checked(m + m2), e
+        except ClosureError as err:
+            self.fail(str(err), at)
+
+    def power(self, base: Value, n: int, caret: tuple) -> Value:
+        """base^n, counted as the n products base*...*base; a composition
+        that leaves the class is a ParseError at the caret.  A pure Dx^j,
+        and a term of coefficient 1 or -1 when no cap can be reached, skip
+        the products."""
+        is_op = isinstance(base, PseudoDiffOp)
+        j = base._dx_power() if is_op else None
+        if j is not None:
+            for i in range(n):  # Dx^(i*j) times Dx^j, with 1 + 1 bits
+                self.count((i * j + 1) * (j + 1), 4)
+            return base ** n
+        if type(base) is tuple:
+            c, m, e = base
+            if (c in (1, -1) and self.pairs + n <= MAX_PRODUCT_PAIRS
+                    and 4 <= MAX_COEFF_BITS and n * _degree(m) <= _MAX_EXPONENT):
+                self.pairs += n  # each product pairs 1 x 1 terms, 1 + 1 bits
+                return ((c ** n, m * n, e * n) if e * n <= self.model.eps_order
+                        else _ZERO)
+        power = PseudoDiffOp.identity(base.eps_order) if is_op else _ONE
+        for _ in range(n):
+            power = self.multiply(power, base, caret)
+        return power
 
 
 def parse_model(text: str) -> ModelIR:
     """Parse a model file into its IR; raises ParseError / UnknownName."""
-    return _Parser(tokenize(text)).parse_model()
+    return _Parser(text).parse_model()
 
 
 def print_model(model: ModelIR) -> str:

@@ -130,6 +130,14 @@ class PseudoDiffOp:
     def max_local_order(self) -> int:
         return max(self.local_terms, default=-1)
 
+    def _dx_power(self):
+        """j when this operator is exactly Dx^j, else None."""
+        if len(self.local_terms) == 1 and not self.nonlocal_terms:
+            (j, c), = self.local_terms.items()
+            if c._flat == {(0, 0): 1}:
+                return j
+        return None
+
     def __eq__(self, other):
         if not isinstance(other, PseudoDiffOp):
             return NotImplemented
@@ -203,6 +211,9 @@ class PseudoDiffOp:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("operator powers must be non-negative integers")
+        j = self._dx_power()
+        if j is not None:
+            return PseudoDiffOp.dx(self.eps_order, j * n)
         result = PseudoDiffOp.identity(self.eps_order)
         for _ in range(n):
             result = compose(result, self)
@@ -288,6 +299,12 @@ def compose(A: PseudoDiffOp, B: PseudoDiffOp) -> PseudoDiffOp:
     """Operator composition A o B inside the representable class."""
     if A.eps_order != B.eps_order:
         raise OrderMismatch("mixed truncation orders")
+    if len(A.local_terms) == 1 and 0 in A.local_terms and not A.nonlocal_terms:
+        # A multiplies by f: what the Leibniz loop below gives for order 0
+        f = A.local_terms[0]
+        return PseudoDiffOp({k: f * b for k, b in B.local_terms.items()},
+                            [(f * c, d) for c, d in B.nonlocal_terms],
+                            A.eps_order)
     if A.nonlocal_terms and B.nonlocal_terms:
         from .printing import format_operator
 

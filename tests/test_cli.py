@@ -564,13 +564,15 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
     assert bad["residual"] == "-3*eps*u_x*u_xx"
 
 
-# Byte-exact stdout of six commands, one per code path that a change of
+# Byte-exact stdout of ten commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
 # Noether inversion (LaTeX) and the multivector pair check (text), plus a
 # seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
 # pins the pairwise checks at depth, the ten-step hierarchy at the step cap
-# (JSON, 199 checks, flow jet orders 3 to 23), and a four-step hierarchy
-# whose functionals the ansatz finds through the second structure E (JSON).
+# (JSON, 199 checks, flow jet orders 3 to 23), a four-step hierarchy whose
+# functionals the ansatz finds through the second structure E (JSON), the
+# unbarred hierarchy of the Rt model (JSON), and the canonical text of the
+# two built-in models and the Rt model, which pins their model hashes.
 # Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
@@ -596,9 +598,15 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
       "Q1", "--steps", "6", "--dop", "D", "--format", "json"]),
+    # the canonical text of each model, which its model hash is taken of
+    ("print_gardner.txt", ["print", "gardner"]),
+    ("print_potential_burgers.txt", ["print", "potential_burgers"]),
+    ("print_gardner_Rt.txt",
+     ["print", str(Path(__file__).parent / "models" / "gardner_Rt.jf")]),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
-        "hierarchy-Rt-json"])
+        "hierarchy-Rt-json", "print-gardner", "print-potential-burgers",
+        "print-gardner-Rt"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0

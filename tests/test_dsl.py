@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jetflow import (EvolutionSystem, Functional, ModelError, ParseError,
-                     PseudoDiffOp, ResourceLimit, UnknownName, compose,
-                     parse_model, print_model)
+from jetflow import (DiffPoly, EpsPoly, EvolutionSystem, Functional,
+                     ModelError, ParseError, PseudoDiffOp, ResourceLimit,
+                     UnknownName, compose, parse_model, print_model)
 from jetflow import dsl
 from jetflow.fixtures import FIXTURES, load_fixture
+from jetflow.printing import format_operator, format_poly
 
-from conftest import diff_polys, model_texts, nonlocal_ops
+from conftest import (P, diff_polys, model_texts, monomials, nonlocal_ops,
+                      rationals)
 
 
 def test_parse_system_matches_handbuilt():
@@ -119,6 +122,64 @@ def test_parse_error_messages(source, message):
     with pytest.raises(ParseError) as err:
         parse_model(source)
     assert str(err.value) == message
+
+
+DIVISION = "division only by nonzero rational constants"
+
+
+@pytest.mark.parametrize("source, message, line, column", [
+    ("char a = u / 0;", DIVISION, 1, 15),
+    ("char a = u / u;", DIVISION, 1, 15),
+    ("operator A { Dx/0 }", DIVISION, 1, 19),
+    ("char a = u/(2*eps);", DIVISION, 1, 19),
+    ("density T = u^2;\nchar a = T/T;", DIVISION, 2, 13),
+    ("operator A { u/Dx }", "division only by rational constants", 1, 19),
+], ids=["by-zero", "by-jet", "operator-by-zero", "by-eps", "by-density",
+        "by-operator"])
+def test_division_errors_are_placed_after_the_divisor(source, message, line,
+                                                      column):
+    with pytest.raises(ParseError) as err:
+        parse_model(source)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+# Four lines with CRLF endings, '#' comment lines and tabs; a tab is one
+# column and '\r' ends no line.
+CRLF_HEAD = "# head\r\n\tchar a = u_x;\r\n# c\r\n\tchar b = \tu"
+
+
+@pytest.mark.parametrize("tail, error, line, column, message", [
+    (" + ;\r\n", ParseError, 4, 16, "found ';' (expected an expression)"),
+    (" + q;", UnknownName, 4, 16, "unknown name 'q'"),
+    ("", ParseError, 4, 13, "unexpected end of input (expected ;)"),
+    (" $", ParseError, 4, 14, "unexpected character '$'"),
+    ("{99};", ResourceLimit, 4, 12, "jet order 99 exceeds the cap 64"),
+    (";\r\n\r\n\t# c\r\n char", ParseError, 7, 6,
+     "unexpected end of input (expected ident)"),
+], ids=["last-line", "unknown-name", "eof", "stray-character", "jet-cap",
+        "eof-after-comment"])
+def test_positions_on_a_multiline_model(tail, error, line, column, message):
+    with pytest.raises(error) as err:
+        parse_model(CRLF_HEAD + tail)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    if error is not ResourceLimit:  # which carries its position in the text
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_multiline_model_with_comments_and_tabs_parses():
+    model = parse_model(CRLF_HEAD + ";\r\n\t\r\n char c = u;\r\n# tail")
+    assert list(model.characteristics) == ["a", "b", "c"]
+
+
+def test_dx_power_pair_cap_edge():
+    # Dx^n pairs 2*(1 + 2 + ... + n) = n*(n + 1) terms: 16256 for n = 127,
+    # 16512 for n = 128
+    assert dsl.MAX_PRODUCT_PAIRS == 2 ** 14
+    model = parse_model("operator A { Dx^127 }")
+    assert model.operators["A"] == PseudoDiffOp.dx(1, 127)
+    with pytest.raises(ResourceLimit, match="more than 16384 terms"):
+        parse_model("operator A { Dx^128 }")
 
 
 def test_eps_order_setting_controls_ring():
@@ -316,3 +377,45 @@ def test_print_parse_round_trip(P, A, K, T):
                         operators={"A": A}, characteristics={"Q": P},
                         densities={"T": Functional(T, name="T")})
     assert parse_model(print_model(model)) == model
+
+
+@st.composite
+def terms(draw):
+    """One term c*m*eps^e (c may be 0) as a DiffPoly and as model text."""
+    coeffs = [0] * (P + 1)
+    coeffs[draw(st.integers(0, P))] = draw(rationals)
+    T = DiffPoly({draw(monomials(max_degree=2)): EpsPoly(coeffs, order=P)}, P)
+    return T, format_poly(T)
+
+
+def parsed(expression):
+    return parse_model(f"char Q = {expression};").characteristics["Q"]
+
+
+def parsed_op(expression):
+    return parse_model(f"operator A {{ {expression} }}").operators["A"]
+
+
+# The parser multiplies terms, Dx powers and functions times operators
+# without the general algebra; each value must equal the public API's.
+@settings(max_examples=100, deadline=None)
+@given(terms(), terms(), diff_polys(max_terms=2, max_degree=2),
+       nonlocal_ops(), rationals.filter(bool), st.integers(0, 3),
+       st.integers(0, 4))
+def test_parser_products_equal_the_algebra(t1, t2, f, A, r, j, n):
+    (T1, text1), (T2, text2) = t1, t2
+    power = DiffPoly.constant(1, P)
+    for _ in range(n):
+        power = power * T1
+    assert parsed(f"({text1})^{n}") == power
+    assert parsed(f"{text1}/({r})") == T1 * (1 / Fraction(r))
+    assert parsed(f"{text1} + {text2}") == T1 + T2
+    assert parsed(f"{text1} - ({text2})") == T1 - T2
+    assert parsed(f"({text1})*({format_poly(f)})") == T1 * f
+    assert parsed(f"({format_poly(f)})*({text1})") == f * T1
+    assert (parsed_op(f"({format_poly(f)})*({format_operator(A)})")
+            == compose(PseudoDiffOp.from_poly(f), A))
+    Dx_j, composed = PseudoDiffOp.dx(P, j), PseudoDiffOp.identity(P)
+    for _ in range(n):
+        composed = compose(composed, Dx_j)
+    assert parsed_op(f"(Dx^{j})^{n}") == composed

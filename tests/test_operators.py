@@ -278,6 +278,17 @@ def test_operator_linear_structure(v):
     assert A ** 2 == compose(A, A)
 
 
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_power_of_a_pure_dx_equals_the_composed_power(p):
+    for j in range(4):
+        A = PseudoDiffOp.dx(p, j)
+        for n in range(7):
+            composed = PseudoDiffOp.identity(p)
+            for _ in range(n):
+                composed = compose(composed, A)
+            assert A ** n == composed == PseudoDiffOp.dx(p, j * n), (j, n)
+
+
 @settings(max_examples=200, deadline=None)
 @given(nonlocal_ops())
 def test_adjoint_involution(A):
@@ -301,6 +312,17 @@ def test_adjoint_antihomomorphism_mixed(A, B):
        diff_polys(max_terms=2, max_degree=2, max_jet_order=2))
 def test_compose_application_compatibility(A, B, Q):
     assert apply_op(compose(A, B), Q) == apply_op(A, apply_op(B, Q))
+
+
+@settings(max_examples=100, deadline=None)
+@given(diff_polys(max_terms=2, max_degree=2, max_jet_order=2), nonlocal_ops(),
+       diff_polys(max_terms=2, max_degree=2, max_jet_order=2))
+def test_multiplication_operator_composes_like_the_general_case(f, B, Q):
+    # f + Dx is not a multiplication operator, so it takes the Leibniz loop
+    F, Dx = PseudoDiffOp.from_poly(f), PseudoDiffOp.dx(P)
+    assert compose(F, B) == compose(F + Dx, B) - compose(Dx, B)
+    if B.is_local():
+        assert apply_op(compose(F, B), Q) == f * apply_op(B, Q)
 
 
 @settings(max_examples=60, deadline=None)
