@@ -19,9 +19,8 @@ from .dsl import DECLARATIONS, ModelIR, parse_model, print_model
 from .engine import (CheckReport, HierarchyResult, check_conservation,
                      check_recursion_operator, check_symmetry,
                      generate_hierarchy, noether_inverse)
-from .errors import (ClosureError, Diverged, JetflowError, ModelError,
-                     NotASymmetry, NotInImage, NotVariational, ResourceLimit,
-                     Unsupported)
+from .errors import (Diverged, JetflowError, ModelError, NotASymmetry,
+                     NotInImage, NotVariational, ResourceLimit, Unsupported)
 from .fixtures import FIXTURES, fixture_names
 from .hamiltonian import pair_check
 from .report import emit_report, model_hash
@@ -56,7 +55,7 @@ def _named(table: dict, name: str, what: str):
     return table[name]
 
 
-def _resolve(model: ModelIR, args, flag: str, kwargs: dict, ref: tuple):
+def _resolve(model: ModelIR, args, flag: str, ref: tuple):
     table, given = getattr(model, ref[0]), getattr(args, flag[2:])
     if given is None:  # left out: the first declared, if any
         if not table:
@@ -130,11 +129,7 @@ def cmd_noether(args, model, Q, D):
 def cmd_check_recursion(args, model, R, system):
     seeds = [_named(model.characteristics, name.strip(), "characteristic")
              for name in (args.seeds.split(",") if args.seeds else ())]
-    try:
-        report = check_recursion_operator(R, system, args.mode, seeds)
-    except ClosureError as err:
-        report = CheckReport(f"recursion({args.mode})", False, None,
-                             {"error": str(err)})
+    report = check_recursion_operator(R, system, args.mode, seeds)
     report.name = f"recursion {args.op} on {args.system} [{args.mode}]"
     return [report]
 
@@ -262,8 +257,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         model = load_model(args.model)
-        values = [_resolve(model, args, flag, kwargs, ref)
-                  for flag, kwargs, ref in spec.options if ref]
+        values = [_resolve(model, args, flag, ref)
+                  for flag, _, ref in spec.options if ref]
         checks = spec.handler(args, model, *values)
         return checks if isinstance(checks, int) else _finish(checks, model, args)
     except ModelError as err:

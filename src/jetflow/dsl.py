@@ -25,10 +25,10 @@ character outside a comment is a ParseError.
 Tokens carry their character offset only; the line and column that an
 error reports are counted from the offset when the error is raised.  Most
 products skip the general algebra: a product of atoms folds into one term,
-a term times a polynomial shifts the polynomial's keys, a function times an
-operator scales the operator's coefficients (the first case of
-``operators.compose``), and a power of ``Dx^j`` or of a term of coefficient
-1 or -1 is built in one step.  Each counts against the caps exactly what
+a function times an operator scales the operator's coefficients (the first
+case of ``operators.compose``), and a power of ``Dx^j`` or of a term of
+coefficient 1 or -1 is built in one step; any other product of polynomials
+is ``DiffPoly.__mul__``.  Each counts against the caps exactly what
 the general product would, so every cap raises at the same product.
 """
 
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Union
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
 from .jets import (_MAX_EXPONENT, Context, DiffPoly, EvolutionSystem,
                    Functional, Monomial, _accumulate, _checked, _degree,
-                   _exact, _pack, _span, _u)
+                   _exact, _pack, _u)
 from .operators import PseudoDiffOp, _ratio
 from .printing import format_operator, format_poly
 
@@ -117,17 +117,6 @@ def _items(value: Value):
         c, m, e = value
         return (((m, e), c),) if c else ()
     return value._flat.items()
-
-
-def _shifted(P: DiffPoly, term: tuple) -> DiffPoly:
-    """P times the term c*m*eps^e: each key moves by (m, e), so no two
-    products meet, and the keys above eps^p drop out."""
-    c, m, e = term
-    p = P.eps_order
-    flat = {(n + m, f + e): _exact(d * c) for (n, f), d in P._flat.items()
-            if f + e <= p} if c else {}
-    _checked(_span(flat))
-    return DiffPoly._from_flat(flat, p)
 
 
 def _bits(value: Value) -> int:
@@ -495,20 +484,15 @@ class _Parser:
                  at: Optional[tuple] = None) -> Value:
         """left * right, counted; a composition that leaves the class is a
         ParseError at `at`, by default the current token.  A term times a
-        term or a polynomial shifts keys, and a function times an operator
-        scales the operator's coefficients (see operators.compose)."""
+        term is one term, and a function times an operator scales the
+        operator's coefficients (see operators.compose)."""
         self.count(_size(left) * _size(right), _bits(left) + _bits(right))
-        if type(left) is tuple:
-            if type(right) is tuple:
-                (c, m, e), (c2, m2, e2) = left, right
-                c, e = c * c2, e + e2
-                if not c or e > self.model.eps_order:
-                    return _ZERO
-                return _exact(c), _checked(m + m2), e
-            if isinstance(right, DiffPoly):
-                return _shifted(right, left)
-        elif type(right) is tuple and isinstance(left, DiffPoly):
-            return _shifted(left, right)
+        if type(left) is tuple and type(right) is tuple:
+            (c, m, e), (c2, m2, e2) = left, right
+            c, e = c * c2, e + e2
+            if not c or e > self.model.eps_order:
+                return _ZERO
+            return _exact(c), _checked(m + m2), e
         try:
             return self.poly(left) * self.poly(right)
         except ClosureError as err:

@@ -11,8 +11,10 @@ a packed monomial m and an eps degree e <= p to a nonzero rational c.  A
 coefficient is a Python ``int`` whenever it is integral and a ``Fraction``
 with denominator > 1 otherwise, never a float, so the common integer case
 skips Fraction arithmetic.  Every division builds a ``Fraction`` first,
-because ``int / int`` is a float.  Every primitive here works on that map,
-and products drop degree pairs above p before multiplying.  The operator,
+because ``int / int`` is a float.  Every primitive here works on that map.
+Every sum of products, a single product included, is one ``_dot``: the
+products of terms go into one new map, and degree pairs above p are
+dropped before multiplying.  The operator,
 engine, numeric and printing layers read it; the multivector calculus is a
 map ``{wedge: DiffPoly}`` and does all of its arithmetic through DiffPoly.
 Since no flat map changes once wrapped, ``dx_total(P)`` keeps its result
@@ -161,6 +163,23 @@ def _accumulate(flat: dict, key, c) -> None:
             del flat[key]
             return
     flat[key] = _exact(c)
+
+
+def _dot(pairs, p: int) -> DiffPoly:
+    """sum A*B over the (A, B) pairs of order-p polynomials, accumulated
+    into one flat map (Monagan and Pearce, CASC 2007), skipping eps pairs
+    with e1 + e2 > p.  The exponent cap is checked once, on the sum: a
+    single product raises ResourceLimit as before, but a term past the cap
+    that cancels inside the same sum does not, and the result is exact."""
+    flat: dict = {}
+    for A, B in pairs:
+        terms = B._flat.items()
+        for (m1, e1), c1 in A._flat.items():
+            for (m2, e2), c2 in terms:
+                if e1 + e2 <= p:
+                    _accumulate(flat, (m1 + m2, e1 + e2), c1 * c2)
+    _checked(_span(flat))
+    return DiffPoly._from_flat(flat, p)
 
 
 class DiffPoly:
@@ -322,14 +341,7 @@ class DiffPoly:
         if other is None:
             return NotImplemented
         self._check_compat(other)
-        p = self.eps_order
-        flat: dict = {}
-        for (m1, e1), c1 in self._flat.items():
-            for (m2, e2), c2 in other._flat.items():
-                if e1 + e2 <= p:
-                    _accumulate(flat, (m1 + m2, e1 + e2), c1 * c2)
-        _checked(_span(flat))
-        return DiffPoly._from_flat(flat, p)
+        return _dot(((self, other),), self.eps_order)
 
     __rmul__ = __mul__
 
@@ -563,17 +575,16 @@ def prolong_apply(direction: DiffPoly, target: DiffPoly) -> DiffPoly:
     every product here has valuation at least v(direction) + v(target).
     When that sum exceeds p the result is zero mod eps^(p+1), and it is
     returned before any D_x is taken: at p = 1 two O(eps) flows commute by
-    truncation alone.  Mixed truncation orders raise OrderMismatch first.
+    truncation alone.  Otherwise the sum is one _dot.  Mixed truncation
+    orders raise OrderMismatch first.
     """
     target._check_compat(direction)
     p = target.eps_order
     if _valuation(direction) + _valuation(target) > p:
         return DiffPoly.zero(p)
     tower = _dx_tower(direction, target.max_jet_order())
-    out = DiffPoly.zero(p)
-    for k in sorted(target.jet_vars()):
-        out = out + diff_partial(target, k) * tower[k]
-    return out
+    return _dot(((diff_partial(target, k), tower[k])
+                 for k in sorted(target.jet_vars())), p)
 
 
 def _antiderivative(P: DiffPoly, shift: int) -> DiffPoly:

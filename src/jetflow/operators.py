@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (_JETS, DiffPoly, EvolutionSystem, Functional, _accumulate,
-                   _checked, _degree, _dx_tower, _exact, _monomial_order,
+                   _checked, _degree, _dot, _dx_tower, _exact, _monomial_order,
                    _span, _u, _unpack, diff_partial, dt_total, euler,
                    integrate_x)
 from .ring import EpsPoly
@@ -233,18 +233,16 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     of the left factors whose right factors agree up to a rational multiple
     and a power of eps, so the value does not depend on how the operator is
     written.  A product that is not exact raises NotExact with its Euler
-    obstruction.
+    obstruction.  The local and nonlocal products are summed by one _dot.
     """
     if A.eps_order != Q.eps_order:
         raise OrderMismatch("operator and argument have different eps orders")
-    out = DiffPoly.zero(Q.eps_order)
     tower = _dx_tower(Q, A.max_local_order())
-    for j, c in A.local_terms.items():
-        out = out + c * tower[j]
+    pairs = [(c, tower[j]) for j, c in A.local_terms.items()]
     for a, b in A.nonlocal_terms:
         k = min(e for _, e in a._flat)
-        out = out + _eps_shift(a, -k) * integrate_x(_eps_shift(b, k) * Q)
-    return out
+        pairs.append((_eps_shift(a, -k), integrate_x(_eps_shift(b, k) * Q)))
+    return _dot(pairs, Q.eps_order)
 
 
 def _eps_shift(P: DiffPoly, k: int) -> DiffPoly:

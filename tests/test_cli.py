@@ -409,6 +409,46 @@ def test_hierarchy_on_a_model_without_a_system_is_a_model_error(capsys, tmp_path
     assert "Traceback" not in err
 
 
+def test_hierarchy_stops_where_r_of_a_flow_is_not_exact(capsys):
+    # R(Q7) takes Dxi of Q7 = eps*(D_x(x*u + 3*t*(3*u^2 - u_xx)) + u), which
+    # is not exact (Euler obstruction eps), so K[1] is never built
+    code, out, err = run(capsys, "hierarchy", "gardner", "--op", "R",
+                         "--seed", "Q7", "--steps", "2", "--dop", "E",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    checks = json.loads(out)["checks"]
+    stopped = checks[0]["certificates"]["hierarchy"]["stopped_at"]
+    assert stopped == {"index": 1, "obstruction": "eps"}
+    assert checks[0]["residual"] == "eps"
+    assert [c["name"] for c in checks[1:]] == [
+        "seed symmetry", "conservation H[0]", "D(delta H[0]) == K[0]"]
+
+
+# R o Di has Dxi on both sides, so the second bracket is unavailable: the
+# functionals are checked for involution under Di only.  K[2] = 1 + x^3/6
+# is not a symmetry of u_t = u_xxx.
+NONLOCAL_DOP_MODEL = """system s { rhs: u_xxx; }
+operator R { Dx^2 + Dxi }
+operator Di { Dxi }
+char Q = x;
+"""
+
+
+def test_hierarchy_through_a_nonlocal_first_operator(capsys, tmp_path):
+    model = tmp_path / "di.jf"
+    model.write_text(NONLOCAL_DOP_MODEL)
+    code, out, err = run(capsys, "hierarchy", str(model), "--op", "R",
+                         "--seed", "Q", "--steps", "2", "--dop", "Di",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["involution_D {H[0],H[1]}"]["verdict"] == "pass"
+    assert not [name for name in checks if name.startswith("involution_E")]
+    assert checks["symmetry K[2]"]["residual"] == "-1"
+
+
 def test_validate_numeric_caps_exit_3(capsys):
     # t_end / dt of the last overflows to inf
     for args in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS)),
@@ -564,15 +604,16 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
     assert bad["residual"] == "-3*eps*u_x*u_xx"
 
 
-# Byte-exact stdout of ten commands, one per code path that a change of
+# Byte-exact stdout of eleven commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
 # Noether inversion (LaTeX) and the multivector pair check (text), plus a
 # seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
 # pins the pairwise checks at depth, the ten-step hierarchy at the step cap
 # (JSON, 199 checks, flow jet orders 3 to 23), a four-step hierarchy whose
 # functionals the ansatz finds through the second structure E (JSON), the
-# unbarred hierarchy of the Rt model (JSON), and the canonical text of the
-# two built-in models and the Rt model, which pins their model hashes.
+# unbarred hierarchy of the Rt model at eps orders 1 and 3 (JSON), and the
+# canonical text of the two built-in models and the Rt model, which pins
+# their model hashes.
 # Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
@@ -598,6 +639,10 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
       "Q1", "--steps", "6", "--dop", "D", "--format", "json"]),
+    # the Rt hierarchy in Q[eps]/(eps^4): every product keeps eps^2, eps^3
+    ("hierarchy_gardner_Rt_eps3_Rt_Q1_steps4.json",
+     ["hierarchy", str(GOLDEN / "gardner_Rt_eps3.jf"), "--op", "Rt", "--seed",
+      "Q1", "--steps", "4", "--dop", "D", "--format", "json"]),
     # the canonical text of each model, which its model hash is taken of
     ("print_gardner.txt", ["print", "gardner"]),
     ("print_potential_burgers.txt", ["print", "potential_burgers"]),
@@ -605,7 +650,7 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
      ["print", str(Path(__file__).parent / "models" / "gardner_Rt.jf")]),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
-        "hierarchy-Rt-json", "print-gardner", "print-potential-burgers",
+        "hierarchy-Rt-json", "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
         "print-gardner-Rt"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)

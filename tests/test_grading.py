@@ -185,3 +185,28 @@ def test_solver_matches_sympy(rows):
     if solution is not None:
         for row, rhs in rows:
             assert sum(v * solution.get(c, 0) for c, v in row.items()) == rhs
+
+
+def test_nonlocal_recursion_operator_inverts_its_own_images(gardner):
+    # R = 4*u + 3*eps*u^2 + (2 + 3*eps*u)*u_x*Dxi - Dx^2.  A term a*Dxi*b
+    # adds f(a) + f(b) - (1, 0, 0, 0) to the feature of its argument, so
+    # each grading of R and R(Q) gives the nonlocal term the weight of the
+    # local ones, and the ansatz finds Q again
+    R = gardner.operators["R"]
+    assert R.nonlocal_terms
+    local = [tuple(x + y for x, y in zip(feature(*key), (j, 0, 0, 0)))
+             for j, c in R.local_terms.items() for key in stored_terms(c)]
+    nonlocal_ = [tuple(x + y - z for x, y, z in zip(feature(*ka), feature(*kb),
+                                                    (1, 0, 0, 0)))
+                 for a, b in R.nonlocal_terms
+                 for ka in stored_terms(a) for kb in stored_terms(b)]
+    for name in ("Q1", "Q4", "Kbar1"):
+        Q = gardner.characteristics[name]
+        image = apply_op(R, Q)
+        gradings = engine._gradings(R, image)
+        assert span_equals(gradings, [[1, 0, -2, 2], [0, 1, 0, 0]]), name
+        for w, _ in gradings:
+            assert {weight(w, f) for f in nonlocal_} == {
+                weight(w, f) for f in local}, (name, w)
+            assert len({weight(w, f) for f in local}) == 1, (name, w)
+        assert solve_operator_equation(R, image) == Q, name

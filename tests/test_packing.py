@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetflow import (Context, DiffPoly, EpsPoly, Monomial, diff_partial,
-                     dx_total, euler1, format_poly, integrate_x, parse_model)
+from jetflow import (Context, DiffPoly, EpsPoly, Monomial, PseudoDiffOp,
+                     apply_op, diff_partial, dx_total, euler1, format_poly,
+                     integrate_x, parse_model, prolong_apply)
 from jetflow.errors import ResourceLimit
-from jetflow.jets import _dx_monomial, _pack, _unpack
+from jetflow.jets import _dot, _dx_monomial, _pack, _unpack
 
 from conftest import diff_polys, stored_terms
 
@@ -68,6 +69,19 @@ def ref_apply(P, termwise):
     return {key: c for key, c in out.items() if c}
 
 
+def ref_dot(pairs, p):
+    """sum of A*B over the (A, B) pairs of order p, as a {(Monomial, e):
+    value} map."""
+    out = {}
+    for A, B in pairs:
+        for (m1, e1), c1 in stored_terms(A).items():
+            for (m2, e2), c2 in stored_terms(B).items():
+                if e1 + e2 <= p:
+                    key = ref_mul(m1, m2), e1 + e2
+                    out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
 # Monomials with exponents up to 2^14 and jet orders up to 40, so that the
 # fields cross Python's 30-bit int digits and far jets leave empty fields.
 wide_monomials = st.builds(
@@ -97,13 +111,7 @@ def test_packed_monomials_match_the_tuple_arithmetic(a, b):
 @settings(max_examples=150, deadline=None)
 @given(diff_polys(max_jet_order=6), diff_polys(max_jet_order=6))
 def test_polynomial_primitives_match_the_tuple_arithmetic(p, q):
-    prod = {}
-    for (m1, e1), c1 in stored_terms(p).items():
-        for (m2, e2), c2 in stored_terms(q).items():
-            if e1 + e2 <= p.eps_order:
-                key = ref_mul(m1, m2), e1 + e2
-                prod[key] = prod.get(key, 0) + c1 * c2
-    assert stored_terms(p * q) == {k: c for k, c in prod.items() if c}
+    assert stored_terms(p * q) == ref_dot([(p, q)], p.eps_order)
     difference = dict(stored_terms(p))
     for key, c in stored_terms(q).items():
         difference[key] = difference.get(key, 0) - c
@@ -190,6 +198,18 @@ def test_an_overflowing_product_raises():
         power_of(3, 2 ** 16 - 1) * Context(eps_order=1).u(3)
     with pytest.raises(ResourceLimit):
         DiffPoly({Monomial(0, 0, ((0, 2 ** 16),)): ONE}, 1)
+    # the sums of products: d(u^32769)/du = 32769*u^32768 times u^32768
+    half = power_of(0, 2 ** 15)
+    with pytest.raises(ResourceLimit):
+        prolong_apply(half, power_of(0, 2 ** 15 + 1))
+    with pytest.raises(ResourceLimit):
+        apply_op(PseudoDiffOp.from_poly(half), half)
+    # a*Dxi*1 on u^32768*u_x: a = u^32768 times u^32769/32769
+    with pytest.raises(ResourceLimit):
+        apply_op(PseudoDiffOp({}, ((half, DiffPoly.constant(1, 1)),), 1),
+                 power_of(0, 2 ** 15, ((1, 1),)))
+    # a term past the cap that cancels inside the same sum leaves it exact
+    assert _dot(((half, half), (-half, half)), 1).is_zero()
 
 
 def test_a_raised_field_past_the_cap_raises():
@@ -215,3 +235,37 @@ def test_two_of_the_largest_declared_powers_multiply():
     assert list(B.terms) == [Monomial(0, 0, ((0, 2 ** 15),))]
     with pytest.raises(ResourceLimit):
         parse_model("density A = u^16384;\ndensity B = A*A*A*A;\n")
+
+
+# ---------------------------------------------------------------------------
+# the sum-of-products kernel against a sum of single products and the tuple
+# reference
+
+
+@st.composite
+def product_sums(draw):
+    """(pairs, p): up to four pairs of polynomials of an order p in 0..3,
+    each followed at random by a pair that cancels all of its product but
+    the part from one more term."""
+    p = draw(st.integers(0, 3))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        A, B = draw(diff_polys(order=p)), draw(diff_polys(order=p))
+        pairs.append((A, B))
+        if draw(st.booleans()):
+            pairs.append((-A, B + draw(diff_polys(max_terms=1, order=p))))
+    return pairs, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_sums())
+def test_dot_equals_the_sum_of_its_products(case):
+    pairs, p = case
+    found = _dot(pairs, p)
+    expected = DiffPoly.zero(p)
+    for A, B in pairs:
+        expected = expected + A * B
+    assert found == expected
+    assert stored_terms(found) == ref_dot(pairs, p)
+    assert all(c and (type(c) is int or c.denominator != 1)
+               for c in found._flat.values())
