@@ -12,7 +12,7 @@ from .dsl import DEFAULT_MAX_JET_ORDER, _Record
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
-                   _monomial_order, _pack, _unpack, dt_total, euler1,
+                   _monomial_order, _obstruction, _pack, _unpack, dt_total,
                    integrate_x, prolong_apply)
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
@@ -295,7 +295,8 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     """Find g with apply(D, g) == Q by a bounded linear ansatz.
 
     The candidate space is spanned by eps^e times monomials in x, t and the
-    jets, of total degree at most deg(Q) + 1, in two tiers of jet order.
+    jets, of total degree at most deg(Q) + 1, in two tiers of jet order,
+    and a third of order one more than Q's when D has no local part.
     Each term's feature f = (s - a, b, e, d) (jet weight minus x degree, t
     degree, eps degree, jet degree) gains exactly (1, 0, 0, 0) under D_x, so
     every grading w under which D and Q are both homogeneous splits D g = Q
@@ -313,6 +314,8 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     order_q = max(Q.max_jet_order(), 0)
     tight = max(0, order_q - max(D.max_local_order(), 0))
     order_tiers = [tight, order_q] if tight < order_q else [order_q]
+    if not D.local_terms:  # a preimage under a*Dxi*b has one order more
+        order_tiers.append(order_q + 1)
     # counting a tier costs O(p * degree^2); above this degree the dense
     # count, which is larger still, is reported without grading
     dense = math.comb(degree_bound + 2, 2) > MAX_ANSATZ_MONOMIALS
@@ -424,9 +427,10 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
 
     Each flow is checked to be a symmetry and each functional a conservation
     law; produced functionals are checked to be pairwise in involution under
-    both brackets, with the Euler derivative of the bracket density as the
-    residual, and the flows to commute pairwise.  A failed inversion or
-    a non-exact application stops the iteration and is recorded in
+    both brackets, each by integrating the bracket density, whose Euler
+    derivative is built only as the residual of a failing pair, and the
+    flows to commute pairwise.  A failed inversion or a non-exact
+    application stops the iteration and is recorded in
     `stopped_at` together with its obstruction.  A seed that is not a
     symmetry raises NotASymmetry carrying its residual.
 
@@ -513,7 +517,7 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         return involution(name, grads[i] * image)
 
     def involution(name: str, density: DiffPoly) -> CheckReport:
-        residual = euler1(density)
+        residual = _obstruction(density)
         return CheckReport(name, residual.is_zero(), residual)
 
     for i, j in combinations(range(len(functionals)), 2):

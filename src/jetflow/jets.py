@@ -19,7 +19,10 @@ engine, numeric and printing layers read it; the multivector calculus is a
 map ``{wedge: DiffPoly}`` and does all of its arithmetic through DiffPoly.
 Since no flat map changes once wrapped, ``dx_total(P)`` keeps its result
 on P in the private slot ``_dx``, so every chain P, D_x P, D_x^2 P, ... is
-computed once, whichever check needs it.
+computed once, whichever check needs it, and the partials dP/du_k of every
+jet order are built in one pass and kept in the slot ``_dp``.  ``euler``
+and ``integrate_x`` add D_x terms into maps they own, as ``dx_total`` does,
+and integration decides whether a density is a total x-derivative.
 
 A packed monomial is one int holding the exponent vector (x, t, u_0, u_1,
 ...) in fields of ``_W`` = 17 bits, x lowest, then t, then u_k in field
@@ -195,7 +198,7 @@ class DiffPoly:
     access, for callers outside the package.
     """
 
-    __slots__ = ("_flat", "eps_order", "_dx")
+    __slots__ = ("_flat", "eps_order", "_dx", "_dp")
 
     def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int):
         flat = {}
@@ -224,7 +227,8 @@ class DiffPoly:
         raise AttributeError("DiffPoly is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild the terms only; a kept D_x is left behind
+        # copy and pickle rebuild the terms only; a kept D_x and kept
+        # partials are left behind
         return DiffPoly._from_flat, (dict(self._flat), self.eps_order)
 
     def _grouped(self) -> dict:
@@ -441,11 +445,11 @@ class Functional:
         return self.density.eps_order
 
     def equivalent(self, other: "Functional") -> bool:
-        """Equality modulo im D_x, decided by the Euler operator."""
-        return euler(self.density - other.density).is_zero()
+        """Equality modulo im D_x, decided by integration."""
+        return _obstruction(self.density - other.density).is_zero()
 
     def is_null(self) -> bool:
-        return euler(self.density).is_zero()
+        return _obstruction(self.density).is_zero()
 
     def __repr__(self):
         from .printing import format_poly
@@ -460,14 +464,15 @@ class Functional:
 
 def diff_partial(P: DiffPoly, var) -> DiffPoly:
     """Partial derivative with respect to 'x', 't' or a jet order, an int
-    k >= 0; any other var is a ValueError."""
-    if var == "x" or var == "t":
-        shift = 0 if var == "x" else _W
-    elif isinstance(var, int) and not isinstance(var, bool) and var >= 0:
-        shift = _W * (var + 2)
-    else:
+    k >= 0, read from the partials kept on P; any other var is a
+    ValueError."""
+    if isinstance(var, int) and not isinstance(var, bool) and var >= 0:
+        dP = _jet_partials(P).get(var)
+        return DiffPoly.zero(P.eps_order) if dP is None else dP
+    if var != "x" and var != "t":
         raise ValueError(f"cannot differentiate by {var!r}: expected 'x', "
                          f"'t' or a jet order k >= 0")
+    shift = 0 if var == "x" else _W
     one = 1 << shift
     flat = {}
     for (m, e), c in P._flat.items():
@@ -475,6 +480,27 @@ def diff_partial(P: DiffPoly, var) -> DiffPoly:
         if n:  # m -> m - one is one-to-one, so no two terms meet
             flat[m - one, e] = c if n == 1 else _exact(c * n)
     return DiffPoly._from_flat(flat, P.eps_order)
+
+
+def _jet_partials(P: DiffPoly) -> dict:
+    """{k: dP/du_k} for every jet order k in P, by increasing k, built in
+    one pass over the terms and kept on P in the private slot ``_dp``."""
+    dp = getattr(P, "_dp", None)
+    if dp is not None:
+        return dp
+    flats: dict = {}
+    for (m, e), c in P._flat.items():
+        shift, rest = _JETS, m >> _JETS
+        while rest:
+            n = rest & _MASK
+            if n:  # m -> m - u_k is one-to-one, so no two terms meet
+                flats.setdefault(shift, {})[m - (1 << shift), e] = (
+                    c if n == 1 else _exact(c * n))
+            shift, rest = shift + _W, rest >> _W
+    dp = {shift // _W - 2: DiffPoly._from_flat(flat, P.eps_order)
+          for shift, flat in sorted(flats.items())}
+    object.__setattr__(P, "_dp", dp)
+    return dp
 
 
 def _dx_monomial(m: int):
@@ -502,19 +528,27 @@ def _dx_monomial(m: int):
     return out
 
 
+def _add_dx(flat: dict, terms: dict, sign: int) -> int:
+    """flat += sign * D_x of the {(m, e): c} map `terms`, in place; returns
+    the _span of flat.  An exponent of u_(k+1) may pass the cap: then
+    ResourceLimit is raised."""
+    for (m, e), c in terms.items():
+        if sign < 0:
+            c = -c
+        for factor, new in _dx_monomial(m):
+            _accumulate(flat, (new, e), c if factor == 1 else c * factor)
+    return _checked(_span(flat))
+
+
 def dx_total(P: DiffPoly) -> DiffPoly:
     """Total x-derivative: chain rule over x and every jet variable.  The
     result is kept on P; one that raises ResourceLimit is not."""
     D = getattr(P, "_dx", None)
-    if D is not None:
-        return D
-    flat: dict = {}
-    for (m, e), c in P._flat.items():
-        for factor, new in _dx_monomial(m):
-            _accumulate(flat, (new, e), c if factor == 1 else c * factor)
-    _checked(_span(flat))  # a u_(k+1) exponent may have passed the cap
-    D = DiffPoly._from_flat(flat, P.eps_order)
-    object.__setattr__(P, "_dx", D)
+    if D is None:
+        flat: dict = {}
+        _add_dx(flat, P._flat, 1)
+        D = DiffPoly._from_flat(flat, P.eps_order)
+        object.__setattr__(P, "_dx", D)
     return D
 
 
@@ -538,20 +572,28 @@ def dt_total(P: DiffPoly, sys: EvolutionSystem) -> DiffPoly:
     """Total t-derivative on solutions of u_t = K[u, eps]."""
     if P.eps_order != sys.eps_order:
         raise OrderMismatch("polynomial and system have different eps orders")
-    return diff_partial(P, "t") + prolong_apply(sys.rhs, P)
+    flow = prolong_apply(sys.rhs, P)
+    if _span(P._flat) >> _W & _MASK:  # P holds t
+        return diff_partial(P, "t") + flow
+    return flow
 
 
 def euler(P: DiffPoly) -> DiffPoly:
     """Variational derivative sum_k (-D_x)^k (dP/du_k).
 
-    It vanishes exactly on total x-derivatives.  Evaluated in Horner form,
-    acc = dP/du_k - D_x(acc) from the top order down to 0.
+    It vanishes exactly on total x-derivatives (Olver, Applications of Lie
+    Groups to Differential Equations, 2nd ed., Theorem 4.7).  Evaluated in
+    Horner form, acc = dP/du_k - D_x(acc) from the top order down to 0, from
+    the partials kept on P, each step into one new map.
     """
-    top = max(P.max_jet_order(), 0)  # a jet-free P has euler(P) = dP/du = 0
-    acc = diff_partial(P, top)
+    partials = _jet_partials(P)
+    top = max(partials, default=0)  # a jet-free P has euler(P) = 0
+    acc = partials[top]._flat if partials else {}
     for k in range(top - 1, -1, -1):
-        acc = diff_partial(P, k) - dx_total(acc)
-    return acc
+        new = dict(partials[k]._flat) if k in partials else {}
+        _add_dx(new, acc, -1)
+        acc = new
+    return DiffPoly._from_flat(acc, P.eps_order)
 
 
 euler1 = euler  # public alias
@@ -582,21 +624,9 @@ def prolong_apply(direction: DiffPoly, target: DiffPoly) -> DiffPoly:
     p = target.eps_order
     if _valuation(direction) + _valuation(target) > p:
         return DiffPoly.zero(p)
-    tower = _dx_tower(direction, target.max_jet_order())
-    return _dot(((diff_partial(target, k), tower[k])
-                 for k in sorted(target.jet_vars())), p)
-
-
-def _antiderivative(P: DiffPoly, shift: int) -> DiffPoly:
-    """The termwise antiderivative in the variable of the field at bit
-    `shift`: a term with exponent n there gets n + 1 and c/(n + 1)."""
-    one = 1 << shift
-    flat = {}
-    for (m, e), c in P._flat.items():
-        n = m >> shift & _MASK
-        flat[m + one, e] = _exact(Fraction(c, n + 1)) if n else c
-    _checked(_span(flat))
-    return DiffPoly._from_flat(flat, P.eps_order)
+    partials = _jet_partials(target)
+    tower = _dx_tower(direction, max(partials, default=0))
+    return _dot(((dP, tower[k]) for k, dP in partials.items()), p)
 
 
 def integrate_x(P: DiffPoly) -> DiffPoly:
@@ -606,16 +636,44 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
     jet, and that jet has order at least 1, so peeling off the antiderivative
     of that linear part strictly lowers the top order.  The jet-free
     remainder integrates termwise in x.  A remainder that is not linear in a
-    top jet of order at least 1 is not exact, and then neither is P.
+    top jet of order at least 1 is not exact, and then neither is P.  The
+    remainder and the result are two maps changed in place: each step scans
+    the remainder once for the terms that hold the top jet, and subtracts
+    the D_x of their antiderivative from it.
     """
-    result, rest = DiffPoly.zero(P.eps_order), P
-    while True:
-        top = rest.max_jet_order()
-        if top == -1:
-            return result + _antiderivative(rest, 0)
-        lead = diff_partial(rest, top)
-        if top == 0 or _span(lead._flat) >> _W * (top + 2):  # u_top is left
-            raise NotExact("not a total x-derivative", euler(P))
-        piece = _antiderivative(lead, _W * (top + 1))  # in u_(top - 1)
-        result = result + piece
-        rest = rest - dx_total(piece)
+    rest, result = dict(P._flat), {}
+    span = _span(rest)
+    while span >> _JETS:
+        top = (span.bit_length() - 1) // _W - 2
+        shift = _W * (top + 2)
+        lift = (1 << shift - _W) - (1 << shift)  # u_top -> u_(top - 1)
+        piece = {}
+        for (m, e), c in rest.items():
+            n = m >> shift & _MASK
+            if n:
+                if n > 1 or not top:  # nonlinear in u_top, or u_top is u
+                    raise NotExact("not a total x-derivative", euler(P))
+                k = m >> shift - _W & _MASK  # the exponent of u_(top - 1)
+                piece[m + lift, e] = _exact(Fraction(c, k + 1)) if k else c
+        _checked(_span(piece))
+        result.update(piece)  # each piece holds u_(top - 1) and no higher jet
+        span = _add_dx(rest, piece, -1)
+    for (m, e), c in rest.items():  # jet-free: termwise in x
+        n = m & _MASK
+        result[m + 1, e] = _exact(Fraction(c, n + 1)) if n else c
+    _checked(_span(result))
+    return DiffPoly._from_flat(result, P.eps_order)
+
+
+def _obstruction(P: DiffPoly) -> DiffPoly:
+    """euler(P), which is zero exactly when P is a total x-derivative, with
+    that verdict decided by integrate_x: the Euler derivative is built only
+    when the descent fails, or when its antiderivative would pass the
+    exponent cap."""
+    try:
+        integrate_x(P)
+    except NotExact as err:
+        return err.obstruction
+    except ResourceLimit:
+        return euler(P)
+    return DiffPoly.zero(P.eps_order)

@@ -15,8 +15,8 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (_JETS, DiffPoly, EvolutionSystem, Functional, _accumulate,
-                   _checked, _degree, _dot, _dx_tower, _exact, _monomial_order,
-                   _span, _u, _unpack, diff_partial, dt_total, euler,
+                   _checked, _degree, _dot, _dx_tower, _exact, _jet_partials,
+                   _monomial_order, _span, _u, _unpack, dt_total, euler,
                    integrate_x)
 from .ring import EpsPoly
 
@@ -361,8 +361,7 @@ def op_time_derivative(A: PseudoDiffOp, sys: EvolutionSystem) -> PseudoDiffOp:
 
 def frechet(P: DiffPoly) -> PseudoDiffOp:
     """The linearization sum_k (dP/du_k) Dx^k as a local operator."""
-    local = {k: diff_partial(P, k) for k in sorted(P.jet_vars())}
-    return PseudoDiffOp(local, (), P.eps_order)
+    return PseudoDiffOp(_jet_partials(P), (), P.eps_order)
 
 
 def _homotopy_density(g: DiffPoly) -> DiffPoly:

@@ -449,6 +449,21 @@ def test_hierarchy_through_a_nonlocal_first_operator(capsys, tmp_path):
     assert checks["symmetry K[2]"]["residual"] == "-1"
 
 
+def test_hierarchy_inverts_through_dxi(capsys, tmp_path):
+    # Dxi(u_xx) = u_x, so the seed Q1 inverts to u*u_xx/2; Gardner's flow K[1]
+    # then has no preimage among the monomials on which Dxi acts
+    model = tmp_path / "gardner_di.jf"
+    model.write_text(GARDNER_SOURCE + "operator Di { Dxi }\n")
+    code, out, err = run(capsys, "hierarchy", str(model), "--op", "R",
+                         "--seed", "Q1", "--steps", "1", "--dop", "Di",
+                         "--format", "json")
+    assert code == 1
+    assert err == ""
+    hierarchy = json.loads(out)["checks"][0]["certificates"]["hierarchy"]
+    assert hierarchy["functionals"] == ["1/2*u*u_xx"]
+    assert hierarchy["stopped_at"]["index"] == 1
+
+
 def test_validate_numeric_caps_exit_3(capsys):
     # t_end / dt of the last overflows to inf
     for args in (("--t-end", "1e9"), ("--points", str(2 * MAX_POINTS)),
@@ -604,16 +619,16 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
     assert bad["residual"] == "-3*eps*u_x*u_xx"
 
 
-# Byte-exact stdout of eleven commands, one per code path that a change of
+# Byte-exact stdout of twelve commands, one per code path that a change of
 # representation could reorder or reformat: a hierarchy (JSON), the ansatz
 # Noether inversion (LaTeX) and the multivector pair check (text), plus a
 # seven-step hierarchy (JSON, 28 involution pairs and 28 commutations) that
 # pins the pairwise checks at depth, the ten-step hierarchy at the step cap
 # (JSON, 199 checks, flow jet orders 3 to 23), a four-step hierarchy whose
 # functionals the ansatz finds through the second structure E (JSON), the
-# unbarred hierarchy of the Rt model at eps orders 1 and 3 (JSON), and the
-# canonical text of the two built-in models and the Rt model, which pins
-# their model hashes.
+# unbarred hierarchy of the Rt model at eps order 1 to steps 6 and 7 and at
+# eps order 3 (JSON), and the canonical text of the two built-in models and
+# the Rt model, which pins their model hashes.
 # Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
@@ -639,6 +654,11 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
       "Q1", "--steps", "6", "--dop", "D", "--format", "json"]),
+    # one step deeper: 109 checks, whose nonzero involution densities are
+    # decided by integration
+    ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps7.json",
+     ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
+      "Q1", "--steps", "7", "--dop", "D", "--format", "json"]),
     # the Rt hierarchy in Q[eps]/(eps^4): every product keeps eps^2, eps^3
     ("hierarchy_gardner_Rt_eps3_Rt_Q1_steps4.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_eps3.jf"), "--op", "Rt", "--seed",
@@ -650,7 +670,8 @@ DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
      ["print", str(Path(__file__).parent / "models" / "gardner_Rt.jf")]),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
-        "hierarchy-Rt-json", "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
+        "hierarchy-Rt-json", "hierarchy-Rt-steps7-json",
+        "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
         "print-gardner-Rt"])
 def test_golden_stdout(capsys, name, argv):
     code, out, _ = run(capsys, *argv)

@@ -1,7 +1,8 @@
 """Values and whole models survive copy.copy, copy.deepcopy and pickle.
 
 The value classes block attribute assignment, so each rebuilds itself
-through its constructor on a copy; a kept D_x is not carried over.
+through its constructor on a copy; a kept D_x or kept partials are not
+carried over.
 """
 
 import copy
@@ -10,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from jetflow import (EpsPoly, MultiVector, dx_total, format_eps_poly,
-                     format_operator, format_poly, print_model)
+from jetflow import (EpsPoly, MultiVector, diff_partial, dx_total, euler1,
+                     format_eps_poly, format_operator, format_poly,
+                     print_model)
 
 COPIES = {
     "copy": copy.copy,
@@ -34,12 +36,13 @@ def test_eps_poly(duplicate):
 
 def test_diff_poly_leaves_its_kept_derivative_behind(duplicate, gardner_sys):
     K = gardner_sys.rhs
-    DK = dx_total(K)
+    DK, dK, EK = dx_total(K), diff_partial(K, 1), euler1(K)
     copied = duplicate(K)
     assert copied == K and format_poly(copied) == format_poly(K)
     assert copied.eps_order == K.eps_order
-    assert not hasattr(copied, "_dx")
+    assert not hasattr(copied, "_dx") and not hasattr(copied, "_dp")
     assert dx_total(copied) == DK
+    assert diff_partial(copied, 1) == dK and euler1(copied) == EK
 
 
 @pytest.mark.parametrize("name", ["D", "E", "R"])

@@ -104,6 +104,14 @@ def test_solve_operator_equation_unsolvable(v, gardner):
     assert solve_operator_equation(E, v.x) is None
 
 
+def test_solve_operator_equation_through_dxi(v):
+    # a preimage under an operator with no local part has one jet order
+    # more than the image: Dxi(u_xx) = u_x
+    Dxi = PseudoDiffOp.dxi(1)
+    assert solve_operator_equation(Dxi, v.u1) == v.u2
+    assert solve_operator_equation(Dxi, v.eps * v.u3) == v.eps * v.u4
+
+
 def test_hierarchy_step_cap(gardner, gardner_sys, monkeypatch):
     R, D = gardner.operators["R"], gardner.operators["D"]
     seed = gardner.characteristics["Kbar1"]

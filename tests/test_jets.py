@@ -11,7 +11,7 @@ from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
                      helmholtz_selfadjoint, integrate_x, prolong_apply,
                      reconstruct_density, adjoint, apply_op, frechet,
                      noether_inverse, solve_operator_equation)
-from jetflow.jets import _MAX_EXPONENT, _dx_tower
+from jetflow.jets import _MAX_EXPONENT, _dx_tower, _jet_partials
 
 from conftest import diff_polys, stored_terms
 
@@ -91,6 +91,18 @@ def test_dx_total_is_kept_on_the_polynomial(v):
         with pytest.raises(ResourceLimit):
             dx_total(P)
         assert not hasattr(P, "_dx")
+
+
+def test_partials_are_kept_on_the_polynomial(v):
+    K = gardner_rhs(v)
+    partials = _jet_partials(K)
+    assert list(partials) == [0, 1, 3]
+    assert _jet_partials(K) is partials
+    assert diff_partial(K, 1) is partials[1]
+    assert diff_partial(K, 2).is_zero() and diff_partial(K, 9).is_zero()
+    assert partials[0] == 6 * v.u1 + 12 * v.eps * v.u * v.u1
+    fresh = gardner_rhs(v)
+    assert not hasattr(fresh, "_dp") and K == fresh
 
 
 def test_dx_total_n(v):
@@ -233,6 +245,76 @@ def test_euler_matches_alternating_sum_oracle(p):
         term = dx_total_n(diff_partial(p, k), k)
         expected = expected + (-term if k % 2 else term)
     assert euler1(p) == expected
+
+
+def _termwise_partial(P, k):
+    """dP/du_k term by term, as a {(Monomial, eps degree): value} map."""
+    out = {}
+    for (mon, e), c in stored_terms(P).items():
+        jets = dict(mon.jets)
+        n = jets.pop(k, 0)
+        if n:
+            if n > 1:
+                jets[k] = n - 1
+            out[Monomial(mon.x, mon.t, tuple(sorted(jets.items()))), e] = c * n
+    return out
+
+
+def _from_stored(stored, p):
+    """The DiffPoly of a {(Monomial, eps degree): value} map at order p."""
+    grouped = {}
+    for (mon, e), c in stored.items():
+        grouped.setdefault(mon, [0] * (p + 1))[e] = c
+    return DiffPoly({mon: EpsPoly(cs, order=p) for mon, cs in grouped.items()},
+                    p)
+
+
+@st.composite
+def _exact_or_not(draw):
+    """A polynomial at an order p in 0..3 with eps factors: the D_x of one,
+    plus, half the time, another that holds a jet and is rarely exact."""
+    p = draw(st.integers(0, 3))
+    eps = Context(eps_order=p).eps
+
+    def drawn(polys):
+        return draw(polys) * eps ** draw(st.integers(0, p))
+
+    P = dx_total(drawn(diff_polys(order=p)))
+    if draw(st.booleans()):
+        P = P + drawn(diff_polys(with_xt=False, order=p)
+                      .filter(lambda q: q.max_jet_order() >= 0))
+    return P
+
+
+# ker E = im D_x (Olver, Applications of Lie Groups to Differential
+# Equations, 2nd ed., Theorem 4.7): integration and the Euler operator
+# decide exactness alike, and the obstruction is the Euler derivative.
+@settings(max_examples=200, deadline=None)
+@given(_exact_or_not())
+def test_integration_decides_exactness_as_euler_does(P):
+    E = euler1(P)
+    try:
+        F = integrate_x(P)
+    except NotExact as err:
+        assert not E.is_zero()
+        assert err.obstruction == E
+    else:
+        assert E.is_zero()
+        assert dx_total(F) == P
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_or_not())
+def test_euler_and_kept_partials_match_termwise_references(P):
+    p = P.eps_order
+    expected = DiffPoly.zero(p)
+    for k in _jet_orders(P):
+        partial = _termwise_partial(P, k)
+        assert stored_terms(_jet_partials(P)[k]) == partial
+        term = dx_total_n(_from_stored(partial, p), k)
+        expected = expected + (-term if k % 2 else term)
+    assert list(_jet_partials(P)) == _jet_orders(P)
+    assert euler1(P) == expected
 
 
 def _valuation(P):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetflow import (Context, DiffPoly, EpsPoly, Monomial, PseudoDiffOp,
-                     apply_op, diff_partial, dx_total, euler1, format_poly,
-                     integrate_x, parse_model, prolong_apply)
+from jetflow import (Context, DiffPoly, EpsPoly, Functional, Monomial,
+                     PseudoDiffOp, apply_op, diff_partial, dx_total, euler1,
+                     format_poly, integrate_x, parse_model, prolong_apply)
 from jetflow.errors import ResourceLimit
 from jetflow.jets import _dot, _dx_monomial, _pack, _unpack
 
@@ -224,6 +224,21 @@ def test_a_raised_field_past_the_cap_raises():
     with pytest.raises(ResourceLimit):
         integrate_x(x_top)
     assert integrate_x(ctx.x ** 3) == ctx.x ** 4 / 4
+
+
+def test_a_raised_jet_field_past_the_cap_raises():
+    top = 2 ** 16 - 1
+    cap = f"^an exponent exceeds the cap {top}$"
+    # the piece of u^top*u_x is u^(top + 1)/(top + 1)
+    with pytest.raises(ResourceLimit, match=cap):
+        integrate_x(power_of(0, top, ((1, 1),)))
+    # euler(u*u_x^top*u_xx) takes D_x of d/du_xx = u*u_x^top, which holds
+    # u_x^(top + 1)
+    with pytest.raises(ResourceLimit, match=cap):
+        euler1(power_of(0, 1, ((1, top), (2, 1))))
+    # u^top*u_x is a total derivative, and its Euler derivative, which
+    # takes no antiderivative, says so
+    assert Functional(power_of(0, top, ((1, 1),))).is_null()
 
 
 def test_two_of_the_largest_declared_powers_multiply():
