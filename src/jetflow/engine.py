@@ -67,6 +67,11 @@ NONDEGENERACY_ASSUMPTION = ("the first Hamiltonian operator is assumed "
                             "approximately nondegenerate (recorded, not checked)")
 
 
+def _verdict(name: str, residual) -> CheckReport:
+    """The report of a check that passes exactly when `residual` is zero."""
+    return CheckReport(name, residual.is_zero(), residual)
+
+
 # ---------------------------------------------------------------------------
 # Symmetries and conservation laws
 
@@ -77,8 +82,7 @@ def check_symmetry(Q: DiffPoly, sys: EvolutionSystem, name: str = "symmetry") ->
     The residual is dQ/dt + D_Q(K) - D_K(Q); it vanishes modulo eps^(p+1)
     exactly when v_Q is an approximate symmetry.
     """
-    residual = dt_total(Q, sys) - prolong_apply(Q, sys.rhs)
-    return CheckReport(name, residual.is_zero(), residual)
+    return _verdict(name, dt_total(Q, sys) - prolong_apply(Q, sys.rhs))
 
 
 def check_conservation(T: Functional, sys: EvolutionSystem,
@@ -345,11 +349,8 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
             continue
         g = DiffPoly._from_flat({basis[i]: _exact(v)
                                  for i, v in solution.items() if v}, p)
-        try:
-            if apply_op(D, g) == Q:
-                return g
-        except NotExact:
-            pass
+        if apply_op(D, g) == Q:
+            return g
     return None
 
 
@@ -399,8 +400,8 @@ def check_recursion_operator(R: PseudoDiffOp, sys: EvolutionSystem,
     K = sys.rhs
     if mode == "operator":
         # frechet(K) is local, so the commutator always closes
-        residual = op_time_derivative(R, sys) - commutator(frechet(K), R)
-        return CheckReport("recursion(operator)", residual.is_zero(), residual)
+        return _verdict("recursion(operator)",
+                        op_time_derivative(R, sys) - commutator(frechet(K), R))
     if mode == "action":
         if not seeds:
             raise ValueError("action mode needs at least one seed characteristic")
@@ -425,14 +426,16 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     """Iterate K_i = R(K_{i-1}) from the seed, producing functionals along
     the way and verifying the expected structure.
 
-    Each flow is checked to be a symmetry and each functional a conservation
-    law; produced functionals are checked to be pairwise in involution under
-    both brackets, each by integrating the bracket density, whose Euler
+    One pass over i = 0..steps builds flow K_i (the seed at i = 0), checks
+    it is a symmetry, inverts it through D to the functional H_i, checks
+    that H_i is conserved and that D(delta H_i) regenerates K_i.  The first
+    failure stops the pass: R(K_{i-1}) not exact, or K_i with no
+    variational preimage, is recorded in `stopped_at` as (i, obstruction).
+    Then the functionals are checked pairwise for involution under both
+    brackets, each by integrating the bracket density, whose Euler
     derivative is built only as the residual of a failing pair, and the
-    flows to commute pairwise.  A failed inversion or a non-exact
-    application stops the iteration and is recorded in
-    `stopped_at` together with its obstruction.  A seed that is not a
-    symmetry raises NotASymmetry carrying its residual.
+    flows for pairwise commutation.  A seed that is not a symmetry raises
+    NotASymmetry carrying its residual.
 
     Every derived quantity is computed once.  Each flow's D_x derivatives
     are kept on the flow by dx_total, so the symmetry and commutation
@@ -441,12 +444,11 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
     delta H_j is the preimage the inversion solved for (reconstructing H_j
     proved that its Euler derivative equals it), and its image
     ``d_images[j]`` = D(delta H_j) is kept too, so {H_i, H_j}_D has density
-    grads[i] * d_images[j].
-    The second bracket's image (R*D)(delta H_j) is built the first time a
-    pair needs it; when it is not exact, each pair that needs it fails with
-    the obstruction as its residual.  A negative `steps` is a ValueError,
-    and more than MAX_HIERARCHY_STEPS steps raise ResourceLimit, both
-    before any work.
+    grads[i] * d_images[j].  When R*D closes, the second bracket's image
+    (R*D)(delta H_j) is built once per j >= 1 before the pair checks; where
+    it is not exact, each pair {H_i, H_j}_E fails with the obstruction as
+    its residual.  A negative `steps` is a ValueError, and more than
+    MAX_HIERARCHY_STEPS steps raise ResourceLimit, both before any work.
     """
     if steps < 0:
         raise ValueError(f"hierarchy steps must be non-negative, got {steps}")
@@ -458,39 +460,15 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
         raise NotASymmetry("hierarchy seed is not an approximate symmetry",
                            seed_report.residual)
     reports: List[CheckReport] = [seed_report]
-    flows = [seed]
+    flows, K = [seed], seed
     functionals: List[Functional] = []
     grads: List[DiffPoly] = []
     d_images: List[DiffPoly] = []
     stopped_at = None
-
-    second_op = None
-    try:
-        second_op = compose(R, D)
-    except ClosureError:
-        pass  # second bracket unavailable; involution runs on D only
-
-    def invert(K: DiffPoly, index: int) -> bool:
-        nonlocal stopped_at
-        try:
-            g, H = _noether_pair(K, D)
-        except (NotInImage, NotVariational) as err:
-            stopped_at = (index, err.obstruction)
-            return False
-        H.name = f"H[{index}]"
-        functionals.append(H)
-        reports.append(check_conservation(H, sys, f"conservation H[{index}]"))
-        grads.append(g)
-        regen = apply_op(D, g)
-        d_images.append(regen)
-        reports.append(CheckReport(f"D(delta H[{index}]) == K[{index}]",
-                                   regen == K, regen - K))
-        return True
-
-    if invert(seed, 0):
-        for i in range(1, steps + 1):
+    for i in range(steps + 1):
+        if i:
             try:
-                K = apply_op(R, flows[-1])
+                K = apply_op(R, K)
             except NotExact as err:
                 stopped_at = (i, err.obstruction)
                 break
@@ -500,31 +478,38 @@ def generate_hierarchy(R: PseudoDiffOp, seed: DiffPoly, steps: int,
                 )
             flows.append(K)
             reports.append(check_symmetry(K, sys, f"symmetry K[{i}]"))
-            if not invert(K, i):
-                break
+        try:
+            g, H = _noether_pair(K, D)
+        except (NotInImage, NotVariational) as err:
+            stopped_at = (i, err.obstruction)
+            break
+        H.name = f"H[{i}]"
+        functionals.append(H)
+        reports.append(check_conservation(H, sys, f"conservation H[{i}]"))
+        grads.append(g)
+        d_images.append(apply_op(D, g))
+        reports.append(_verdict(f"D(delta H[{i}]) == K[{i}]", d_images[-1] - K))
 
-    e_images: dict = {}  # j -> (R*D)(grads[j]), or the NotExact it raised
-
-    def involution_e(i: int, j: int) -> CheckReport:
-        if j not in e_images:
-            try:
-                e_images[j] = apply_op(second_op, grads[j])
-            except NotExact as err:
-                e_images[j] = err
-        image, name = e_images[j], f"involution_E {{H[{i}],H[{j}]}}"
-        if isinstance(image, NotExact):
-            return CheckReport(name, False, image.obstruction)
-        return involution(name, grads[i] * image)
-
-    def involution(name: str, density: DiffPoly) -> CheckReport:
-        residual = _obstruction(density)
-        return CheckReport(name, residual.is_zero(), residual)
-
+    try:
+        second_op = compose(R, D)
+    except ClosureError:
+        second_op = None  # second bracket unavailable; involution runs on D only
+    # j >= 1 -> ((R*D)(delta H[j]), None), or (None, its obstruction)
+    e_images = {}
+    for j in range(1, len(grads)) if second_op is not None else ():
+        try:
+            e_images[j] = apply_op(second_op, grads[j]), None
+        except NotExact as err:
+            e_images[j] = None, err.obstruction
     for i, j in combinations(range(len(functionals)), 2):
-        reports.append(involution(f"involution_D {{H[{i}],H[{j}]}}",
-                                  grads[i] * d_images[j]))
+        pair = f"{{H[{i}],H[{j}]}}"
+        reports.append(_verdict(f"involution_D {pair}",
+                                _obstruction(grads[i] * d_images[j])))
         if second_op is not None:
-            reports.append(involution_e(i, j))
+            image, obstruction = e_images[j]
+            reports.append(_verdict(f"involution_E {pair}", obstruction
+                                    if image is None
+                                    else _obstruction(grads[i] * image)))
     for i, j in combinations(range(len(flows)), 2):
         reports.append(check_symmetry(flows[i], EvolutionSystem(flows[j]),
                                       f"commutation [v[{i}],v[{j}]]"))

@@ -11,6 +11,7 @@ respect to theta vanishes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Mapping, Tuple
 
 from .errors import NotExact, Unsupported
@@ -24,19 +25,12 @@ WedgeKey = Tuple[Monomial, Tuple[int, ...]]
 
 
 def _sort_wedge(orders):
-    """Sort theta jet orders, returning (sign, sorted tuple); repeated -> 0."""
-    orders = list(orders)
-    sign = 1
-    for i in range(1, len(orders)):
-        j = i
-        while j > 0 and orders[j - 1] > orders[j]:
-            orders[j - 1], orders[j] = orders[j], orders[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(orders, orders[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(orders)
+    """Sort theta jet orders, returning (sign, sorted tuple), the sign being
+    the parity of the inversions; repeated orders give (0, ())."""
+    ordered = tuple(sorted(orders))
+    if len(set(ordered)) < len(ordered):
+        return 0, ()
+    return (-1) ** sum(a > b for a, b in combinations(orders, 2)), ordered
 
 
 class MultiVector:

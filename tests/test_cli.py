@@ -628,54 +628,75 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
 # functionals the ansatz finds through the second structure E (JSON), the
 # unbarred hierarchy of the Rt model at eps order 1 to steps 6 and 7 and at
 # eps order 3 (JSON), and the canonical text of the two built-in models and
-# the Rt model, which pins their model hashes.
+# the Rt model, which pins their model hashes.  Four more hierarchies exit 1,
+# one per way the iteration ends in failure: an inversion at index 0 through
+# D, a flow K[1] with no preimage through D (both JSON), R of a flow that is
+# not exact (LaTeX), and a run that does not stop but fails a symmetry and
+# the second bracket's involution (text, which pins its `hierarchy:` line).
 # Replace a file only for an intended change of the CLI output.
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
                 "--steps", "4", "--dop", "E", "--format", "json"]
 
 
-@pytest.mark.parametrize("name, argv", [
+def stop_path(seed, steps, dop, fmt):
+    return ["hierarchy", "gardner", "--op", "R", "--seed", seed, "--steps",
+            str(steps), "--dop", dop, "--format", fmt]
+
+
+@pytest.mark.parametrize("name, argv, exit_code", [
     ("hierarchy_gardner_R_Kbar1_steps4.json",
      ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1", "--steps", "4",
-      "--dop", "D", "--format", "json"]),
+      "--dop", "D", "--format", "json"], 0),
     ("noether_gardner_Q2_E.tex",
-     ["noether", "gardner", "--char", "Q2", "--op", "E", "--format", "latex"]),
+     ["noether", "gardner", "--char", "Q2", "--op", "E", "--format", "latex"],
+     0),
     ("check_pair_gardner_D_E.txt",
-     ["check-pair", "gardner", "--op1", "D", "--op2", "E", "--format", "text"]),
+     ["check-pair", "gardner", "--op1", "D", "--op2", "E", "--format", "text"],
+     0),
     ("hierarchy_gardner_jet24_R_Kbar1_steps7.json",
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
-      "Kbar1", "--steps", "7", "--dop", "D", "--format", "json"]),
+      "Kbar1", "--steps", "7", "--dop", "D", "--format", "json"], 0),
     ("hierarchy_gardner_jet24_R_Kbar1_steps10.json",
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
-      "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"]),
-    ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4),
+      "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"], 0),
+    ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4, 0),
     # the unbarred hierarchy: O(1) flows, so every pair check multiplies
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
-      "Q1", "--steps", "6", "--dop", "D", "--format", "json"]),
+      "Q1", "--steps", "6", "--dop", "D", "--format", "json"], 0),
     # one step deeper: 109 checks, whose nonzero involution densities are
     # decided by integration
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps7.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
-      "Q1", "--steps", "7", "--dop", "D", "--format", "json"]),
+      "Q1", "--steps", "7", "--dop", "D", "--format", "json"], 0),
     # the Rt hierarchy in Q[eps]/(eps^4): every product keeps eps^2, eps^3
     ("hierarchy_gardner_Rt_eps3_Rt_Q1_steps4.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_eps3.jf"), "--op", "Rt", "--seed",
-      "Q1", "--steps", "4", "--dop", "D", "--format", "json"]),
+      "Q1", "--steps", "4", "--dop", "D", "--format", "json"], 0),
     # the canonical text of each model, which its model hash is taken of
-    ("print_gardner.txt", ["print", "gardner"]),
-    ("print_potential_burgers.txt", ["print", "potential_burgers"]),
+    ("print_gardner.txt", ["print", "gardner"], 0),
+    ("print_potential_burgers.txt", ["print", "potential_burgers"], 0),
     ("print_gardner_Rt.txt",
-     ["print", str(Path(__file__).parent / "models" / "gardner_Rt.jf")]),
+     ["print", str(Path(__file__).parent / "models" / "gardner_Rt.jf")], 0),
+    # the stop paths: Q3 stops at index 0 (obstruction -2*eps), Q2 at index
+    # 1 (9*eps*u_x*u_xx), Q7 where R(K[0]) is not exact (eps); Q2 through E
+    # runs on, and involution_E {H[0],H[1]} fails with -3*eps*u_x*u_xx
+    ("hierarchy_gardner_R_Q3_steps2.json", stop_path("Q3", 2, "D", "json"), 1),
+    ("hierarchy_gardner_R_Q2_steps2.json", stop_path("Q2", 2, "D", "json"), 1),
+    ("hierarchy_gardner_R_Q7_steps2_dopE.tex",
+     stop_path("Q7", 2, "E", "latex"), 1),
+    ("hierarchy_gardner_R_Q2_steps1_dopE.txt",
+     stop_path("Q2", 1, "E", "text"), 1),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
         "hierarchy-Rt-json", "hierarchy-Rt-steps7-json",
         "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
-        "print-gardner-Rt"])
-def test_golden_stdout(capsys, name, argv):
+        "print-gardner-Rt", "stop-index0-json", "stop-index1-json",
+        "stop-not-exact-latex", "involution-e-fails-text"])
+def test_golden_stdout(capsys, name, argv, exit_code):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == exit_code
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 

@@ -376,3 +376,22 @@ def test_hierarchy_tower_reuse_with_failing_checks(v):
                  if r.name.startswith(("symmetry", "commutation"))]
     assert sum(not r.is_zero() for r in residuals) == 9
     _assert_reports_match_fresh_checks(result, sys)
+
+
+def test_reports_compare_field_wise_and_show_their_fields(v):
+    report = engine.CheckReport("seed symmetry", True, v.u1, {"flux": v.u})
+    assert report == engine.CheckReport("seed symmetry", True, v.u1,
+                                        {"flux": v.u})
+    assert report != engine.CheckReport("seed symmetry", False, v.u1,
+                                        {"flux": v.u})
+    assert report != engine.CheckReport("seed symmetry", True, v.u1)
+    assert repr(report) == (f"CheckReport(name='seed symmetry', passed=True, "
+                            f"residual={v.u1!r}, certificates={{'flux': "
+                            f"{v.u!r}}})")
+    result = engine.HierarchyResult([v.u1], [], (0, v.eps), [report])
+    assert result == engine.HierarchyResult([v.u1], [], (0, v.eps), [report])
+    assert result != engine.HierarchyResult([v.u1], [], None, [report])
+    assert result != report
+    assert repr(result) == (f"HierarchyResult(flows=[{v.u1!r}], "
+                            f"functionals=[], stopped_at=(0, {v.eps!r}), "
+                            f"reports=[{report!r}], assumptions=())")

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem, Functional,
                      flow_derivative_identity, ham_vector_field,
                      in_involution, is_distinguished, is_skew_adjoint,
                      pair_check, poisson_bracket)
+from jetflow.hamiltonian import _sort_wedge
 
 from conftest import (diff_polys, eps_polys, monomials, multivectors,
                       rationals, skew_ops)
@@ -20,6 +23,30 @@ def v(ctx):
         one = ctx.one
         Dx = PseudoDiffOp.dx(1)
     return V
+
+
+def _cycle_sign(orders):
+    """The sign of the permutation that sorts distinct `orders`, as
+    (-1)^(length - number of cycles) of that permutation."""
+    perm = sorted(range(len(orders)), key=orders.__getitem__)
+    seen, cycles = set(), 0
+    for start in perm:
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return (-1) ** (len(orders) - cycles)
+
+
+def test_sort_wedge_sign_is_the_sorting_permutation_parity():
+    for length in range(5):
+        for orders in product(range(5), repeat=length):
+            if len(set(orders)) < length:
+                assert _sort_wedge(orders) == (0, ())
+            else:
+                assert _sort_wedge(orders) == (_cycle_sign(orders),
+                                               tuple(sorted(orders)))
 
 
 def test_is_skew_adjoint(v, gardner):

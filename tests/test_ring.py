@@ -47,6 +47,15 @@ def test_scalar_coercion_and_division():
     assert a / 2 == ep(Fraction(1, 2), 1)
 
 
+def test_lowest_coefficient_and_reflected_subtraction():
+    assert EpsPoly((0, 3, 5)).lowest_coefficient() == 3
+    assert ep(Fraction(-1, 2), 2).lowest_coefficient() == Fraction(-1, 2)
+    assert EpsPoly.zero(2).lowest_coefficient() == 0
+    assert 1 - ep(1, 2) == ep(0, -2)
+    assert Fraction(1, 3) - EpsPoly((0, 0, 1)) == EpsPoly((Fraction(1, 3), 0, -1))
+    assert 1 - EpsPoly.zero(0) == EpsPoly.one(0)
+
+
 def test_eps_constructor_beyond_order_is_zero():
     assert EpsPoly.eps(1, power=2).is_zero()
     assert EpsPoly.eps(2, power=2) == EpsPoly((0, 0, 1))
