@@ -25,11 +25,11 @@ character outside a comment is a ParseError.
 Tokens carry their character offset only; the line and column that an
 error reports are counted from the offset when the error is raised.  Most
 products skip the general algebra: a product of atoms folds into one term,
-a function times an operator scales the operator's coefficients (the first
-case of ``operators.compose``), and a power of ``Dx^j`` or of a term of
-coefficient 1 or -1 is built in one step; any other product of polynomials
-is ``DiffPoly.__mul__``.  Each counts against the caps exactly what
-the general product would, so every cap raises at the same product.
+and a power of ``Dx^j`` or of a term of coefficient 1 or -1 is built in one
+step.  A function times an operator is composed by the Leibniz loop of
+``operators.compose``, and any other product of polynomials is
+``DiffPoly.__mul__``.  Each counts against the caps exactly what the
+general product would, so every cap raises at the same product.
 """
 
 from __future__ import annotations
@@ -484,8 +484,8 @@ class _Parser:
                  at: Optional[tuple] = None) -> Value:
         """left * right, counted; a composition that leaves the class is a
         ParseError at `at`, by default the current token.  A term times a
-        term is one term, and a function times an operator scales the
-        operator's coefficients (see operators.compose)."""
+        term is one term; a function times an operator is composed by the
+        Leibniz loop of operators.compose."""
         self.count(_size(left) * _size(right), _bits(left) + _bits(right))
         if type(left) is tuple and type(right) is tuple:
             (c, m, e), (c2, m2, e2) = left, right

@@ -395,7 +395,9 @@ def check_recursion_operator(R: PseudoDiffOp, sys: EvolutionSystem,
 
     In operator mode the commutator identity R_t = [D_K, R] is tested as an
     operator equation; in action mode each seed characteristic is mapped
-    through R and the image is checked to be a symmetry.
+    through R and the seed and its image are checked to be symmetries.  A
+    seed whose image is not exact stops the action check there: the report
+    fails with the NotExact obstruction and keeps the images before it.
     """
     K = sys.rhs
     if mode == "operator":
@@ -405,11 +407,17 @@ def check_recursion_operator(R: PseudoDiffOp, sys: EvolutionSystem,
     if mode == "action":
         if not seeds:
             raise ValueError("action mode needs at least one seed characteristic")
-        images = [apply_op(R, seed) for seed in seeds]
-        failed = [r.residual for i, pair in enumerate(zip(seeds, images))
-                  for r in (check_symmetry(pair[0], sys, f"seed[{i}]"),
-                            check_symmetry(pair[1], sys, f"R(seed[{i}])"))
-                  if not r.passed]
+        images, failed = [], []
+        for i, seed in enumerate(seeds):
+            try:
+                images.append(apply_op(R, seed))
+            except NotExact as err:
+                failed.append(err.obstruction)
+                break
+            failed += [r.residual for r in (
+                check_symmetry(seed, sys, f"seed[{i}]"),
+                check_symmetry(images[-1], sys, f"R(seed[{i}])"))
+                if not r.passed]
         return CheckReport("recursion(action)", not failed,
                            failed[0] if failed else DiffPoly.zero(R.eps_order),
                            {"images": images})

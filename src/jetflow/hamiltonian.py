@@ -19,7 +19,7 @@ from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
                    diff_partial, dx_total, euler1, prolong_apply)
 from .operators import (PseudoDiffOp, _derive_coefficients, adjoint,
                         apply_op, compose, frechet)
-from .ring import EpsPoly
+from .ring import EpsPoly, _Frozen
 
 WedgeKey = Tuple[Monomial, Tuple[int, ...]]
 
@@ -33,7 +33,7 @@ def _sort_wedge(orders):
     return (-1) ** sum(a > b for a, b in combinations(orders, 2)), ordered
 
 
-class MultiVector:
+class MultiVector(_Frozen):
     """A functional multivector: sum of f[u] * theta_{k1} ^ ... ^ theta_{kg}.
 
     Stored as a map {wedge: DiffPoly} holding one nonzero coefficient
@@ -69,9 +69,6 @@ class MultiVector:
                                             if not P.is_zero()})
         object.__setattr__(self, "eps_order", eps_order)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiVector is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through _summed, not the blocked setattr

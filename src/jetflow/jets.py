@@ -3,8 +3,9 @@
 A jet variable is an int k, the k-th x-derivative of the dependent variable
 u (``u_0 = u``, ``u_1 = u_x``, ...).  A :class:`DiffPoly` is a finite sum
 of monomials in ``x``, ``t`` and jet variables with coefficients in
-Q[eps]/(eps^(p+1)).  Total derivatives, the Euler operator, prolongation
-and formal integration all live here.
+Q[eps]/(eps^(p+1)).  Total derivatives, the Euler operator and the
+homotopy density that inverts it, prolongation and formal integration all
+live here.
 
 Coefficients are stored flat: a polynomial is one map ``{(m, e): c}`` from
 a packed monomial m and an eps degree e <= p to a nonzero rational c.  A
@@ -50,7 +51,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .errors import NotExact, OrderMismatch, ResourceLimit
-from .ring import EpsPoly, _as_fraction
+from .ring import EpsPoly, _Frozen, _as_fraction
 
 JetVar = int  # number of x-derivatives of u
 
@@ -185,7 +186,7 @@ def _dot(pairs, p: int) -> DiffPoly:
     return DiffPoly._from_flat(flat, p)
 
 
-class DiffPoly:
+class DiffPoly(_Frozen):
     """A differential polynomial with coefficients in Q[eps]/(eps^(p+1)).
 
     Treated as immutable: every operation returns a new value, and equality
@@ -222,9 +223,6 @@ class DiffPoly:
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "eps_order", eps_order)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffPoly is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild the terms only; a kept D_x and kept
@@ -597,6 +595,15 @@ def euler(P: DiffPoly) -> DiffPoly:
 
 
 euler1 = euler  # public alias
+
+
+def _homotopy_density(g: DiffPoly) -> DiffPoly:
+    """h = int_0^1 u*g[lambda*u] d(lambda), termwise u*m/(jet degree of m + 1)."""
+    u = _u(0)
+    flat = {(m + u, e): _exact(Fraction(c, _degree(m >> _JETS) + 1))
+            for (m, e), c in g._flat.items()}
+    _checked(_span(flat))
+    return DiffPoly._from_flat(flat, g.eps_order)
 
 
 def _valuation(P: DiffPoly) -> int:

@@ -14,11 +14,11 @@ from math import comb
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
-from .jets import (_JETS, DiffPoly, EvolutionSystem, Functional, _accumulate,
-                   _checked, _degree, _dot, _dx_tower, _exact, _jet_partials,
-                   _monomial_order, _span, _u, _unpack, dt_total, euler,
+from .jets import (DiffPoly, EvolutionSystem, Functional, _accumulate, _dot,
+                   _dx_tower, _exact, _homotopy_density, _jet_partials,
+                   _monomial_order, _unpack, _valuation, dt_total, euler,
                    integrate_x)
-from .ring import EpsPoly
+from .ring import EpsPoly, _Frozen
 
 
 def _normalize_nonlocal(pairs, eps_order):
@@ -61,7 +61,7 @@ def _ratio(c, lead):
     return _exact(Fraction(c, lead))
 
 
-class PseudoDiffOp:
+class PseudoDiffOp(_Frozen):
     """An operator sum(a_j * Dx^j) + sum(a * Dx^-1 * b), scalar in u."""
 
     __slots__ = ("local_terms", "nonlocal_terms", "eps_order")
@@ -85,9 +85,6 @@ class PseudoDiffOp:
         object.__setattr__(self, "nonlocal_terms",
                            _normalize_nonlocal(nonlocal_terms, eps_order))
         object.__setattr__(self, "eps_order", eps_order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PseudoDiffOp is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked setattr
@@ -240,7 +237,7 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
     tower = _dx_tower(Q, A.max_local_order())
     pairs = [(c, tower[j]) for j, c in A.local_terms.items()]
     for a, b in A.nonlocal_terms:
-        k = min(e for _, e in a._flat)
+        k = _valuation(a)
         pairs.append((_eps_shift(a, -k), integrate_x(_eps_shift(b, k) * Q)))
     return _dot(pairs, Q.eps_order)
 
@@ -297,12 +294,6 @@ def compose(A: PseudoDiffOp, B: PseudoDiffOp) -> PseudoDiffOp:
     """Operator composition A o B inside the representable class."""
     if A.eps_order != B.eps_order:
         raise OrderMismatch("mixed truncation orders")
-    if len(A.local_terms) == 1 and 0 in A.local_terms and not A.nonlocal_terms:
-        # A multiplies by f: what the Leibniz loop below gives for order 0
-        f = A.local_terms[0]
-        return PseudoDiffOp({k: f * b for k, b in B.local_terms.items()},
-                            [(f * c, d) for c, d in B.nonlocal_terms],
-                            A.eps_order)
     if A.nonlocal_terms and B.nonlocal_terms:
         from .printing import format_operator
 
@@ -362,15 +353,6 @@ def op_time_derivative(A: PseudoDiffOp, sys: EvolutionSystem) -> PseudoDiffOp:
 def frechet(P: DiffPoly) -> PseudoDiffOp:
     """The linearization sum_k (dP/du_k) Dx^k as a local operator."""
     return PseudoDiffOp(_jet_partials(P), (), P.eps_order)
-
-
-def _homotopy_density(g: DiffPoly) -> DiffPoly:
-    """h = int_0^1 u*g[lambda*u] d(lambda), termwise u*m/(jet degree of m + 1)."""
-    u = _u(0)
-    flat = {(m + u, e): _exact(Fraction(c, _degree(m >> _JETS) + 1))
-            for (m, e), c in g._flat.items()}
-    _checked(_span(flat))
-    return DiffPoly._from_flat(flat, g.eps_order)
 
 
 def helmholtz_selfadjoint(g: DiffPoly) -> bool:

@@ -9,11 +9,8 @@ arithmetic is exact and arbitrary precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .errors import OrderMismatch
-
-RationalLike = Union[int, Fraction]
 
 
 def _as_fraction(value) -> Fraction:
@@ -24,7 +21,17 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-class EpsPoly:
+class _Frozen:
+    """Base of the immutable value classes: they set their slots through
+    object.__setattr__, and every ordinary assignment raises."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class EpsPoly(_Frozen):
     """A truncated polynomial in eps with Fraction coefficients.
 
     Immutable.  `coeffs[i]` is the coefficient of eps^i; the tuple always has
@@ -83,9 +90,6 @@ class EpsPoly:
             if c != 0:
                 return c
         return Fraction(0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsPoly is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked setattr

@@ -74,6 +74,21 @@ def test_check_recursion_action_mode(capsys):
     assert code == 0
 
 
+def test_action_mode_reports_an_undefined_image(capsys):
+    # R(Q3) is not exact: a failing report (exit 1), not a bare error
+    argv = ("check-recursion", "gardner", "--op", "R", "--system", "gardner",
+            "--mode", "action", "--seeds", "Q3")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert "[FAIL] recursion R on gardner [action]  residual: -2*eps" in out
+    code, out, err = run(capsys, *argv[:-1], "Q1,Q7", "--format", "json")
+    assert (code, err) == (1, "")
+    (check,) = json.loads(out)["checks"]
+    assert check["verdict"] == "fail"
+    assert check["residual"] == "eps"
+    assert check["certificates"]["images"] == ["6*u*u_x + 6*eps*u^2*u_x - u_xxx"]
+
+
 def test_check_pair(capsys):
     code, out, _ = run(capsys, "check-pair", "gardner",
                        "--op1", "D", "--op2", "E")

@@ -228,6 +228,20 @@ def test_fixture_round_trip(name):
         assert (changed == model) == (not getattr(model, table))
 
 
+def test_unknown_fixture_names_the_built_in_models():
+    with pytest.raises(KeyError) as err:
+        load_fixture("nope")
+    assert all(name in str(err.value) for name in ("gardner",
+                                                   "potential_burgers"))
+
+
+def test_keyword_cannot_appear_in_an_expression():
+    with pytest.raises(ParseError) as err:
+        parse_model("char Q = rhs;")
+    assert str(err.value) == ("line 1, column 10: keyword 'rhs' cannot "
+                              "appear in an expression")
+
+
 def test_print_deterministic():
     model = load_fixture("gardner")
     assert print_model(model) == print_model(load_fixture("gardner"))

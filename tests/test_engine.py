@@ -174,6 +174,24 @@ def test_check_recursion_operator_modes(v, burgers, burgers_sys, gardner,
         check_recursion_operator(R, gardner_sys, mode="bogus")
 
 
+def test_action_mode_fails_at_a_seed_whose_image_is_not_exact(v, gardner,
+                                                            gardner_sys):
+    # R(Q3) and R(Q7) are undefined: their products with the nonlocal right
+    # factor are not exact.  The report fails with the NotExact obstruction,
+    # the one the hierarchy stop paths report, and keeps the images before it
+    R = gardner.operators["R"]
+    Q1, Q3, Q7 = (gardner.characteristics[n] for n in ("Q1", "Q3", "Q7"))
+    for seeds, obstruction, images in (
+            ([Q3], -2 * v.eps, []),
+            ([Q1, Q7], v.eps, [gardner_sys.rhs]),
+            ([Q1, Q7, Q3], v.eps, [gardner_sys.rhs])):
+        report = check_recursion_operator(R, gardner_sys, mode="action",
+                                          seeds=seeds)
+        assert not report.passed
+        assert report.residual == obstruction
+        assert report.certificates["images"] == images
+
+
 def test_textbook_gardner_recursion_operator_passes(gardner, gardner_sys):
     # Rt = 4u + 4eps u^2 - Dx^2 + 2u_x Dxi + 4eps u_x Dxi u satisfies
     # R_t = [D_K, R] to O(eps); the fixture's R does not, because its

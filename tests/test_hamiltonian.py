@@ -84,6 +84,8 @@ def test_is_distinguished(v, gardner):
     # (eps/2) * mass generates the nonzero flow Q4 = eps*u_x through E
     assert not is_distinguished(Functional(v.eps / 2 * v.u), E)
     assert ham_vector_field(E, Functional(v.eps / 2 * v.u)) == v.eps * v.u1
+    # Dxi(u) is not exact, so u^2/2 generates no flow through Dxi
+    assert not is_distinguished(Functional(v.u ** 2 / 2), PseudoDiffOp.dxi(1))
 
 
 def test_pair_check(v, gardner):

@@ -328,6 +328,27 @@ def test_evaluator_returns_a_new_array_per_call(gardner_sys):
     assert not np.array_equal(first, second)
 
 
+def test_constant_and_zero_polynomials_evaluate_to_full_arrays():
+    grid = GridSpec(t_end=0.01, dt=1e-3)
+    ctx = Context(1)
+    traj = integrate_pde(EvolutionSystem(ctx.zero), grid,
+                         sech_squared_profile(grid))
+    # a zero right-hand side leaves the profile unchanged
+    assert all(np.array_equal(profile, traj.profiles[0])
+               for profile in traj.profiles)
+    ones = monitor_functional(traj, Functional(ctx.one))
+    assert {row["value"] for row in ones} == {grid.length}
+    zeros = monitor_functional(traj, Functional(ctx.zero))
+    assert {row["value"] for row in zeros} == {0.0}
+
+
+def test_initial_profile_must_match_the_grid(gardner_sys, short_grid):
+    ic = np.zeros(short_grid.points + 1)
+    with pytest.raises(ValueError,
+                       match="^initial profile length must match the grid$"):
+        integrate_pde(gardner_sys, short_grid, ic)
+
+
 def test_initial_profile_must_be_real_and_finite(gardner_sys, short_grid):
     ic = sech_squared_profile(short_grid)
     for bad, what in ((ic + 0j, "real"), (np.where(ic > 1.0, np.nan, ic),

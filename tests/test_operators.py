@@ -318,7 +318,7 @@ def test_compose_application_compatibility(A, B, Q):
 @given(diff_polys(max_terms=2, max_degree=2, max_jet_order=2), nonlocal_ops(),
        diff_polys(max_terms=2, max_degree=2, max_jet_order=2))
 def test_multiplication_operator_composes_like_the_general_case(f, B, Q):
-    # f + Dx is not a multiplication operator, so it takes the Leibniz loop
+    # linear in the left factor, whether or not it has a term of order > 0
     F, Dx = PseudoDiffOp.from_poly(f), PseudoDiffOp.dx(P)
     assert compose(F, B) == compose(F + Dx, B) - compose(Dx, B)
     if B.is_local():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from jetflow import EpsPoly, OrderMismatch
+from jetflow import Context, EpsPoly, MultiVector, OrderMismatch, PseudoDiffOp
 
 from conftest import eps_polys
 
@@ -66,6 +66,20 @@ def test_immutability_and_hash():
     with pytest.raises(AttributeError):
         a.coeffs = ()
     assert hash(a) == hash(ep(1, 2))
+
+
+@pytest.mark.parametrize("value", [
+    EpsPoly((1, 2)),
+    Context(1).u(1) + Context(1).eps,
+    PseudoDiffOp.dx(1, 2),
+    MultiVector.from_poly(Context(1).u(0), (0, 1)),
+], ids=lambda value: type(value).__name__)
+@pytest.mark.parametrize("attribute", ["eps_order", "coeffs", "nonesuch"])
+def test_value_classes_refuse_every_assignment(value, attribute):
+    # DiffPoly, EpsPoly, PseudoDiffOp and MultiVector share one guard
+    with pytest.raises(AttributeError,
+                       match=f"^{type(value).__name__} is immutable$"):
+        setattr(value, attribute, None)
 
 
 @settings(max_examples=300, deadline=None)

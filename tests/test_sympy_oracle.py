@@ -6,6 +6,8 @@ sympy's chain rule, and the Euler operator is
 `sympy.calculus.euler.euler_equations`.  Both maps are linear in eps, so no
 truncation is needed on the sympy side.  The printer is checked by sympy's
 own parser reading the printed text, with each jet as a plain symbol.
+The Hamiltonian-pair check is compared with the Jacobi identity of the
+pencil A + lambda*B, its brackets written out here with sympy.diff.
 """
 
 import re
@@ -13,10 +15,11 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetflow import (DiffPoly, EpsPoly, dx_total, euler1, format_poly,
-                     integrate_x, parse_model, reconstruct_density)
+from jetflow import (Context, DiffPoly, EpsPoly, dx_total, euler1,
+                     format_poly, integrate_x, load_fixture, pair_check,
+                     parse_model, reconstruct_density)
 
-from conftest import diff_polys, stored_terms
+from conftest import P, diff_polys, eps_polys, skew_ops, stored_terms
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -40,6 +43,22 @@ def same(a, b):
     return sympy.expand(a - b) == 0
 
 
+def truncated(expr, p=P):
+    """expr expanded, with every power of eps above p dropped."""
+    expr = sympy.expand(expr)
+    return sum((expr.coeff(EPS, k) * EPS ** k for k in range(p + 1)),
+               sympy.Integer(0))
+
+
+def variational(expr):
+    """The Euler derivative of the density expr by euler_equations."""
+    # sympy drops an equation that folds to a constant, so add shift*u,
+    # whose Euler derivative is the symbol shift
+    shift = sympy.Symbol("shift")
+    (equation,) = euler_equations(expr + shift * U, U, X)
+    return equation.lhs - equation.rhs - shift
+
+
 @settings(max_examples=150, deadline=None)
 @given(diff_polys())
 def test_dx_total_matches_sympy_chain_rule(p):
@@ -49,12 +68,7 @@ def test_dx_total_matches_sympy_chain_rule(p):
 @settings(max_examples=150, deadline=None)
 @given(diff_polys())
 def test_euler_matches_sympy_euler_equations(p):
-    # sympy drops an equation that folds to a constant, so add shift*u,
-    # whose Euler derivative is the symbol shift
-    shift = sympy.Symbol("shift")
-    (equation,) = euler_equations(to_sympy(p) + shift * U, U, X)
-    expected = equation.lhs - equation.rhs - shift
-    assert same(to_sympy(euler1(p)), expected)
+    assert same(to_sympy(euler1(p)), variational(to_sympy(p)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -67,12 +81,9 @@ def test_integrate_x_round_trips_under_sympy_dx(q):
 @settings(max_examples=100, deadline=None)
 @given(diff_polys())
 def test_reconstruct_density_euler_matches_sympy(q):
-    # g = euler1(q) is variational; shift*u as in the test above
-    g = euler1(q)
-    shift = sympy.Symbol("shift")
+    g = euler1(q)  # variational
     density = reconstruct_density(g).density
-    (equation,) = euler_equations(to_sympy(density) + shift * U, U, X)
-    assert same(equation.lhs - equation.rhs - shift, to_sympy(g))
+    assert same(variational(to_sympy(density)), to_sympy(g))
 
 
 def jet(k):
@@ -135,6 +146,71 @@ def test_parsed_arithmetic_matches_sympy(p, text):
     # sympy's reading of the text, expanded and truncated above eps^p
     model = parse_model(f"set eps_order = {p}; char Q = {text};")
     Q = model.characteristics["Q"]
-    expected = sympy.expand(read_printed(text))
-    truncated = sum(expected.coeff(EPS, k) * EPS ** k for k in range(p + 1))
-    assert same(from_flat(Q), truncated)
+    assert same(from_flat(Q), truncated(read_printed(text), p))
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian pairs.  For local skew-adjoint A and B the bracket is
+# {F, G}_A = int delta F * A(delta G) dx, and A and B are compatible, which
+# is what pair_check decides, exactly when the lambda^1 coefficient of the
+# Jacobiator {{F,G},H} + cyclic of the pencil A + lambda*B vanishes for all
+# F, G, H (Magri, J. Math. Phys. 19, 1978): its density is then a total
+# x-derivative.
+
+GARDNER = load_fixture("gardner").operators
+OPS = {"D": GARDNER["D"], "E": GARDNER["E"], **parse_model("""
+operator S { u^2*Dx + Dx*u^2 }
+operator C { u_x^2*Dx + Dx*u_x^2 }
+""").operators}
+
+
+def apply_local(A, f):
+    """A(f) for a local operator, each Dx^j applied by sympy.diff."""
+    return sum((to_sympy(c) * sympy.diff(f, X, j)
+                for j, c in A.local_terms.items()), sympy.Integer(0))
+
+
+def mixed_jacobiator(A, B, densities):
+    """The Euler derivative, mod eps^(P+1), of the lambda^1 coefficient of
+    the Jacobiator of A + lambda*B on the functionals of three densities."""
+    grads = [variational(to_sympy(T)) for T in densities]
+
+    def bracket_grad(A, f, g):  # delta {F, G}_A from delta F and delta G
+        return variational(truncated(f * apply_local(A, g)))
+
+    total = sympy.Integer(0)
+    for i in range(3):
+        f, g, h = grads[i:] + grads[:i]
+        total += (bracket_grad(A, f, g) * apply_local(B, h)
+                  + bracket_grad(B, f, g) * apply_local(A, h))
+    return truncated(variational(truncated(total)))
+
+
+@pytest.mark.parametrize("a, b, passes", [
+    ("D", "E", True), ("S", "S", True), ("C", "C", False), ("D", "C", False)])
+def test_pair_check_controls_agree_with_the_jacobiator(a, b, passes):
+    # u^2*Dx + Dx*u^2 is of hydrodynamic type, u_x^2*Dx + Dx*u_x^2 is not
+    A, B = OPS[a], OPS[b]
+    assert pair_check(A, B) is passes
+    u = Context(P).u(0)
+    assert (mixed_jacobiator(A, B, (u, u ** 2, u ** 3)) == 0) is passes
+
+
+named_ops = st.sampled_from(sorted(OPS)).map(OPS.__getitem__)
+# a term of degree 2 or 3 in u and u_x: a density of lower degree has a
+# constant gradient, whose brackets vanish
+u, u_x = Context(P).u(0), Context(P).u(1)
+small_densities = st.tuples(
+    st.sampled_from([u ** i * u_x ** (n - i) for n in (2, 3)
+                     for i in range(n + 1)]),
+    eps_polys(nonzero=True)).map(lambda term: term[0] * term[1])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.tuples(named_ops, named_ops),
+                 st.tuples(skew_ops(), skew_ops())),
+       st.tuples(small_densities, small_densities, small_densities))
+def test_pair_check_implies_a_vanishing_jacobiator(pair, triple):
+    A, B = pair
+    if pair_check(A, B):
+        assert mixed_jacobiator(A, B, triple) == 0
