@@ -201,8 +201,8 @@ def cmd_validate_numeric(args, model, system, T):
     name = f"numeric {args.density} on {args.system} (eps={args.epsilon})"
     try:
         traj = integrate_pde(system, grid, ic)
-    except Diverged as err:
-        return [CheckReport(name, False, None, {"error": str(err)})]
+    except Diverged as err:  # the drift of a run that blew up is unbounded
+        return [CheckReport(name, False, math.inf, {"error": str(err)})]
     rows = monitor_functional(traj, T)
     if args.format == "json":
         print(json.dumps({"command": args.command, "grid": asdict(grid),
@@ -219,35 +219,49 @@ def cmd_print(args, model):
     return 0
 
 
-def build_parser(name: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand `name` only."""
+def _arguments(parser: argparse.ArgumentParser,
+               spec: Command) -> argparse.ArgumentParser:
+    """The parser, with the arguments of the subcommand `spec` declared."""
+    parser.add_argument("model", help="model file (.jf) or built-in name")
+    parser.add_argument("--format", choices=("text", "json", "latex"),
+                        default="text")
+    for flag, kwargs, _ in spec.options:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with the parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="jetflow",
         description="Verify approximate symmetries, conservation laws and "
                     "bi-Hamiltonian structures of perturbed evolution equations.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command_name, spec in COMMANDS.items():
-        if name not in (None, command_name):
-            continue
-        p = sub.add_parser(command_name, help=spec.help)
-        p.add_argument("model", help="model file (.jf) or built-in name")
-        p.add_argument("--format", choices=("text", "json", "latex"),
-                       default="text")
-        for flag, kwargs, _ in spec.options:
-            p.add_argument(flag, **kwargs)
+    for name, spec in COMMANDS.items():
+        _arguments(sub.add_parser(name, help=spec.help), spec)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # A call that names a subcommand first builds only its parser.  The
-    # errors argparse reports with the top-level usage, which lists every
-    # subcommand, come from the full parser.
+    """Run one call of the CLI and return its exit code.
+
+    When argv[0] names a subcommand, one parser, that of the subcommand
+    alone, parses the rest: it prints the same help and errors as the
+    subparser of build_parser(), whose name it takes as its prog.  Any
+    other argv, and the errors argparse reports with the top-level usage
+    (leftover arguments and the argument checks of a Command), go to the
+    full parser.  Nothing is kept from one call to the next.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, extra = build_parser(
-            argv[0] if argv and argv[0] in COMMANDS else None
-        ).parse_known_args(argv)
+        if argv and argv[0] in COMMANDS:
+            parser = _arguments(argparse.ArgumentParser(
+                prog=f"jetflow {argv[0]}"), COMMANDS[argv[0]])
+            args, extra = parser.parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args, extra = build_parser().parse_known_args(argv)
         spec = COMMANDS[args.command]
         error = (extra and f"unrecognized arguments: {' '.join(extra)}"
                  or spec.check and spec.check(args))

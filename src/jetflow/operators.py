@@ -31,7 +31,12 @@ def _normalize_nonlocal(pairs, eps_order):
     (sum c_m*eps^k_m*m)*Dx^-1*b, where b is their common B_m without its
     lowest eps power, scaled to 1 at its smallest key.  The terms are
     ordered by their smallest m.  Zero tests and equality are then exact.
+    A local operator, which has no pairs, skips all of it, and so do a
+    negation and a sum with a local operator, which keep the form of their
+    canonical input (PseudoDiffOp._from_canonical).
     """
+    if not pairs:
+        return ()
     right: dict = {}  # m -> B_m as {(n, e): c}
     for a, b in pairs:
         for (m, f), r in a._flat.items():
@@ -86,6 +91,19 @@ class PseudoDiffOp(_Frozen):
                            _normalize_nonlocal(nonlocal_terms, eps_order))
         object.__setattr__(self, "eps_order", eps_order)
 
+    @classmethod
+    def _from_canonical(cls, local: Mapping[int, DiffPoly], nonlocal_terms,
+                        eps_order: int) -> "PseudoDiffOp":
+        """Wrap local terms of one eps order and nonlocal terms already in
+        the canonical form of _normalize_nonlocal as they are, less the
+        zero local coefficients."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "local_terms",
+                           {j: c for j, c in local.items() if not c.is_zero()})
+        object.__setattr__(self, "nonlocal_terms", nonlocal_terms)
+        object.__setattr__(self, "eps_order", eps_order)
+        return self
+
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked setattr
         return PseudoDiffOp, (self.local_terms, self.nonlocal_terms,
@@ -100,7 +118,7 @@ class PseudoDiffOp(_Frozen):
     @classmethod
     def from_poly(cls, c: DiffPoly) -> "PseudoDiffOp":
         """Multiplication operator f -> c*f."""
-        return cls({0: c}, (), c.eps_order)
+        return cls._from_canonical({0: c}, (), c.eps_order)
 
     @classmethod
     def dx(cls, eps_order: int, power: int = 1) -> "PseudoDiffOp":
@@ -157,15 +175,19 @@ class PseudoDiffOp(_Frozen):
         if self.eps_order != other.eps_order:
             raise OrderMismatch("mixed truncation orders")
         local = _collect([*self.local_terms.items(), *other.local_terms.items()])
-        return PseudoDiffOp(local, self.nonlocal_terms + other.nonlocal_terms,
-                            self.eps_order)
+        nonlocal_terms = self.nonlocal_terms + other.nonlocal_terms
+        if self.nonlocal_terms and other.nonlocal_terms:  # two forms to merge
+            return PseudoDiffOp(local, nonlocal_terms, self.eps_order)
+        return PseudoDiffOp._from_canonical(local, nonlocal_terms, self.eps_order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PseudoDiffOp({j: -c for j, c in self.local_terms.items()},
-                            tuple((-a, b) for a, b in self.nonlocal_terms),
-                            self.eps_order)
+        # negating each left factor keeps the canonical form: the right
+        # factors, which are scaled to 1, do not change
+        return PseudoDiffOp._from_canonical(
+            {j: -c for j, c in self.local_terms.items()},
+            tuple((-a, b) for a, b in self.nonlocal_terms), self.eps_order)
 
     def __sub__(self, other):
         if isinstance(other, DiffPoly):

@@ -1,21 +1,24 @@
 """Canonical text and LaTeX rendering of ring elements, polynomials, operators.
 
 The ASCII forms are exactly the model-file syntax, so printing a value and
-parsing it back yields the same value.  Term order is deterministic.  Every
-printed sum is one join of ``(negated, text)`` parts, and every part comes
-from one term renderer, ``_term_str``: an eps polynomial is the sum of its
-degrees, each a term of the monomial 1.
+parsing it back yields the same value.  Term order is deterministic: terms
+sort as their Monomials (x, t, jets) do.  Every printed sum is one join of
+``(negated, text)`` parts, and every part comes from one row renderer,
+``_row``.  It walks the fields of a packed monomial once and builds the
+term's sort key, its factor text and its coefficient text together, with no
+Monomial built on the way.  An eps polynomial is the sum of its degrees,
+each a row of the monomial 1.
 """
 
 from __future__ import annotations
 
-import re
+import math
 
-from .jets import ONE_MONOMIAL, DiffPoly, Monomial, _unpack
+from .jets import _JETS, _MASK, _W, DiffPoly
 from .ring import EpsPoly
 
-# where '\varepsilon' meets a letter, which TeX would read as one control word
-_EPS_LETTER = re.compile(r"(?<=\\varepsilon)(?=[A-Za-z])")
+_EPS = ("eps", "\\varepsilon")
+_TIMES = ("*", "")  # the product sign, in ASCII and in LaTeX
 
 
 def _jet_name(order, latex=False):
@@ -42,21 +45,13 @@ def _power(base: str, n: int, latex=False) -> str:
     return f"{base}^{{{n}}}" if latex else f"{base}^{n}"
 
 
-def _product(factors, latex=False) -> str:
-    """Factors joined by '*' in ASCII and side by side in LaTeX, with a space
-    between '\\varepsilon' and a letter."""
-    if not latex:
-        return "*".join(factors)
-    text = "".join(factors)
-    return _EPS_LETTER.sub(" ", text) if "\\varepsilon" in text else text
-
-
 def _join(parts) -> str:
-    """The signed sum of (negated, text) parts; '0' when there are none."""
+    """The signed sum of parts that end in (negated, text), such as rows;
+    '0' when there are none."""
     if not parts:
         return "0"
-    out = "".join([(" - " if neg else " + ") + text for neg, text in parts])
-    return ("-" if parts[0][0] else "") + out[3:]
+    out = "".join([(" - " if part[-2] else " + ") + part[-1] for part in parts])
+    return ("-" if parts[0][-2] else "") + out[3:]
 
 
 def format_eps_poly(c: EpsPoly, latex=False) -> str:
@@ -66,30 +61,41 @@ def format_eps_poly(c: EpsPoly, latex=False) -> str:
 
 def _eps_sum(pairs, latex=False) -> str:
     """The eps polynomial of nonzero (eps degree, value) pairs."""
-    return _join([_term_str(ONE_MONOMIAL, [pair], latex)
-                  for pair in sorted(pairs)])
+    return _join([_row(0, [pair], latex) for pair in sorted(pairs)])
 
 
-def _monomial_factors(mon: Monomial, latex=False):
-    return ([_power(v, n, latex) for v, n in (("x", mon.x), ("t", mon.t)) if n]
-            + [_power(_jet_name(k, latex), e, latex) for k, e in mon.jets])
-
-
-def _term_str(mon: Monomial, pairs, latex=False):
-    """Render one term, given its nonzero (eps degree, value) pairs, as
-    (negated, text-without-sign)."""
-    factors = _monomial_factors(mon, latex)
+def _row(m: int, pairs, latex=False):
+    """The term of packed monomial m with the nonzero (eps degree, value)
+    pairs as (sort key, negated, text without its sign).  The key (x, t,
+    jets) orders as the Monomial of m does.  In LaTeX a lone '\\varepsilon'
+    is followed by a space before a factor, which TeX would otherwise read
+    as part of one control word."""
+    x, t = m & _MASK, m >> _W & _MASK
+    factors = []
+    if x:
+        factors.append(_power("x", x, latex))
+    if t:
+        factors.append(_power("t", t, latex))
+    jets, k, rest = [], 0, m >> _JETS
+    while rest:
+        e = rest & _MASK
+        if e:
+            jets.append((k, e))
+            factors.append(_power(_jet_name(k, latex), e, latex))
+        k, rest = k + 1, rest >> _W
+    key = (x, t, tuple(jets))
     if len(pairs) > 1:
-        return False, _product([f"({_eps_sum(pairs, latex)})"] + factors, latex)
+        return key, False, _TIMES[latex].join(
+            [f"({_eps_sum(pairs, latex)})", *factors])
     ((deg, val),) = pairs
     neg = val < 0
-    val = abs(val)
-    pieces = []
-    if val != 1 or (deg == 0 and not factors):
-        pieces.append(_frac_str(val, latex))
+    if neg:
+        val = -val
+    pieces = [] if val == 1 and (deg or factors) else [_frac_str(val, latex)]
     if deg:
-        pieces.append(_power("\\varepsilon" if latex else "eps", deg, latex))
-    return neg, _product(pieces + factors, latex)
+        eps = _power(_EPS[latex], deg, latex)
+        pieces.append(eps + " " if latex and deg == 1 and factors else eps)
+    return key, neg, _TIMES[latex].join(pieces + factors)
 
 
 def format_poly(P: DiffPoly, latex=False) -> str:
@@ -97,25 +103,24 @@ def format_poly(P: DiffPoly, latex=False) -> str:
     terms = {}
     for (m, e), c in P._flat.items():
         terms.setdefault(m, []).append((e, c))
-    terms = {_unpack(m): pairs for m, pairs in terms.items()}
     # factor a common pure eps^k out front when every term carries it
     degrees = {pairs[0][0] if len(pairs) == 1 else -1 for pairs in terms.values()}
     prefix = ""
     if len(terms) > 1 and len(degrees) == 1 and not degrees & {-1, 0}:
-        prefix = (_power("\\varepsilon" if latex else "eps", degrees.pop(), latex)
+        prefix = (_power(_EPS[latex], degrees.pop(), latex)
                   + ("(" if latex else "*("))
-        terms = {mon: [(0, pairs[0][1])] for mon, pairs in terms.items()}
-    body = _join([_term_str(mon, terms[mon], latex) for mon in sorted(terms)])
+        terms = {m: [(0, pairs[0][1])] for m, pairs in terms.items()}
+    body = _join(sorted([_row(m, pairs, latex) for m, pairs in terms.items()]))
     return prefix + body + ")" if prefix else body
 
 
 def _coeff_factor(P: DiffPoly, latex=False):
     """A polynomial as a multiplicative factor: (negated, text).  A
-    polynomial of one monomial is one term, such as '(1 + eps)*u'."""
+    polynomial of one monomial is one row, such as '(1 + eps)*u'."""
     mons = {m for m, _ in P._flat}
     if len(mons) == 1:
-        return _term_str(_unpack(mons.pop()),
-                         [(e, c) for (_, e), c in P._flat.items()], latex)
+        return _row(mons.pop(), [(e, c) for (_, e), c in P._flat.items()],
+                    latex)[1:]
     return False, f"({format_poly(P, latex)})"
 
 
@@ -139,8 +144,14 @@ def format_operator(A, latex=False) -> str:
 
 
 def _factors(factors, latex=False) -> str:
-    """The product of the factors that are not '1'."""
-    return _product([f for f in factors if f != "1"], latex)
+    """The product of the factors that are not '1'.  A factor that ends in
+    '\\varepsilon' is a coefficient before an operator symbol, which starts
+    with a letter, so in LaTeX a space follows it."""
+    factors = [f for f in factors if f != "1"]
+    if latex:
+        factors[:-1] = [f + " " if f.endswith(_EPS[1]) else f
+                        for f in factors[:-1]]
+    return _TIMES[latex].join(factors)
 
 
 def format_value(v, latex=False) -> str:
@@ -152,4 +163,6 @@ def format_value(v, latex=False) -> str:
         return format_operator(v, latex)
     if isinstance(v, EpsPoly):
         return format_eps_poly(v, latex)
+    if latex and v == math.inf:
+        return "\\infty"
     return str(v)

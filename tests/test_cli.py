@@ -219,6 +219,23 @@ def test_validate_numeric_divergence_fails(capsys):
     assert code == 1
 
 
+def test_a_diverged_numeric_run_reports_an_infinite_residual(capsys):
+    # a failing check has a nonzero residual: the drift of a run that blew
+    # up is unbounded, in every report format
+    argv = ("validate-numeric", "gardner", "--system", "gardner",
+            "--density", "M", "--dt", "0.1", "--t-end", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert "[FAIL] numeric M on gardner (eps=0.01)  residual: inf\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (check,) = json.loads(out)["checks"]
+    assert (code, check["verdict"], check["residual"]) == (1, "fail", "inf")
+    assert check["certificates"]["error"].startswith("non-finite value")
+    code, out, _ = run(capsys, *argv, "--format", "latex")
+    assert code == 1
+    assert "(fail)}] residual $= \\infty$\n" in out
+
+
 def test_action_mode_without_seeds_is_usage_error(capsys):
     code, _, err = run(capsys, "check-recursion", "gardner", "--op", "R",
                        "--system", "gardner", "--mode", "action")
@@ -738,12 +755,12 @@ def test_hierarchy_through_e_matches_magri(capsys):
             functional(through_d["functionals"][i - 1])), i
 
 
-# A LaTeX report may use its own commands, the two that values use, the line
-# break and the escapes of its labels and prose, and no other control
-# sequence.
+# A LaTeX report may use its own commands, the three that values use (the
+# residual of a diverged numeric run is \infty), the line break and the
+# escapes of its labels and prose, and no other control sequence.
 TEX_COMMANDS = {"\\begin", "\\end", "\\item", "\\varepsilon", "\\frac",
-                "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%", "\\&",
-                "\\^", "\\~", "\\textbackslash"}
+                "\\infty", "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%",
+                "\\&", "\\^", "\\~", "\\textbackslash"}
 TEX_TOKENS = re.compile(r"\\[A-Za-z]+|\\.|.")
 
 
