@@ -22,7 +22,8 @@ from .engine import (CheckReport, HierarchyResult, check_conservation,
 from .errors import (Diverged, JetflowError, ModelError, NotASymmetry,
                      NotInImage, NotVariational, ResourceLimit, Unsupported)
 from .fixtures import FIXTURES, fixture_names
-from .hamiltonian import pair_check
+from .hamiltonian import _pair_residual
+from .jets import DiffPoly
 from .report import emit_report, model_hash
 
 
@@ -117,7 +118,8 @@ def cmd_noether(args, model, Q, D):
     claws = [check_conservation(functional, system,
                                 f"conservation of result / {sysname}")
              for sysname, system in model.systems.items()]
-    return [CheckReport(name, True, None, {"density": functional})] + claws
+    return [CheckReport(name, True, DiffPoly.zero(Q.eps_order),
+                        {"density": functional})] + claws
 
 
 @command("check-recursion", "verify a recursion operator",
@@ -137,8 +139,9 @@ def cmd_check_recursion(args, model, R, system):
 @command("check-pair", "approximately-Hamiltonian-pair test",
          _opt("--op1", OP), _opt("--op2", OP))
 def cmd_check_pair(args, model, D, E):
+    residual = _pair_residual(D, E)
     return [CheckReport(f"hamiltonian pair ({args.op1}, {args.op2})",
-                        pair_check(D, E))]
+                        residual.is_zero(), residual)]
 
 
 @command("hierarchy", "generate a bi-Hamiltonian hierarchy",
@@ -161,8 +164,8 @@ def cmd_hierarchy(args, model, R, seed, D, system):
     return [CheckReport(
         f"hierarchy {args.op} from {args.seed} ({args.steps} steps)",
         result.all_passed and result.stopped_at is None,
-        next(failed, None) if result.stopped_at is None
-        else result.stopped_at[1],
+        next(failed, DiffPoly.zero(seed.eps_order))
+        if result.stopped_at is None else result.stopped_at[1],
         {"hierarchy": result})] + result.reports
 
 
@@ -208,7 +211,7 @@ def cmd_validate_numeric(args, model, system, T):
         print(json.dumps({"command": args.command, "grid": asdict(grid),
                           "rows": rows}, indent=2))
         return 0
-    return [CheckReport(name, True, None,
+    return [CheckReport(name, True, 0,
                         {"max_drift": f"{max_drift(rows):.6e}",
                          "samples": str(len(rows))})]
 

@@ -32,12 +32,15 @@ MAX_ANSATZ_MONOMIALS = 1024
 class CheckReport(_Record):
     """Outcome of a single verification.
 
-    `residual` is zero exactly when the check passes; certificates carry
-    side products such as fluxes, densities or hierarchy members.
+    `residual` is zero exactly when the check passes, and a passing check
+    given none has residual 0; certificates carry side products such as
+    fluxes, densities or hierarchy members.
     """
 
     def __init__(self, name: str, passed: bool, residual: object = None,
                  certificates: Optional[dict] = None):
+        if residual is None and passed:
+            residual = 0
         self.name, self.passed, self.residual = name, passed, residual
         self.certificates = {} if certificates is None else certificates
 

@@ -220,11 +220,13 @@ def is_distinguished(G: Functional, D: PseudoDiffOp) -> bool:
         return False
 
 
-def pair_check(D: PseudoDiffOp, E: PseudoDiffOp) -> bool:
-    """Hamiltonian-pair criterion via functional bivectors.
+def _pair_residual(D: PseudoDiffOp, E: PseudoDiffOp) -> MultiVector:
+    """The graded Euler derivative of the pair trivector, zero exactly when
+    D and E form a Hamiltonian pair.
 
-    Builds Theta_D and Theta_E and tests that the sum of the two prolonged
-    trivectors vanishes modulo total derivatives.  Local operators only.
+    Builds Theta_D and Theta_E and sums the two prolonged trivectors, which
+    vanish modulo total derivatives exactly when that derivative is zero.
+    Local skew-adjoint operators only.
     """
     if not (D.is_local() and E.is_local()):
         raise Unsupported("pair_check supports local operators only")
@@ -234,7 +236,12 @@ def pair_check(D: PseudoDiffOp, E: PseudoDiffOp) -> bool:
     theta_e = bivector_of(E)
     trivector = (prolong_theta(op_theta(D), theta_e)
                  + prolong_theta(op_theta(E), theta_d))
-    return trivector.is_exact()
+    return trivector.euler_theta()
+
+
+def pair_check(D: PseudoDiffOp, E: PseudoDiffOp) -> bool:
+    """Hamiltonian-pair criterion via functional bivectors (_pair_residual)."""
+    return _pair_residual(D, E).is_zero()
 
 
 def flow_derivative_identity(D: PseudoDiffOp, sys: EvolutionSystem,

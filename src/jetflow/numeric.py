@@ -7,10 +7,13 @@ shows up as functional drift that shrinks with eps.  Space derivatives take
 one rfft and one batched irfft per evaluation (see _Evaluator); odd orders
 drop the Nyquist mode (Trefethen, Spectral Methods in MATLAB, ch. 3).
 
-The transforms write into arrays each _Evaluator allocates once, and the
-RK4 loop sums its stages in place.  The inverse transform is unscaled: the
-1/n of a default-norm irfft is folded into the multipliers, which is exact
-because n is a power of two.  Every floating-point operation, and its
+The transforms are the pocketfft ufuncs that np.fft.rfft and np.fft.irfft
+end in, called directly with the arguments those wrappers pass them, so
+they return the same bits without the wrapper's per-call dtype, axis and
+norm handling.  They write into arrays each _Evaluator allocates once, and
+the RK4 loop sums its stages in place.  The inverse transform is unscaled:
+the 1/n of a default-norm irfft is folded into the multipliers, which is
+exact because n is a power of two.  Every floating-point operation, and its
 order, is that of the textbook form `u + dt/6 (k1 + 2 k2 + 2 k3 + k4)` with
 default-norm FFTs, so trajectories are bit for bit those of that form.
 """
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as pocketfft  # numpy >= 2.0
 
 from .errors import Diverged, ResourceLimit, Unsupported
 from .jets import DiffPoly, EvolutionSystem, Functional, _unpack
@@ -84,6 +88,10 @@ class _Evaluator:
     the transforms write into, so a call is one rfft of u, one product, one
     unscaled batched irfft for all of those orders, and a product per term.
     A term names each factor by its row of derivatives, None meaning u.
+
+    u must be a real float array of exactly `points` values: the pocketfft
+    ufuncs silently crop or zero-pad a sample of another length, so every
+    caller checks it first.
     """
 
     def __init__(self, poly: DiffPoly, grid: GridSpec, eps_value: float,
@@ -121,10 +129,13 @@ class _Evaluator:
     def __call__(self, u: np.ndarray, t: float) -> np.ndarray:
         rows = self.rows
         if rows:
-            np.fft.rfft(u, out=self.spectrum)
+            # the calls np.fft.rfft(u) and np.fft.irfft(scaled, points,
+            # norm="forward") make, whose normalisation factor is 1
+            pocketfft.rfft_n_even(u, 1, axes=[(0,), (), (0,)],
+                                  out=self.spectrum)
             np.multiply(self.multipliers, self.spectrum, out=self.scaled)
-            np.fft.irfft(self.scaled, self.points, norm="forward",
-                         out=self.derivatives)
+            pocketfft.irfft(self.scaled, 1, axes=[(1,), (), (1,)],
+                            out=self.derivatives)
         total = None
         for value, x_pow, t_exp, factors in self.terms:
             acc = value * t ** t_exp if t_exp else value
@@ -221,8 +232,20 @@ def monitor_functional(traj: Trajectory, T: Functional,
     """Evaluate int T dx along the trajectory; rows {t, value, drift}.
 
     Drift is relative to the initial value with a unit floor, so exactly
-    conserved functionals report at the discretization noise level.
+    conserved functionals report at the discretization noise level.  Raises
+    ValueError, before any evaluation, unless the profiles are a real 2-D
+    array of one row per time and one column per grid point.
     """
+    points = traj.grid.points
+    if np.iscomplexobj(traj.profiles):
+        raise ValueError("trajectory profiles must be real")
+    profiles = np.asarray(traj.profiles, dtype=float)
+    if profiles.ndim != 2 or profiles.shape[1] != points:
+        raise ValueError(f"trajectory profiles must be a 2-D array of "
+                         f"{points} columns, one per grid point")
+    if len(profiles) != len(traj.times):
+        raise ValueError(f"trajectory has {len(profiles)} profiles but "
+                         f"{len(traj.times)} times")
     if eps_value is None:
         eps_value = traj.grid.epsilon
     density = _Evaluator(T.density, traj.grid, eps_value,
@@ -230,7 +253,7 @@ def monitor_functional(traj: Trajectory, T: Functional,
     dx = traj.grid.dx
     rows = []
     initial = None
-    for t, u in zip(traj.times, traj.profiles):
+    for t, u in zip(traj.times, profiles):
         value = float(np.sum(density(u, float(t)))) * dx
         if initial is None:
             initial = value

@@ -154,7 +154,25 @@ def _factors(factors, latex=False) -> str:
     return _TIMES[latex].join(factors)
 
 
+def format_multivector(W, latex=False) -> str:
+    """Canonical rendering of a functional multivector: the sum over its
+    wedges of a coefficient times 'theta_i ^ theta_j ^ ...' (LaTeX
+    '\\theta_{i}\\wedge\\theta_{j}...'), theta_k being the k-th x-derivative
+    of theta.  Wedges sort as tuples of their orders; zero prints as '0'."""
+    parts = []
+    for wedge in sorted(W._parts):
+        if not wedge:  # the first part, written with its own sign
+            parts.append((False, format_poly(W._parts[wedge], latex)))
+            continue
+        neg, coeff = _coeff_factor(W._parts[wedge], latex)
+        thetas = ("\\wedge" if latex else " ^ ").join(
+            [f"\\theta_{{{k}}}" if latex else f"theta_{k}" for k in wedge])
+        parts.append((neg, _factors((coeff, thetas), latex)))
+    return _join(parts)
+
+
 def format_value(v, latex=False) -> str:
+    from .hamiltonian import MultiVector
     from .operators import PseudoDiffOp
 
     if isinstance(v, DiffPoly):
@@ -163,6 +181,8 @@ def format_value(v, latex=False) -> str:
         return format_operator(v, latex)
     if isinstance(v, EpsPoly):
         return format_eps_poly(v, latex)
+    if isinstance(v, MultiVector):
+        return format_multivector(v, latex)
     if latex and v == math.inf:
         return "\\infty"
     return str(v)

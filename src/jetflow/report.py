@@ -54,11 +54,10 @@ def _tex_value(raw, rendered: str) -> str:
 
 
 def check_entry(report: CheckReport, latex=False) -> dict:
-    residual = report.residual
     entry = {
         "name": report.name,
         "verdict": report.verdict,
-        "residual": "0" if residual is None else _render(residual, latex),
+        "residual": _render(report.residual, latex),
     }
     if report.certificates:
         entry["certificates"] = {k: _render(v, latex)

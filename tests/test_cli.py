@@ -96,6 +96,38 @@ def test_check_pair(capsys):
     assert "[PASS]" in out
 
 
+def test_a_failing_pair_reports_its_residual(capsys, tmp_path):
+    # u_x^2 Dx + Dx u_x^2 is skew-adjoint but not Hamiltonian: the graded
+    # Euler derivative of the pair trivector is the residual
+    model = tmp_path / "pair.jf"
+    model.write_text("operator C { u_x^2*Dx + Dx*u_x^2 }\n")
+    argv = ("check-pair", str(model), "--op1", "C", "--op2", "C")
+    residual = ("(48*u_x*u_xx^2 + 24*u_x^2*u_xxx)*theta_0 ^ theta_1"
+                " + 72*u_x^2*u_xx*theta_0 ^ theta_2"
+                " + 16*u_x^3*theta_0 ^ theta_3 + 24*u_x^3*theta_1 ^ theta_2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert f"[FAIL] hamiltonian pair (C, C)  residual: {residual}\n" in out
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    (check,) = json.loads(out)["checks"]
+    assert (code, check["verdict"], check["residual"]) == (1, "fail", residual)
+    code, out, _ = run(capsys, *argv, "--format", "latex")
+    assert code == 1
+    assert ("residual $= (48u_xu_{xx}^{2} + 24u_x^{2}u_{xxx})"
+            "\\theta_{0}\\wedge\\theta_{1} + ") in out
+    assert tex_faults(out) == []
+
+
+def test_a_residual_is_zero_exactly_when_its_check_passes(capsys):
+    for argv in verify_catalogue():
+        if argv[0] == "print":
+            continue
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        for check in json.loads(out)["checks"]:
+            assert ((check["residual"] == "0")
+                    == (check["verdict"] == "pass")), (argv, check)
+
+
 def test_hierarchy_report_contains_flows(capsys):
     code, out, _ = run(capsys, "hierarchy", "gardner", "--op", "R",
                        "--seed", "Kbar1", "--steps", "2", "--dop", "D",
@@ -755,12 +787,13 @@ def test_hierarchy_through_e_matches_magri(capsys):
             functional(through_d["functionals"][i - 1])), i
 
 
-# A LaTeX report may use its own commands, the three that values use (the
-# residual of a diverged numeric run is \infty), the line break and the
-# escapes of its labels and prose, and no other control sequence.
+# A LaTeX report may use its own commands, the five that values use (the
+# residual of a diverged numeric run is \infty, that of a failing pair a sum
+# of \theta wedges), the line break and the escapes of its labels and prose,
+# and no other control sequence.
 TEX_COMMANDS = {"\\begin", "\\end", "\\item", "\\varepsilon", "\\frac",
-                "\\infty", "\\\\", "\\_", "\\{", "\\}", "\\#", "\\$", "\\%",
-                "\\&", "\\^", "\\~", "\\textbackslash"}
+                "\\infty", "\\theta", "\\wedge", "\\\\", "\\_", "\\{", "\\}",
+                "\\#", "\\$", "\\%", "\\&", "\\^", "\\~", "\\textbackslash"}
 TEX_TOKENS = re.compile(r"\\[A-Za-z]+|\\.|.")
 
 

@@ -7,7 +7,7 @@ from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
 from jetflow.jets import _unpack
 from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
                              MAX_RHS_JET_ORDER, MAX_SAVED_VALUES, MAX_STEPS,
-                             _Evaluator)
+                             Trajectory, _Evaluator, pocketfft)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +90,26 @@ def test_drift_rows_shape(gardner, gardner_sys, short_grid):
     assert rows[0]["t"] == 0.0 and rows[0]["drift"] == 0.0
     assert rows[-1]["t"] == pytest.approx(short_grid.t_end)
     assert all(row["drift"] >= 0.0 for row in rows)
+
+
+def test_monitor_functional_checks_the_trajectory_up_front(gardner):
+    # the evaluator's transforms crop or pad a sample of the wrong length in
+    # silence, so a trajectory that does not fit its grid is refused
+    grid = GridSpec()
+    times = np.array([0.0, 0.5])
+    wide = Trajectory(times, np.ones((2, 300)), grid)
+    for name in ("M", "P5"):
+        with pytest.raises(ValueError, match="256 columns"):
+            monitor_functional(wide, gardner.densities[name])
+    fits = np.ones((2, grid.points))
+    for bad, what in ((Trajectory(times[:1], fits, grid), "2 profiles"),
+                      (Trajectory(times, fits[0], grid), "256 columns"),
+                      (Trajectory(times, fits + 0j, grid), "real")):
+        with pytest.raises(ValueError, match=what):
+            monitor_functional(bad, gardner.densities["M"])
+    rows = monitor_functional(Trajectory(times, fits, grid),
+                              gardner.densities["M"])
+    assert [row["value"] for row in rows] == [grid.length] * 2
 
 
 def test_eps_scaling_of_functional_drift(gardner, gardner_sys):
@@ -296,6 +316,31 @@ def _textbook_profiles(system, grid, u0):
         t = step * dt
         profiles.append(u)
     return np.array(profiles)
+
+
+POWERS_OF_TWO = [2 ** e for e in range(4, MAX_POINTS.bit_length())]
+
+
+def test_direct_rfft_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(7)
+    assert POWERS_OF_TWO[0] == 16 and POWERS_OF_TWO[-1] == MAX_POINTS
+    for n in POWERS_OF_TWO:
+        u = rng.standard_normal(n)
+        spectrum = np.empty(n // 2 + 1, dtype=complex)
+        pocketfft.rfft_n_even(u, 1, axes=[(0,), (), (0,)], out=spectrum)
+        assert np.array_equal(spectrum, np.fft.rfft(u)), n
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_direct_batched_irfft_is_numpys_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    for n in POWERS_OF_TWO:
+        scaled = (rng.standard_normal((rows, n // 2 + 1))
+                  + 1j * rng.standard_normal((rows, n // 2 + 1)))
+        derivatives = np.empty((rows, n))
+        pocketfft.irfft(scaled, 1, axes=[(1,), (), (1,)], out=derivatives)
+        assert np.array_equal(
+            derivatives, np.fft.irfft(scaled, n, norm="forward")), n
 
 
 def test_runs_are_bit_identical_to_the_textbook_form(gardner_sys):

@@ -6,8 +6,9 @@ from jetflow import (CheckReport, Functional, check_conservation,
                      format_poly, generate_hierarchy, load_fixture,
                      parse_model, print_model)
 from jetflow.engine import NONDEGENERACY_ASSUMPTION
+from jetflow.hamiltonian import MultiVector, bivector_of
 from jetflow.operators import PseudoDiffOp
-from jetflow.printing import format_eps_poly, format_operator
+from jetflow.printing import format_eps_poly, format_operator, format_value
 from jetflow.report import emit_report, model_hash
 from jetflow.ring import EpsPoly
 
@@ -41,6 +42,30 @@ def test_eps_poly_rendering():
     assert format_eps_poly(EpsPoly.zero(1)) == "0"
     assert format_eps_poly(EpsPoly((0, 1))) == "eps"
     assert format_eps_poly(EpsPoly((0, 0, -3), order=2)) == "-3*eps^2"
+
+
+def test_multivector_rendering(ctx):
+    assert format_value(MultiVector.zero(1)) == "0"
+    assert format_value(MultiVector.zero(1), latex=True) == "0"
+    half = bivector_of(PseudoDiffOp.dx(1, 1))  # (1/2) theta ^ theta_x
+    assert format_value(half) == "1/2*theta_0 ^ theta_1"
+    assert (format_value(half, latex=True)
+            == "\\frac{1}{2}\\theta_{0}\\wedge\\theta_{1}")
+    u, eps = ctx.u, ctx.eps
+    # a scalar part comes first; a wedge given out of order is sorted with
+    # its sign folded into the coefficient
+    W = (MultiVector.from_poly(-u(0) - eps * u(1))
+         + MultiVector.from_poly(-eps * u(1), (2, 0)) - half.scale(4)
+         + MultiVector.from_poly(u(0) + u(1), (1, 3, 5)))
+    assert format_value(W) == ("-u - eps*u_x - 2*theta_0 ^ theta_1"
+                               " + eps*u_x*theta_0 ^ theta_2"
+                               " + (u + u_x)*theta_1 ^ theta_3 ^ theta_5")
+    assert format_value(W, latex=True) == (
+        "-u - \\varepsilon u_x - 2\\theta_{0}\\wedge\\theta_{1}"
+        " + \\varepsilon u_x\\theta_{0}\\wedge\\theta_{2}"
+        " + (u + u_x)\\theta_{1}\\wedge\\theta_{3}\\wedge\\theta_{5}")
+    assert (format_value(MultiVector.from_poly(eps, (0, 1)), latex=True)
+            == "\\varepsilon \\theta_{0}\\wedge\\theta_{1}")
 
 
 def test_operator_rendering_round_trip_forms(ctx, gardner):
