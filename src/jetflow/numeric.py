@@ -7,15 +7,21 @@ shows up as functional drift that shrinks with eps.  Space derivatives take
 one rfft and one batched irfft per evaluation (see _Evaluator); odd orders
 drop the Nyquist mode (Trefethen, Spectral Methods in MATLAB, ch. 3).
 
-The transforms are the pocketfft ufuncs that np.fft.rfft and np.fft.irfft
-end in, called directly with the arguments those wrappers pass them, so
-they return the same bits without the wrapper's per-call dtype, axis and
-norm handling.  They write into arrays each _Evaluator allocates once, and
-the RK4 loop sums its stages in place.  The inverse transform is unscaled:
-the 1/n of a default-norm irfft is folded into the multipliers, which is
-exact because n is a power of two.  Every floating-point operation, and its
-order, is that of the textbook form `u + dt/6 (k1 + 2 k2 + 2 k3 + k4)` with
-default-norm FFTs, so trajectories are bit for bit those of that form.
+Each right-hand side or density is compiled once per grid into a program:
+a fixed tuple of (ufunc, args) steps bound to arrays the _Evaluator keeps,
+so an evaluation runs those calls and nothing else, with no walk over the
+terms and no new array.  integrate_pde binds two programs, u -> acc for k1
+and stage -> k for k2..k4, and sums the stages in place.  The transforms
+are the pocketfft ufuncs that np.fft.rfft and np.fft.irfft end in, called
+directly with the default axes and a positional output, so they return the
+same bits without the wrapper's per-call dtype, axis and norm handling.
+The inverse transform is unscaled: the 1/n of a default-norm irfft is
+folded into the multipliers, which is exact because n is a power of two.
+Every floating-point operation, and its order, is that of the textbook
+form `u + dt/6 (k1 + 2 k2 + 2 k3 + k4)` with default-norm FFTs and each
+term multiplied out left to right (a coefficient of exactly +1 or -1 is an
+add or a subtract instead, which is exact), so trajectories are bit for
+bit those of that form.
 """
 
 from __future__ import annotations
@@ -82,16 +88,31 @@ class Trajectory:
 class _Evaluator:
     """A differential polynomial compiled for one grid and eps value.
 
-    Called with a periodic sample u and a time t, it returns the polynomial
-    at every grid point as a new array.  It keeps the real-FFT multipliers
-    (i k)^m / n of just the derivative orders its terms use, and the arrays
-    the transforms write into, so a call is one rfft of u, one product, one
-    unscaled batched irfft for all of those orders, and a product per term.
-    A term names each factor by its row of derivatives, None meaning u.
+    Building it compiles the polynomial into a program: a fixed tuple of
+    (ufunc, args) steps bound to arrays it keeps, namely a source sample,
+    the spectrum and derivative buffers, one scratch array, one power array
+    and an output.  `bind(source, out)` builds a program that reads another
+    kept source and writes another kept output, and `run(program, t)` runs
+    it: the t-dependent coefficients, each computed as a Python float and
+    written into the 0-d array its step reads, then `f(*args)` per step, with
+    no walk over the terms, no branch per factor and no new array.  A call
+    `evaluator(u, t)` copies u into the evaluator's own source, runs its
+    program and returns a copy of the output.
 
-    u must be a real float array of exactly `points` values: the pocketfft
-    ufuncs silently crop or zero-pad a sample of another length, so every
-    caller checks it first.
+    Every floating-point operation keeps the order of the textbook form: per
+    term the coefficient (times t^k), then x^a, then each factor in order,
+    a power taken first (np.square for ^2 and np.power above, as `f ** e`
+    does); the first term is written into the output and the later ones are
+    added in order.  A coefficient of exactly +1 or -1 drops its product
+    and becomes an add or a subtract (a negation in first place), which is
+    exact in IEEE arithmetic.  The derivatives take one rfft of the source,
+    one product with the real-FFT multipliers (i k)^m / n of just the
+    orders the terms use, and one unscaled batched irfft for all of them.
+
+    A coefficient, a power of eps or a power of t that does not fit a float
+    raises Unsupported.  A source must be a real float array of exactly
+    `points` values: the pocketfft ufuncs silently crop or zero-pad a sample
+    of another length, so every caller checks it first.
     """
 
     def __init__(self, poly: DiffPoly, grid: GridSpec, eps_value: float,
@@ -101,16 +122,16 @@ class _Evaluator:
             raise Unsupported(f"{what} jet order {order} exceeds {max_order}")
         values: dict = {}
         for (m, e), c in poly._flat.items():
-            values[m] = values.get(m, 0.0) + float(c) * eps_value ** e
+            try:
+                c = float(c)
+            except OverflowError:
+                raise Unsupported(f"a {what} coefficient does not fit a "
+                                  f"float") from None
+            values[m] = values.get(m, 0.0) + c * _power(eps_value, e, "eps")
         monomials = [(value, _unpack(m)) for m, value in values.items()
                      if value != 0.0]
         orders = sorted({o for _, mon in monomials for o, _ in mon.jets}
                         - {0})
-        row = {o: i for i, o in enumerate(orders)}
-        x = grid.x_grid()
-        self.terms = [(value, x ** mon.x if mon.x else None, mon.t,
-                       tuple((row.get(o), e) for o, e in mon.jets))
-                      for value, mon in monomials]
         # (i k)^m = i^m k^m; odd orders drop the Nyquist mode so that odd
         # derivatives stay real and skew.  points is a power of two, so the
         # 1/n folded in here is exact and the unscaled irfft returns the bits
@@ -123,35 +144,87 @@ class _Evaluator:
         self.spectrum = np.empty(grid.points // 2 + 1, dtype=complex)
         self.scaled = np.empty_like(self.multipliers)
         self.derivatives = np.empty((len(orders), grid.points))
-        self.rows = list(self.derivatives)
-        self.points = grid.points
+        self.scratch = np.empty(grid.points)
+        self.power = np.empty(grid.points)
+        # per term its coefficient (a float, or the 0-d array of a t^k term),
+        # its sign when that coefficient is exactly +1 or -1 (else 0) and its
+        # factors (array, exponent), None standing for the source
+        rows = dict(zip(orders, self.derivatives))
+        x = grid.x_grid()
+        self.timed = []
+        self.terms = []
+        for value, mon in monomials:
+            coeff = value
+            if mon.t:
+                coeff = np.empty(())
+                self.timed.append((coeff, value, mon.t))
+            factors = [(x ** mon.x, 1)] if mon.x else []
+            factors += [(rows.get(o), e) for o, e in mon.jets]
+            sign = value if factors and not mon.t and abs(value) == 1.0 else 0
+            self.terms.append((coeff, sign, factors))
+        self.source = np.empty(grid.points)
+        self.out = np.empty(grid.points)
+        self.program = self.bind(self.source, self.out)
+
+    def bind(self, source: np.ndarray, out: np.ndarray) -> tuple:
+        """The program that evaluates the polynomial at `source` into `out`,
+        two kept float arrays of the grid's length."""
+        steps = []
+        if len(self.derivatives):
+            # the calls np.fft.rfft(u) and np.fft.irfft(scaled, points,
+            # norm="forward") make, whose normalisation factor is 1, with
+            # the default axes and a positional out
+            steps += [(pocketfft.rfft_n_even, (source, 1, self.spectrum)),
+                      (np.multiply, (self.multipliers, self.spectrum,
+                                     self.scaled)),
+                      (pocketfft.irfft, (self.scaled, 1, self.derivatives))]
+        if not self.terms:
+            steps.append((np.copyto, (out, 0.0)))
+        for n, (coeff, sign, factors) in enumerate(self.terms):
+            dest = self.scratch if n else out
+            acc = None if sign else coeff
+            for f, e in factors:
+                f = source if f is None else f
+                if e > 1:
+                    power = dest if acc is None else self.power
+                    steps.append((np.square, (f, power)) if e == 2 else
+                                 (np.power, (f, e, power)))
+                    f = power
+                if acc is not None:
+                    steps.append((np.multiply, (acc, f, dest)))
+                    f = dest
+                acc = f
+            # acc now holds the term: dest, a kept array or a scalar
+            if n:
+                steps.append((np.subtract if sign < 0 else np.add,
+                              (out, acc, out)))
+            elif sign < 0:
+                steps.append((np.negative, (acc, out)))
+            elif acc is not out:
+                steps.append((np.copyto, (out, acc)))
+        return tuple(steps)
+
+    def run(self, program: tuple, t: float) -> None:
+        """Run a program of bind() at time t."""
+        for coeff, value, t_exp in self.timed:
+            coeff[()] = value * _power(t, t_exp, "t")
+        for f, args in program:
+            f(*args)
 
     def __call__(self, u: np.ndarray, t: float) -> np.ndarray:
-        rows = self.rows
-        if rows:
-            # the calls np.fft.rfft(u) and np.fft.irfft(scaled, points,
-            # norm="forward") make, whose normalisation factor is 1
-            pocketfft.rfft_n_even(u, 1, axes=[(0,), (), (0,)],
-                                  out=self.spectrum)
-            np.multiply(self.multipliers, self.spectrum, out=self.scaled)
-            pocketfft.irfft(self.scaled, 1, axes=[(1,), (), (1,)],
-                            out=self.derivatives)
-        total = None
-        for value, x_pow, t_exp, factors in self.terms:
-            acc = value * t ** t_exp if t_exp else value
-            if x_pow is not None:
-                acc = acc * x_pow
-            for i, e in factors:
-                f = u if i is None else rows[i]
-                acc = acc * (f if e == 1 else f ** e)
-            # acc is a new array (or a float), never a kept one
-            if total is None:
-                total = acc
-            else:
-                total += acc
-        if total is None or np.ndim(total) == 0:
-            return np.full(self.points, total or 0.0)
-        return total
+        """The polynomial at the sample u and time t, as a new array."""
+        np.copyto(self.source, u)
+        self.run(self.program, t)
+        return self.out.copy()
+
+
+def _power(base: float, e: int, name: str) -> float:
+    """base ** e; Unsupported when it does not fit a float."""
+    try:
+        return base ** e
+    except OverflowError:
+        raise Unsupported(f"{name}^{e} at {name} = {base:g} does not fit a "
+                          f"float") from None
 
 
 def _checked_steps(grid: GridSpec) -> int:
@@ -196,27 +269,31 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
         raise ValueError("initial profile must be finite")
 
     u = ic.copy()
-    stage = np.empty_like(u)
+    stage, acc, k = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    run = rhs.run
+    first, later = rhs.bind(u, acc), rhs.bind(stage, k)
     times = [0.0]
     profiles = [u.copy()]
     t = 0.0
     dt = grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
+    add, multiply = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
-            # stage = u + c k and acc = k1 + 2 k2 + 2 k3 + k4, summed in
-            # place in that order; each k is a new array, free to scale
-            acc = rhs(u, t)
-            np.add(u, np.multiply(acc, half, out=stage), out=stage)
-            k = rhs(stage, t + half)
-            np.add(u, np.multiply(k, half, out=stage), out=stage)
-            acc += np.multiply(k, 2.0, out=k)
-            k = rhs(stage, t + half)
-            np.add(u, np.multiply(k, dt, out=stage), out=stage)
-            acc += np.multiply(k, 2.0, out=k)
-            acc += rhs(stage, t + dt)
-            acc *= sixth
-            u += acc
+            # k1 into acc, k2..k4 into k; stage = u + c k and acc = k1 +
+            # 2 k2 + 2 k3 + k4, summed in place in that order
+            run(first, t)
+            add(u, multiply(acc, half, stage), stage)
+            run(later, t + half)
+            add(u, multiply(k, half, stage), stage)
+            add(acc, multiply(k, 2.0, k), acc)
+            run(later, t + half)
+            add(u, multiply(k, dt, stage), stage)
+            add(acc, multiply(k, 2.0, k), acc)
+            run(later, t + dt)
+            add(acc, k, acc)
+            multiply(acc, sixth, acc)
+            add(u, acc, u)
             t = step * dt
             # a sum of finite values may overflow, so confirm before raising
             if not math.isfinite(u.sum()) and not np.isfinite(u).all():
@@ -253,12 +330,14 @@ def monitor_functional(traj: Trajectory, T: Functional,
     dx = traj.grid.dx
     rows = []
     initial = None
-    for t, u in zip(traj.times, profiles):
-        value = float(np.sum(density(u, float(t)))) * dx
-        if initial is None:
-            initial = value
-        drift = abs(value - initial) / max(1.0, abs(initial))
-        rows.append({"t": float(t), "value": value, "drift": drift})
+    # a value past the float range reads inf, as in integrate_pde
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, u in zip(traj.times, profiles):
+            value = float(np.sum(density(u, float(t)))) * dx
+            if initial is None:
+                initial = value
+            drift = abs(value - initial) / max(1.0, abs(initial))
+            rows.append({"t": float(t), "value": value, "drift": drift})
     return rows
 
 

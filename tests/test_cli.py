@@ -268,6 +268,33 @@ def test_a_diverged_numeric_run_reports_an_infinite_residual(capsys):
     assert "(fail)}] residual $= \\infty$\n" in out
 
 
+BIG = "1" + "0" * 400  # past the largest float
+
+
+@pytest.mark.parametrize("model, argv, what", [
+    (f"system s {{ rhs: {BIG}*u_x; }}\ndensity M = u;\n",
+     ("--t-end", "0.001"), "a right-hand side coefficient"),
+    (f"system s {{ rhs: u_x; }}\ndensity M = {BIG}*u;\n", (),
+     "a density coefficient"),
+    ("set eps_order = 2;\nsystem s { rhs: u_x + eps^2*u*u_x; }\n"
+     "density M = u;\n", ("--epsilon", "1e200", "--t-end", "0.001"),
+     "eps^2 at eps = 1e+200"),
+    ("system s { rhs: u_x; }\ndensity M = t^400*u;\n",
+     ("--t-end", "10", "--dt", "0.01"), "t^400 at t = "),
+], ids=["rhs-coefficient", "density-coefficient", "eps-power", "t-power"])
+def test_a_number_past_the_float_range_is_unsupported(capsys, tmp_path,
+                                                      model, argv, what):
+    # a coefficient, an eps power or a time power that does not fit a float
+    # is an unsupported input (exit 2), not an OverflowError
+    path = tmp_path / "model.jf"
+    path.write_text(model)
+    code, out, err = run(capsys, "validate-numeric", str(path), "--system",
+                         "s", "--density", "M", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"unsupported: {what}")
+    assert err.endswith(" does not fit a float\n")
+
+
 def test_action_mode_without_seeds_is_usage_error(capsys):
     code, _, err = run(capsys, "check-recursion", "gardner", "--op", "R",
                        "--system", "gardner", "--mode", "action")

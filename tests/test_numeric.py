@@ -276,13 +276,12 @@ def test_gardner_run_matches_per_order_fft_reference(gardner_sys):
     assert np.max(np.abs(traj.profiles[-1] - expected)) <= 1e-12
 
 
-def _textbook_profiles(system, grid, u0):
-    """Every profile of the textbook RK4 run of `system`: per call a dict of
-    derivatives from default-norm FFTs and the terms multiplied out into new
-    arrays, per step u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) into a new array."""
+def _textbook_evaluator(poly, grid, eps_value):
+    """The textbook evaluation of `poly`: per call a dict of derivatives from
+    default-norm FFTs and the terms multiplied out into new arrays."""
     values = {}
-    for (m, e), c in system.rhs._flat.items():
-        values[m] = values.get(m, 0.0) + float(c) * grid.epsilon ** e
+    for (m, e), c in poly._flat.items():
+        values[m] = values.get(m, 0.0) + float(c) * eps_value ** e
     terms = [(value, _unpack(m)) for m, value in values.items() if value]
     orders = sorted({o for _, mon in terms for o, _ in mon.jets} - {0})
     m = np.array(orders, dtype=int).reshape(-1, 1)
@@ -305,6 +304,14 @@ def _textbook_profiles(system, grid, u0):
             total = acc if total is None else total + acc
         return total
 
+    return rhs
+
+
+def _textbook_profiles(system, grid, u0):
+    """Every profile of the textbook RK4 run of `system`: the right-hand side
+    of _textbook_evaluator, per step u + (dt/6)(k1 + 2 k2 + 2 k3 + k4) into a
+    new array."""
+    rhs = _textbook_evaluator(system.rhs, grid, grid.epsilon)
     u, t, dt = u0.copy(), 0.0, grid.dt
     profiles = [u]
     for step in range(1, int(round(grid.t_end / dt)) + 1):
@@ -327,7 +334,8 @@ def test_direct_rfft_is_numpys_bit_for_bit():
     for n in POWERS_OF_TWO:
         u = rng.standard_normal(n)
         spectrum = np.empty(n // 2 + 1, dtype=complex)
-        pocketfft.rfft_n_even(u, 1, axes=[(0,), (), (0,)], out=spectrum)
+        # the program's call form: default axes, positional out
+        pocketfft.rfft_n_even(u, 1, spectrum)
         assert np.array_equal(spectrum, np.fft.rfft(u)), n
 
 
@@ -338,7 +346,7 @@ def test_direct_batched_irfft_is_numpys_bit_for_bit(rows):
         scaled = (rng.standard_normal((rows, n // 2 + 1))
                   + 1j * rng.standard_normal((rows, n // 2 + 1)))
         derivatives = np.empty((rows, n))
-        pocketfft.irfft(scaled, 1, axes=[(1,), (), (1,)], out=derivatives)
+        pocketfft.irfft(scaled, 1, derivatives)
         assert np.array_equal(
             derivatives, np.fft.irfft(scaled, n, norm="forward")), n
 
@@ -358,6 +366,50 @@ def test_runs_are_bit_identical_to_the_textbook_form(gardner_sys):
         expected = _textbook_profiles(system, grid, u0)
         assert np.all(np.isfinite(expected))
         assert np.array_equal(traj.profiles, expected)
+
+
+def _every_step_kind():
+    """Polynomials whose programs hold every kind of compiled step: +1 and
+    -1 coefficients first and later, on a power or a plain factor, powers 2
+    to 4, constant, x^a and t^k terms (a t^k term alone and times u), eps
+    terms and terms whose first factor is a derivative."""
+    ctx = Context(eps_order=1)
+    u, x, t, eps, one = ctx.u, ctx.x, ctx.t, ctx.eps, ctx.one
+    return [
+        u(0) ** 3 * u(1) + one - u(1) * u(2) + x ** 2 * u(1) / 100
+        + eps * (t ** 2 * u(0) ** 2 - u(3)),
+        -u(1) ** 2 + u(3) + t * u(0) - one / 2 + u(2) ** 3 / 4 - x * u(0)
+        + u(0) ** 4 * u(1) / 8,
+        -u(2) + t ** 3 / 2 + u(0) ** 2 * u(1) - eps * u(1) ** 2,
+        u(1) - u(0) ** 3 + 3 * x * u(2),
+        2 * one - u(1) * u(3),
+        t ** 2 + u(1) + eps * x]
+
+
+def test_every_compiled_step_matches_the_textbook_form():
+    polys = _every_step_kind()
+    grid = GridSpec(points=64, dt=1e-3, t_end=0.05, epsilon=0.1)
+    kinds = set()
+    for poly in polys:
+        kinds |= {f for f, _ in _Evaluator(poly, grid, grid.epsilon,
+                                           MAX_DENSITY_JET_ORDER, "rhs").program}
+    assert kinds == {pocketfft.rfft_n_even, pocketfft.irfft, np.multiply,
+                     np.square, np.power, np.negative, np.add, np.subtract,
+                     np.copyto}
+    u0 = sech_squared_profile(grid)
+    for poly in polys:
+        # the t^k terms are evaluated at t, t + dt/2 and t + dt
+        traj = integrate_pde(EvolutionSystem(poly), grid, u0, save_every=1)
+        expected = _textbook_profiles(EvolutionSystem(poly), grid, u0)
+        assert np.all(np.isfinite(expected))
+        assert np.array_equal(traj.profiles, expected)
+        # and as a density, one call per saved profile
+        for density in polys:
+            textbook = _textbook_evaluator(density, grid, 1.0)
+            rows = monitor_functional(traj, Functional(density), eps_value=1.0)
+            assert [row["value"] for row in rows] == [
+                float(np.sum(textbook(u, float(t)))) * grid.dx
+                for t, u in zip(traj.times, traj.profiles)]
 
 
 def test_evaluator_returns_a_new_array_per_call(gardner_sys):

@@ -7,7 +7,9 @@ sympy's chain rule, and the Euler operator is
 truncation is needed on the sympy side.  The printer is checked by sympy's
 own parser reading the printed text, with each jet as a plain symbol.
 The Hamiltonian-pair check is compared with the Jacobi identity of the
-pencil A + lambda*B, its brackets written out here with sympy.diff.
+pencil A + lambda*B, its brackets written out here with sympy.diff, and the
+skew-adjointness test and the Poisson bracket with the pairing and the
+bracket density written out the same way.
 """
 
 import re
@@ -15,11 +17,13 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetflow import (Context, DiffPoly, EpsPoly, dx_total, euler1,
-                     format_poly, integrate_x, load_fixture, pair_check,
-                     parse_model, reconstruct_density)
+from jetflow import (Context, DiffPoly, EpsPoly, Functional, PseudoDiffOp,
+                     dx_total, euler, euler1, format_poly, integrate_x,
+                     is_skew_adjoint, load_fixture, pair_check, parse_model,
+                     poisson_bracket, reconstruct_density)
 
-from conftest import P, diff_polys, eps_polys, skew_ops, stored_terms
+from conftest import (P, diff_polys, eps_polys, local_ops, skew_ops,
+                      stored_terms)
 
 sympy = pytest.importorskip("sympy")
 from sympy.calculus.euler import euler_equations  # noqa: E402
@@ -214,3 +218,70 @@ def test_pair_check_implies_a_vanishing_jacobiator(pair, triple):
     A, B = pair
     if pair_check(A, B):
         assert mixed_jacobiator(A, B, triple) == 0
+
+
+# ---------------------------------------------------------------------------
+# Skew-adjointness and the Poisson bracket.  D is skew-adjoint exactly when
+# int F*D(G) + G*D(F) dx vanishes for all F and G, that is when that density
+# has a zero Euler derivative; {F, G}_D has the density delta F * D(delta G).
+
+SKEW_CONTROLS = {"Dx": PseudoDiffOp.dx(P), "E": GARDNER["E"], **parse_model("""
+operator S { u*Dx + Dx*u }
+operator U { u*Dx }
+""").operators}
+small_functions = diff_polys(max_terms=2, max_jet_order=2, max_degree=2)
+# pairs of u, u_x, x*u and u^2: enough to show that u*Dx is not skew
+probes = (u, u_x, Context(P).x * u, u ** 2)
+PROBES = [(a, b) for a in probes for b in probes]
+
+
+def skew_pairing(D, F, G):
+    """The Euler derivative, mod eps^(P+1), of F*D(G) + G*D(F)."""
+    f, g = to_sympy(F), to_sympy(G)
+    return truncated(variational(f * apply_local(D, g) + g * apply_local(D, f)))
+
+
+@pytest.mark.parametrize("name, skew", [
+    ("Dx", True), ("E", True), ("S", True), ("U", False)])
+def test_skew_adjoint_controls_agree_with_the_pairing(name, skew):
+    D = SKEW_CONTROLS[name]
+    assert is_skew_adjoint(D) is skew
+    pairings = [skew_pairing(D, F, G) for F, G in PROBES]
+    assert all(p == 0 for p in pairings) is skew
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(skew_ops(), local_ops(max_order=2)), small_functions,
+       small_functions)
+def test_a_skew_adjoint_operator_pairs_to_a_total_derivative(D, F, G):
+    if is_skew_adjoint(D):
+        assert skew_pairing(D, F, G) == 0
+    else:
+        # the symmetric part D + D* is nonzero, and some probe shows it
+        assert any(skew_pairing(D, a, b) != 0 for a, b in PROBES)
+
+
+def bracket_residual(D, F, G):
+    """The sympy Euler derivative of delta F * D(delta G), mod eps^(P+1)."""
+    f, g = variational(to_sympy(F)), variational(to_sympy(G))
+    return truncated(variational(truncated(f * apply_local(D, g))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.sampled_from(sorted(OPS)).map(OPS.__getitem__),
+                 skew_ops()),
+       small_densities, small_densities)
+@example(GARDNER["E"], u ** 3, u * u_x ** 2)
+def test_the_bracket_residual_matches_sympy(D, F, G):
+    # the residual of the involution check, mostly nonzero
+    density = poisson_bracket(Functional(F), Functional(G), D).density
+    assert same(to_sympy(euler(density)), bracket_residual(D, F, G))
+
+
+def test_the_bracket_residuals_compared_are_mostly_nonzero():
+    # every ordered pair of distinct degree-3 densities under E and S, but
+    # u^2*u_x, a total derivative of zero gradient
+    cubic = [u_x ** 3, u * u_x ** 2, u ** 3]
+    residuals = [bracket_residual(OPS[name], F, G) for name in ("E", "S")
+                 for F in cubic for G in cubic if F is not G]
+    assert sum(r != 0 for r in residuals) > len(residuals) // 2
