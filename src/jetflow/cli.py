@@ -196,17 +196,19 @@ def _check_grid(args) -> Optional[str]:
 def cmd_validate_numeric(args, model, system, T):
     from dataclasses import asdict
 
-    from .numeric import (integrate_pde, max_drift, monitor_functional,
+    from .numeric import (_density, _drift_rows, integrate_pde, max_drift,
                           sech_squared_profile)
 
     grid = args.grid
     ic = sech_squared_profile(grid, amplitude=args.amplitude, width=args.width)
+    # a density that cannot be evaluated is refused before the first step
+    density = _density(T, grid, grid.epsilon)
     name = f"numeric {args.density} on {args.system} (eps={args.epsilon})"
     try:
         traj = integrate_pde(system, grid, ic)
     except Diverged as err:  # the drift of a run that blew up is unbounded
         return [CheckReport(name, False, math.inf, {"error": str(err)})]
-    rows = monitor_functional(traj, T)
+    rows = _drift_rows(traj.times, traj.profiles, grid.dx, density)
     if args.format == "json":
         print(json.dumps({"command": args.command, "grid": asdict(grid),
                           "rows": rows}, indent=2))

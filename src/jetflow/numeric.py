@@ -17,6 +17,11 @@ directly with the default axes and a positional output, so they return the
 same bits without the wrapper's per-call dtype, axis and norm handling.
 The inverse transform is unscaled: the 1/n of a default-norm irfft is
 folded into the multipliers, which is exact because n is a power of two.
+Every operand a step hands to a ufunc is a kept array: coefficients, FFT
+scales, exponents and the RK4 constants are 0-d float64 arrays built once,
+because a ufunc converts a Python scalar operand on every call.  Python
+floats are left only to the time arithmetic (the stage times and the saved
+times).
 Every floating-point operation, and its order, is that of the textbook
 form `u + dt/6 (k1 + 2 k2 + 2 k3 + k4)` with default-norm FFTs and each
 term multiplied out left to right (a coefficient of exactly +1 or -1 is an
@@ -41,6 +46,11 @@ MAX_DENSITY_JET_ORDER = 4
 MAX_POINTS = 2 ** 14
 MAX_STEPS = 10 ** 6
 MAX_SAVED_VALUES = 2 ** 24  # saved profiles x points: 128 MiB of float64
+
+# kept 0-d operands shared by every program: the FFT scale 1 and the zero
+# polynomial's value
+_ONE, _ZERO = np.array(1.0), np.array(0.0)
+_ONE.flags.writeable = _ZERO.flags.writeable = False
 
 
 @dataclass
@@ -95,7 +105,11 @@ class _Evaluator:
     kept source and writes another kept output, and `run(program, t)` runs
     it: the t-dependent coefficients, each computed as a Python float and
     written into the 0-d array its step reads, then `f(*args)` per step, with
-    no walk over the terms, no branch per factor and no new array.  A call
+    no walk over the terms, no branch per factor and no new array.  Every
+    operand of a step is a kept array: each coefficient and each exponent
+    above 2 is a 0-d float64 array, built with the program, and the FFT
+    scale and the zero are shared 0-d constants, so no call converts a
+    Python scalar; Python floats serve only the time arithmetic.  A call
     `evaluator(u, t)` copies u into the evaluator's own source, runs its
     program and returns a copy of the output.
 
@@ -146,17 +160,17 @@ class _Evaluator:
         self.derivatives = np.empty((len(orders), grid.points))
         self.scratch = np.empty(grid.points)
         self.power = np.empty(grid.points)
-        # per term its coefficient (a float, or the 0-d array of a t^k term),
-        # its sign when that coefficient is exactly +1 or -1 (else 0) and its
-        # factors (array, exponent), None standing for the source
+        # per term its coefficient (a 0-d array, which run() rewrites for a
+        # t^k term), its sign when that coefficient is exactly +1 or -1
+        # (else 0) and its factors (array, exponent), None standing for the
+        # source
         rows = dict(zip(orders, self.derivatives))
         x = grid.x_grid()
         self.timed = []
         self.terms = []
         for value, mon in monomials:
-            coeff = value
+            coeff = np.array(value)
             if mon.t:
-                coeff = np.empty(())
                 self.timed.append((coeff, value, mon.t))
             factors = [(x ** mon.x, 1)] if mon.x else []
             factors += [(rows.get(o), e) for o, e in mon.jets]
@@ -174,12 +188,13 @@ class _Evaluator:
             # the calls np.fft.rfft(u) and np.fft.irfft(scaled, points,
             # norm="forward") make, whose normalisation factor is 1, with
             # the default axes and a positional out
-            steps += [(pocketfft.rfft_n_even, (source, 1, self.spectrum)),
+            steps += [(pocketfft.rfft_n_even, (source, _ONE, self.spectrum)),
                       (np.multiply, (self.multipliers, self.spectrum,
                                      self.scaled)),
-                      (pocketfft.irfft, (self.scaled, 1, self.derivatives))]
+                      (pocketfft.irfft, (self.scaled, _ONE,
+                                         self.derivatives))]
         if not self.terms:
-            steps.append((np.copyto, (out, 0.0)))
+            steps.append((np.copyto, (out, _ZERO)))
         for n, (coeff, sign, factors) in enumerate(self.terms):
             dest = self.scratch if n else out
             acc = None if sign else coeff
@@ -188,13 +203,13 @@ class _Evaluator:
                 if e > 1:
                     power = dest if acc is None else self.power
                     steps.append((np.square, (f, power)) if e == 2 else
-                                 (np.power, (f, e, power)))
+                                 (np.power, (f, np.array(float(e)), power)))
                     f = power
                 if acc is not None:
                     steps.append((np.multiply, (acc, f, dest)))
                     f = dest
                 acc = f
-            # acc now holds the term: dest, a kept array or a scalar
+            # acc now holds the term: dest, a kept array or a 0-d one
             if n:
                 steps.append((np.subtract if sign < 0 else np.add,
                               (out, acc, out)))
@@ -270,33 +285,38 @@ def integrate_pde(sys: EvolutionSystem, grid: GridSpec, ic: np.ndarray,
 
     u = ic.copy()
     stage, acc, k = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+    ones = np.ones_like(u)
     run = rhs.run
     first, later = rhs.bind(u, acc), rhs.bind(stage, k)
     times = [0.0]
     profiles = [u.copy()]
     t = 0.0
     dt = grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
+    # the step's constants as 0-d operands; the times stay Python floats
+    c_half, c_dt, c_sixth = np.array(half), np.array(dt), np.array(dt / 6.0)
     add, multiply = np.add, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, nsteps + 1):
             # k1 into acc, k2..k4 into k; stage = u + c k and acc = k1 +
-            # 2 k2 + 2 k3 + k4, summed in place in that order
+            # 2 k2 + 2 k3 + k4, summed in place in that order (k + k is
+            # 2 k exactly)
             run(first, t)
-            add(u, multiply(acc, half, stage), stage)
+            add(u, multiply(acc, c_half, stage), stage)
             run(later, t + half)
-            add(u, multiply(k, half, stage), stage)
-            add(acc, multiply(k, 2.0, k), acc)
+            add(u, multiply(k, c_half, stage), stage)
+            add(acc, add(k, k, k), acc)
             run(later, t + half)
-            add(u, multiply(k, dt, stage), stage)
-            add(acc, multiply(k, 2.0, k), acc)
+            add(u, multiply(k, c_dt, stage), stage)
+            add(acc, add(k, k, k), acc)
             run(later, t + dt)
             add(acc, k, acc)
-            multiply(acc, sixth, acc)
+            multiply(acc, c_sixth, acc)
             add(u, acc, u)
             t = step * dt
-            # a sum of finite values may overflow, so confirm before raising
-            if not math.isfinite(u.sum()) and not np.isfinite(u).all():
+            # u . 1 is non-finite when u is; a sum of finite values may
+            # overflow, so confirm before raising
+            if not math.isfinite(u.dot(ones)) and not np.isfinite(u).all():
                 raise Diverged(f"non-finite value at step {step} (t={t:.6g})", step)
             if step % save_every == 0 or step == nsteps:
                 times.append(t)
@@ -325,14 +345,23 @@ def monitor_functional(traj: Trajectory, T: Functional,
                          f"{len(traj.times)} times")
     if eps_value is None:
         eps_value = traj.grid.epsilon
-    density = _Evaluator(T.density, traj.grid, eps_value,
-                         MAX_DENSITY_JET_ORDER, "density")
-    dx = traj.grid.dx
+    return _drift_rows(traj.times, profiles, traj.grid.dx,
+                       _density(T, traj.grid, eps_value))
+
+
+def _density(T: Functional, grid: GridSpec, eps_value: float) -> _Evaluator:
+    """The evaluator of T's density; Unsupported when it cannot be built."""
+    return _Evaluator(T.density, grid, eps_value, MAX_DENSITY_JET_ORDER,
+                      "density")
+
+
+def _drift_rows(times, profiles, dx: float, density: _Evaluator) -> List[dict]:
+    """The rows of monitor_functional, from checked profiles."""
     rows = []
     initial = None
     # a value past the float range reads inf, as in integrate_pde
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, u in zip(traj.times, profiles):
+        for t, u in zip(times, profiles):
             value = float(np.sum(density(u, float(t)))) * dx
             if initial is None:
                 initial = value

@@ -580,6 +580,23 @@ def test_validate_numeric_jet_order_caps_exit_2(capsys, tmp_path, rhs,
     assert err.startswith("unsupported:")
 
 
+@pytest.mark.parametrize("density", ["u_xxxxx", f"{BIG}*u"],
+                         ids=["jet-order", "coefficient"])
+def test_an_unsupported_density_is_refused_before_the_first_step(
+        capsys, tmp_path, monkeypatch, density):
+    # the density's evaluator is built before the run, not after 1e4 steps
+    def integrate_pde(*args, **kwargs):
+        pytest.fail("integrate_pde ran for a density it cannot evaluate")
+
+    monkeypatch.setattr("jetflow.numeric.integrate_pde", integrate_pde)
+    model = tmp_path / "density.jf"
+    model.write_text(f"system s {{ rhs: u_x; }}\ndensity N = {density};\n")
+    code, out, err = run(capsys, "validate-numeric", str(model), "--system",
+                         "s", "--density", "N")
+    assert (code, out) == (2, "")
+    assert err.startswith("unsupported: ")
+
+
 def test_parse_time_product_cap_exit_3(capsys, tmp_path):
     model = tmp_path / "power.jf"
     model.write_text(GARDNER_SOURCE + "char Q = (u + u_x + 1)^400;\n")

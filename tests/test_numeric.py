@@ -7,7 +7,7 @@ from jetflow import (Context, Diverged, EvolutionSystem, Functional, GridSpec,
 from jetflow.jets import _unpack
 from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
                              MAX_RHS_JET_ORDER, MAX_SAVED_VALUES, MAX_STEPS,
-                             Trajectory, _Evaluator, pocketfft)
+                             Trajectory, _Evaluator, _ONE, pocketfft)
 
 
 @pytest.fixture(scope="module")
@@ -333,10 +333,12 @@ def test_direct_rfft_is_numpys_bit_for_bit():
     assert POWERS_OF_TWO[0] == 16 and POWERS_OF_TWO[-1] == MAX_POINTS
     for n in POWERS_OF_TWO:
         u = rng.standard_normal(n)
-        spectrum = np.empty(n // 2 + 1, dtype=complex)
-        # the program's call form: default axes, positional out
-        pocketfft.rfft_n_even(u, 1, spectrum)
-        assert np.array_equal(spectrum, np.fft.rfft(u)), n
+        # the program's call form: default axes, positional out, the scale
+        # a kept 0-d 1.0; and the int scale that numpy's wrapper passes
+        for scale in (_ONE, 1):
+            spectrum = np.empty(n // 2 + 1, dtype=complex)
+            pocketfft.rfft_n_even(u, scale, spectrum)
+            assert np.array_equal(spectrum, np.fft.rfft(u)), (n, scale)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -345,10 +347,12 @@ def test_direct_batched_irfft_is_numpys_bit_for_bit(rows):
     for n in POWERS_OF_TWO:
         scaled = (rng.standard_normal((rows, n // 2 + 1))
                   + 1j * rng.standard_normal((rows, n // 2 + 1)))
-        derivatives = np.empty((rows, n))
-        pocketfft.irfft(scaled, 1, derivatives)
-        assert np.array_equal(
-            derivatives, np.fft.irfft(scaled, n, norm="forward")), n
+        for scale in (_ONE, 1):
+            derivatives = np.empty((rows, n))
+            pocketfft.irfft(scaled, scale, derivatives)
+            assert np.array_equal(
+                derivatives, np.fft.irfft(scaled, n, norm="forward")), (n,
+                                                                        scale)
 
 
 def test_runs_are_bit_identical_to_the_textbook_form(gardner_sys):
@@ -410,6 +414,28 @@ def test_every_compiled_step_matches_the_textbook_form():
             assert [row["value"] for row in rows] == [
                 float(np.sum(textbook(u, float(t)))) * grid.dx
                 for t, u in zip(traj.times, traj.profiles)]
+
+
+def test_a_compiled_program_holds_no_python_scalar(gardner_sys):
+    # a ufunc converts a Python scalar operand on every call, so each
+    # coefficient, exponent and FFT scale is a kept array
+    grid = GridSpec(points=64, dt=1e-3, t_end=0.05, epsilon=0.1)
+    for poly in [gardner_sys.rhs] + _every_step_kind():
+        program = _Evaluator(poly, grid, grid.epsilon, MAX_DENSITY_JET_ORDER,
+                             "rhs").program
+        for f, args in program:
+            assert all(isinstance(a, np.ndarray) for a in args), (poly, f)
+
+
+def test_a_finite_run_whose_sum_overflows_completes():
+    # the finiteness check reduces the profile to one number, which may
+    # overflow on finite values; only a non-finite value is a divergence
+    grid = GridSpec(points=16, dt=1e-3, t_end=0.01)
+    big = np.full(16, 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(np.sum(big))
+    traj = integrate_pde(EvolutionSystem(Context(1).zero), grid, big)
+    assert np.array_equal(traj.profiles[-1], big)
 
 
 def test_evaluator_returns_a_new_array_per_call(gardner_sys):
