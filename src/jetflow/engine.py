@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dsl import DEFAULT_MAX_JET_ORDER, _Record
@@ -18,14 +18,15 @@ from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
 # The most steps one hierarchy run may take.  Late Gardner steps cost about
-# 1.4x the one before; ten steps from Kbar1 took 0.5-0.7 s of CPU and 26 MB
-# (2-vCPU Xeon).
+# 1.7x the one before; ten steps from Kbar1 took 0.16 s of CPU and 24 MB
+# peak RSS (Python 3.11, 2-vCPU Xeon).
 MAX_HIERARCHY_STEPS = 10
 # The most (monomial, eps degree) pairs one order tier of the
-# operator-inversion ansatz may hold, counted in the preimage's weight space.
-# The built-in Gardner inversions through E need at most 9 (Qbar5), and the
-# fourth step of the hierarchy through E 134, inverted in 0.3 s of CPU
-# (2-vCPU Xeon).
+# operator-inversion ansatz may hold, in the preimage's weight space.  The
+# built-in Gardner inversions through E need at most 9 (Qbar5); the
+# hierarchy from Kbar1 through E needs 60 at step 3, the whole --steps 3
+# call taking 27 ms of CPU, and 134 at step 4, inverted in 0.15 s
+# (Python 3.11, 2-vCPU Xeon).
 MAX_ANSATZ_MONOMIALS = 1024
 
 
@@ -172,38 +173,6 @@ def _shapes(gradings: list, p: int, degree_bound: int):
                     yield e, b, d, sigma
 
 
-def _jet_weight_prefix(top: int, max_degree: int) -> list:
-    """cum[d][s]: how many monomials of degree d in u_0..u_top have orders
-    summing to less than s.  The counts of degree d are the coefficients of
-    the Gaussian binomial [top + d, d]_q, which is [top + d - 1, d - 1]_q
-    times (1 - q^(top + d)) / (1 - q^d)."""
-    cum, row = [], [1]
-    for d in range(max_degree + 1):
-        if d:
-            row = row + [0] * top
-            for s in range(len(row) - 1, top + d - 1, -1):
-                row[s] -= row[s - top - d]
-            for s in range(d, len(row)):
-                row[s] += row[s - d]
-        cum.append(list(accumulate(row, initial=0)))
-    return cum
-
-
-def _tier_size(shapes: list, degree_bound: int, top: int) -> int:
-    """The (monomial, eps degree) pairs of the shapes with jet orders up to
-    top, counted without building any."""
-    cum = _jet_weight_prefix(top, degree_bound)
-    total = 0
-    for e, b, d, sigma in shapes:
-        span = degree_bound - b - d  # x degrees 0..span, so s in sigma..sigma+span
-        if sigma is None:
-            total += (span + 1) * cum[d][-1]
-        else:
-            lo, hi = max(sigma, 0), min(sigma + span, top * d)
-            total += cum[d][hi + 1] - cum[d][lo] if lo <= hi else 0
-    return total
-
-
 def _jet_multisets(d: int, s: int, top: int):
     """The jets ((order, exp), ...) of each monomial of degree d in
     u_0..u_top whose orders sum to s."""
@@ -219,13 +188,18 @@ def _jet_multisets(d: int, s: int, top: int):
 
 def _graded_pairs(shapes: list, degree_bound: int, top: int) -> list:
     """The (monomial, eps degree) pairs of the shapes with jet orders up to
-    top, ordered by eps degree, then x, t and u_0..u_top exponents."""
-    pairs = []
-    for e, b, d, sigma in shapes:
-        for a in range(degree_bound - b - d + 1):
-            weights = range(top * d + 1) if sigma is None else [sigma + a]
-            pairs += [(Monomial(a, b, jets), e) for s in weights
-                      for jets in _jet_multisets(d, s, top)]
+    top, ordered by eps degree, then x, t and u_0..u_top exponents.  They
+    are drawn lazily: a tier of more than MAX_ANSATZ_MONOMIALS pairs raises
+    ResourceLimit at the first pair past the cap, before any is sorted."""
+    drawn = ((Monomial(a, b, jets), e) for e, b, d, sigma in shapes
+             for a in range(degree_bound - b - d + 1)
+             for s in (range(top * d + 1) if sigma is None else [sigma + a])
+             for jets in _jet_multisets(d, s, top))
+    pairs = list(islice(drawn, MAX_ANSATZ_MONOMIALS + 1))
+    if len(pairs) > MAX_ANSATZ_MONOMIALS:
+        raise ResourceLimit(f"an ansatz tier of jet order <= {top} and degree "
+                            f"<= {degree_bound} has more monomials than the "
+                            f"cap {MAX_ANSATZ_MONOMIALS}")
 
     def order(pair):
         (mon, e), exps = pair, dict(pair[0].jets)
@@ -313,8 +287,9 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     is dense.  Basis elements on which a nonlocal D fails to act are
     skipped; any solution found is verified by direct application before
     being returned.  A tier of more than MAX_ANSATZ_MONOMIALS pairs raises
-    ResourceLimit once they are counted, before any is built; at a degree
-    bound so high that counting would be costly, the dense count is raised.
+    ResourceLimit as soon as its enumeration draws one pair past the cap,
+    before any image is built; at a degree bound so high that grading would
+    be costly, the size of the dense first tier is reported without grading.
     """
     p = Q.eps_order
     degree_bound = Q.total_degree() + 1
@@ -323,16 +298,15 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     order_tiers = [tight, order_q] if tight < order_q else [order_q]
     if not D.local_terms:  # a preimage under a*Dxi*b has one order more
         order_tiers.append(order_q + 1)
-    # counting a tier costs O(p * degree^2); above this degree the dense
-    # count, which is larger still, is reported without grading
-    dense = math.comb(degree_bound + 2, 2) > MAX_ANSATZ_MONOMIALS
-    shapes = [] if dense else list(_shapes(_gradings(D, Q), p, degree_bound))
+    # grading costs O(p * degree^2); above this degree the dense first
+    # tier, which is larger still, is refused without grading
+    if math.comb(degree_bound + 2, 2) > MAX_ANSATZ_MONOMIALS:
+        count = (p + 1) * math.comb(order_tiers[0] + 3 + degree_bound,
+                                    degree_bound)
+        raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
+                            f"cap {MAX_ANSATZ_MONOMIALS}")
+    shapes = list(_shapes(_gradings(D, Q), p, degree_bound))
     for order_bound in order_tiers:
-        count = ((p + 1) * math.comb(order_bound + 3 + degree_bound, degree_bound)
-                 if dense else _tier_size(shapes, degree_bound, order_bound))
-        if count > MAX_ANSATZ_MONOMIALS:
-            raise ResourceLimit(f"an ansatz of {count} monomials exceeds the "
-                                f"cap {MAX_ANSATZ_MONOMIALS}")
         basis: List[Tuple[int, int]] = []
         # coordinate equations: one row per (monomial, eps degree)
         rows_map: Dict[Tuple[int, int], Dict[int, Fraction]] = {}

@@ -1,9 +1,13 @@
 """Exact coefficient ring Q[eps]/(eps^(p+1)).
 
-Every symbolic computation in the package happens over this ring: rational
+Every symbolic computation in the package is exact in this ring: rational
 coefficients, with all powers of the perturbation parameter above the
-truncation order discarded.  Rationals are `fractions.Fraction`, so all
-arithmetic is exact and arbitrary precision.
+truncation order discarded.  :class:`EpsPoly`, one element of it with
+`fractions.Fraction` coefficients, is the public view and constructor
+type: ``DiffPoly`` takes and gives back its coefficients as EpsPoly, and an
+operator can be scaled by one.  A ``DiffPoly`` itself stores them flat, one
+int or Fraction per (monomial, eps degree), and does its arithmetic on that
+map (see the ``jets`` module).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from jetflow import CheckReport, dsl, engine, parse_model, print_model
+from jetflow import (CheckReport, Monomial, dsl, engine, parse_model,
+                     print_model)
 from jetflow.cli import COMMANDS, build_parser, main
 from jetflow.fixtures import GARDNER_SOURCE
 from jetflow.numeric import (MAX_DENSITY_JET_ORDER, MAX_POINTS,
@@ -673,7 +674,7 @@ def test_ansatz_cap_exit_3(capsys, tmp_path, monkeypatch):
     # 15 and 3, so no grading of E keeps it homogeneous and the basis stays
     # dense.  Its first order tier (jet order 7 - 3 = 4) has the C(7 + 6, 6)
     # = 1716 monomials in x, t, u_0..u_4 of degree <= 6, times 2 eps
-    # degrees: 3432 pairs
+    # degrees: 3432 pairs, refused once the 1025th is drawn
     def applied(*args):
         raise AssertionError("an image was built")
 
@@ -686,8 +687,39 @@ def test_ansatz_cap_exit_3(capsys, tmp_path, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("resource limit:")
-    assert "3432 monomials" in err
+    assert ("an ansatz tier of jet order <= 4 and degree <= 6 has more "
+            "monomials than the cap 1024") in err
     assert time.process_time() - start < 2.0
+
+
+def test_ansatz_tier_far_past_the_cap_draws_one_pair_more(capsys, tmp_path,
+                                                          monkeypatch):
+    # u^8*u{20} and x*u^9 differ in (1, 0, -2, 2)-weight, so only the t
+    # degree grades the basis: its first order tier (jet order 20 - 3 = 17,
+    # degree <= 11) holds over 10^8 pairs, and drawing stops one past the cap
+    def applied(*args):
+        raise AssertionError("an image was built")
+
+    drawn = []
+
+    def monomial(*args):
+        drawn.append(args)
+        return Monomial(*args)
+
+    monkeypatch.setattr(engine, "apply_op", applied)
+    monkeypatch.setattr(engine, "Monomial", monomial)
+    model = tmp_path / "ansatz.jf"
+    model.write_text(GARDNER_SOURCE + "char Q = u^8*u{20} + x*u^9;\n")
+    start = time.process_time()
+    code, out, err = run(capsys, "noether", str(model), "--char", "Q",
+                         "--op", "E")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit: an ansatz tier of jet order <= 17 "
+                          "and degree <= 11 has more monomials than the cap "
+                          "1024")
+    assert 0 < len(drawn) <= engine.MAX_ANSATZ_MONOMIALS + 1
+    assert time.process_time() - start < 1.0
 
 
 def test_failing_involutions_report_their_residual(capsys, tmp_path):

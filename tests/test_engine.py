@@ -144,8 +144,9 @@ def test_ansatz_monomial_cap(v, gardner, monkeypatch):
         raise AssertionError("an image was built")
 
     monkeypatch.setattr(engine, "apply_op", applied)
-    with pytest.raises(ResourceLimit, match="an ansatz of 70 monomials "
-                                            "exceeds the cap 69"):
+    with pytest.raises(ResourceLimit, match="an ansatz tier of jet order <= 0 "
+                                            "and degree <= 4 has more "
+                                            "monomials than the cap 69"):
         solve_operator_equation(E, Q)
     with pytest.raises(ResourceLimit):
         noether_inverse(Q, E)

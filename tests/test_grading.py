@@ -8,11 +8,13 @@ helpers.
 """
 
 from itertools import product
+from unittest import mock
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from jetflow import (DiffPoly, EpsPoly, Monomial, apply_op,
+from jetflow import (DiffPoly, EpsPoly, Monomial, ResourceLimit, apply_op,
                      solve_operator_equation)
 from jetflow import engine
 
@@ -91,7 +93,6 @@ def test_graded_basis_is_the_filtered_dense_basis(gardner):
     assert expected
     shapes = list(engine._shapes(gradings, 1, degree_bound))
     assert engine._graded_pairs(shapes, degree_bound, top) == expected
-    assert engine._tier_size(shapes, degree_bound, top) == len(expected)
     # and E maps each of them to terms of the weight of Q
     q_feature = feature(*next(iter(stored_terms(Q))))
     for mon, e in expected:
@@ -117,8 +118,18 @@ def test_graded_pairs_and_count_match_brute_force(D, Q, top):
     degree_bound = Q.total_degree() + 1
     expected = filtered_dense_basis(gradings, degree_bound, top)
     shapes = list(engine._shapes(gradings, 1, degree_bound))
-    assert engine._graded_pairs(shapes, degree_bound, top) == expected
-    assert engine._tier_size(shapes, degree_bound, top) == len(expected)
+    # a tier of exactly the cap is built, and one pair more is refused
+    for cap in (engine.MAX_ANSATZ_MONOMIALS, len(expected),
+                max(len(expected) - 1, 0)):
+        with mock.patch.object(engine, "MAX_ANSATZ_MONOMIALS", cap):
+            if len(expected) > cap:
+                with pytest.raises(ResourceLimit, match=(
+                        f"jet order <= {top} and degree <= {degree_bound} has "
+                        f"more monomials than the cap {cap}$")):
+                    engine._graded_pairs(shapes, degree_bound, top)
+            else:
+                assert engine._graded_pairs(shapes, degree_bound,
+                                            top) == expected
 
 
 def test_dense_tier_size_is_the_binomial_count():
@@ -127,7 +138,7 @@ def test_dense_tier_size_is_the_binomial_count():
     for top in range(4):
         for degree in range(5):
             shapes = list(engine._shapes([], 1, degree))
-            assert (engine._tier_size(shapes, degree, top)
+            assert (len(engine._graded_pairs(shapes, degree, top))
                     == 2 * sympy.binomial(top + 3 + degree, degree))
 
 
