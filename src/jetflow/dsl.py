@@ -37,13 +37,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Dict, List, Optional, Union
 
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
 from .jets import (_MAX_EXPONENT, Context, DiffPoly, EvolutionSystem,
                    Functional, Monomial, _accumulate, _checked, _degree,
-                   _exact, _pack, _u)
-from .operators import PseudoDiffOp, _ratio
+                   _pack, _reduced, _u)
+from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
 
 # Term pairs that the products of one declaration may multiply in all (a
@@ -87,15 +88,21 @@ RESERVED = {"x", "t", "eps", "u", "Dx", "Dxi"} | KEYWORDS
 # a name that spells the jet u_k as u_x...x (k letters x), reserved as well
 _SPELT_JET = re.compile(r"u_x+")
 
-# A product of atoms is folded into one term, a plain tuple (c, m, e)
-# standing for c*m*eps^e with m a packed monomial and c a stored rational, 0
-# for a zero term.  It becomes a DiffPoly only where it meets a sum, an
-# operator, a named value or any other product, and it costs the caps what
-# that DiffPoly would.
+# A product of atoms is folded into one term, a plain tuple (n, d, m, e)
+# standing for n/d*m*eps^e with m a packed monomial and n/d in lowest terms,
+# d > 0; a zero term is n = 0 over d = 1.  It becomes a DiffPoly only where
+# it meets a sum, an operator, a named value or any other product, and it
+# costs the caps what that DiffPoly would.
 Value = Union[DiffPoly, PseudoDiffOp, tuple]
-_ONE, _ZERO = (1, 0, 0), (0, 0, 0)
-_ATOMS = {"x": (1, _pack(Monomial(1, 0, ())), 0),
-          "t": (1, _pack(Monomial(0, 1, ())), 0), "u": (1, _u(0), 0)}
+_ONE, _ZERO = (1, 1, 0, 0), (0, 1, 0, 0)
+_ATOMS = {"x": (1, 1, _pack(Monomial(1, 0, ())), 0),
+          "t": (1, 1, _pack(Monomial(0, 1, ())), 0), "u": (1, 1, _u(0), 0)}
+
+
+def _term(n: int, d: int, m: int, e: int) -> tuple:
+    """The term n/d*m*eps^e, its rational in lowest terms over a d > 0."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    return n // g, d // g, m, e
 
 
 def _size(value: Value) -> int:
@@ -112,30 +119,30 @@ def _size(value: Value) -> int:
 
 
 def _items(value: Value):
-    """The ((packed monomial, e), c) pairs of a term or a polynomial."""
+    """The ((packed monomial, e), numerator) pairs of a term or a
+    polynomial, and the denominator they share."""
     if type(value) is tuple:
-        c, m, e = value
-        return (((m, e), c),) if c else ()
-    return value._flat.items()
+        n, d, m, e = value
+        return (((m, e), n),) if n else (), d
+    return value._flat.items(), value._den
 
 
 def _bits(value: Value) -> int:
     """Bit length of the largest numerator plus that of the largest
-    denominator among the coefficients of a value."""
+    denominator among the coefficients of a value, each in lowest terms."""
     if type(value) is tuple:
-        c = value[0]
-        return (abs(c).bit_length() + 1 if type(c) is int else
-                abs(c.numerator).bit_length() + c.denominator.bit_length())
+        return abs(value[0]).bit_length() + value[1].bit_length()
     polys = ((value,) if isinstance(value, DiffPoly)
              else (*value.local_terms.values(), *chain(*value.nonlocal_terms)))
     top, den = 0, 1
     for P in polys:
+        d = P._den
+        if d == 1:
+            top = max(top, max(map(abs, P._flat.values()), default=0))
+            continue
         for c in P._flat.values():
-            if type(c) is not int:
-                den = max(den, c.denominator)
-                c = c.numerator
-            if abs(c) > top:
-                top = abs(c)
+            g = gcd(c, d)
+            top, den = max(top, abs(c) // g), max(den, d // g)
     return top.bit_length() + den.bit_length()
 
 
@@ -394,7 +401,7 @@ class _Parser:
         tok = self.advance()
         kind, word = tok[0], tok[1]
         if kind == "INT":
-            return int(word), 0, 0
+            return int(word), 1, 0, 0
         if kind == "JET":
             return self.jet(int(word), tok)
         if word == "(":
@@ -410,7 +417,7 @@ class _Parser:
             if word in _ATOMS:
                 return _ATOMS[word]
             if word == "eps":
-                return (1, 0, 1) if self.model.eps_order else _ZERO
+                return (1, 1, 0, 1) if self.model.eps_order else _ZERO
             if _SPELT_JET.fullmatch(word):
                 return self.jet(len(word) - 2, tok)
             if word == "Dx":
@@ -431,26 +438,29 @@ class _Parser:
         if order > MAX_JET_INDEX:
             raise self.limit(tok, f"jet order {order} exceeds the cap "
                                   f"{MAX_JET_INDEX}")
-        return 1, _u(order), 0
+        return 1, 1, _u(order), 0
 
     def poly(self, value: Value) -> Union[DiffPoly, PseudoDiffOp]:
         """A value with a term made a DiffPoly."""
         if type(value) is not tuple:
             return value
-        c, mon, e = value
-        return DiffPoly._from_flat({(mon, e): c} if c else {},
-                                   self.model.eps_order)
+        n, d, mon, e = value
+        return DiffPoly._from_flat({(mon, e): n} if n else {},
+                                   self.model.eps_order, d)
 
     def add(self, left: Value, right: Value, negate: bool) -> Value:
         """left + right, or left - right when `negate`; polynomials and terms
-        are summed into one new map."""
+        are summed into one new map, over the lcm of their denominators."""
         if isinstance(left, PseudoDiffOp) or isinstance(right, PseudoDiffOp):
             left, right = self.poly(left), self.poly(right)
             return left - right if negate else left + right
-        flat = dict(_items(left))
-        for key, c in _items(right):
-            _accumulate(flat, key, -c if negate else c)
-        return DiffPoly._from_flat(flat, self.model.eps_order)
+        (left, d1), (right, d2) = _items(left), _items(right)
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, -(den // d2) if negate else den // d2
+        flat = dict(left) if s1 == 1 else {key: c * s1 for key, c in left}
+        for key, c in right:
+            _accumulate(flat, key, c * s2)
+        return _reduced(flat, den, self.model.eps_order)
 
     def divide(self, left: Value, right: Value) -> Value:
         """left / right for a nonzero rational constant right; an error is
@@ -458,13 +468,14 @@ class _Parser:
         if isinstance(right, PseudoDiffOp):
             self.fail("division only by rational constants")
         if type(right) is tuple:
-            r = right[0] if right[1:] == (0, 0) else None
+            r = Fraction(*right[:2]) if right[2:] == (0, 0) else None
         else:
             r = right.rational_constant()
         if not r:
             self.fail("division only by nonzero rational constants")
         if type(left) is tuple:
-            return (_ratio(left[0], r), *left[1:])
+            n, d, m, e = left
+            return _term(n * r.denominator, d * r.numerator, m, e)
         return left * Fraction(1, r)
 
     def count(self, pairs: int, bits: int):
@@ -488,11 +499,13 @@ class _Parser:
         Leibniz loop of operators.compose."""
         self.count(_size(left) * _size(right), _bits(left) + _bits(right))
         if type(left) is tuple and type(right) is tuple:
-            (c, m, e), (c2, m2, e2) = left, right
-            c, e = c * c2, e + e2
-            if not c or e > self.model.eps_order:
+            (n, d, m, e), (n2, d2, m2, e2) = left, right
+            n, e = n * n2, e + e2
+            if not n or e > self.model.eps_order:
                 return _ZERO
-            return _exact(c), _checked(m + m2), e
+            d *= d2
+            return (n, 1, _checked(m + m2), e) if d == 1 else _term(
+                n, d, _checked(m + m2), e)
         try:
             return self.poly(left) * self.poly(right)
         except ClosureError as err:
@@ -510,12 +523,12 @@ class _Parser:
                 self.count((i * j + 1) * (j + 1), 4)
             return base ** n
         if type(base) is tuple:
-            c, m, e = base
-            if (c in (1, -1) and self.pairs + n <= MAX_PRODUCT_PAIRS
+            c, d, m, e = base
+            if (c in (1, -1) and d == 1 and self.pairs + n <= MAX_PRODUCT_PAIRS
                     and 4 <= MAX_COEFF_BITS and n * _degree(m) <= _MAX_EXPONENT):
                 self.pairs += n  # each product pairs 1 x 1 terms, 1 + 1 bits
-                return ((c ** n, m * n, e * n) if e * n <= self.model.eps_order
-                        else _ZERO)
+                return ((c ** n, 1, m * n, e * n)
+                        if e * n <= self.model.eps_order else _ZERO)
         power = PseudoDiffOp.identity(base.eps_order) if is_op else _ONE
         for _ in range(n):
             power = self.multiply(power, base, caret)

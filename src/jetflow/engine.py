@@ -11,9 +11,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .dsl import DEFAULT_MAX_JET_ORDER, _Record
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
-from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial, _exact,
-                   _monomial_order, _obstruction, _pack, _unpack, dt_total,
-                   integrate_x, prolong_apply)
+from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
+                   _monomial_order, _obstruction, _over_lcm, _pack, _unpack,
+                   dt_total, integrate_x, prolong_apply)
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
@@ -25,8 +25,10 @@ MAX_HIERARCHY_STEPS = 10
 # operator-inversion ansatz may hold, in the preimage's weight space.  The
 # built-in Gardner inversions through E need at most 9 (Qbar5); the
 # hierarchy from Kbar1 through E needs 60 at step 3, the whole --steps 3
-# call taking 27 ms of CPU, and 134 at step 4, inverted in 0.15 s
-# (Python 3.11, 2-vCPU Xeon).
+# call taking 13 ms of CPU, and 134 at step 4, inverted in 13 ms.  On the
+# model with max_jet_order = 24, step 5 needs 284 (37 ms) and step 6 570
+# (0.11 s), the whole --steps 6 call taking 0.18 s (Python 3.11, 2-vCPU
+# Xeon, rows eliminated sparsest first).
 MAX_ANSATZ_MONOMIALS = 1024
 
 
@@ -211,17 +213,18 @@ def _graded_pairs(shapes: list, degree_bound: int, top: int) -> list:
 def _echelon(rows):
     """Sparse fraction-free Gaussian elimination over Q (Bareiss 1968).
 
-    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational.
-    Returns the pivot rows [(col, lead, row, rhs)], where row holds the
-    other columns, or None when the system is inconsistent.  Each row is
-    scaled to integers and kept primitive, so elimination runs in int
-    arithmetic.  A pivot row holds no earlier pivot's column.
+    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational,
+    each rational an int or a Fraction.  Returns the pivot rows
+    [(col, lead, row, rhs)], where row holds the other columns, or None when
+    the system is inconsistent.  Each row is scaled to integers and kept
+    primitive, so elimination runs in int arithmetic.  A pivot row holds no
+    earlier pivot's column.
     """
     pivots: List[Tuple[int, int, Dict[int, int], int]] = []
     pivot_cols: Dict[int, int] = {}
     for coeffs, rhs in rows:
-        scale = math.lcm(Fraction(rhs).denominator,
-                         *(Fraction(v).denominator for v in coeffs.values()))
+        scale = math.lcm(rhs.denominator,
+                         *(v.denominator for v in coeffs.values()))
         row = {c: int(v * scale) for c, v in coeffs.items()}
         rhs = int(rhs * scale)
         for col, position in pivot_cols.items():
@@ -267,8 +270,19 @@ def _back_substitute(pivots, free_values) -> Dict[int, Fraction]:
 
 def _solve_rational_system(rows):
     """A solution of the rational system `rows` (see _echelon) with free
-    variables at zero, or None when it is inconsistent."""
-    pivots = _echelon(rows)
+    variables at zero, or None when it is inconsistent.
+
+    The rows are eliminated sparsest first, ties in the given order, which
+    keeps the pivot rows short and their integers small.  The solution does
+    not depend on that order.  Each pivot is the lowest column of its
+    reduced row, and no pivot row holds an earlier pivot's column, so the
+    lowest column of any nonzero combination of pivot rows is the lowest
+    pivot column in it: the pivot columns are exactly the lowest columns of
+    the nonzero vectors of the row space, whatever the order.  With the
+    other columns at zero, the pivot columns then have one solution, or
+    none when the system is inconsistent, which no order changes either.
+    """
+    pivots = _echelon(sorted(rows, key=lambda row: len(row[0])))
     return None if pivots is None else _back_substitute(pivots, {})
 
 
@@ -308,8 +322,11 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     shapes = list(_shapes(_gradings(D, Q), p, degree_bound))
     for order_bound in order_tiers:
         basis: List[Tuple[int, int]] = []
-        # coordinate equations: one row per (monomial, eps degree)
-        rows_map: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        dens: List[int] = []
+        # coordinate equations: one row per (monomial, eps degree), in the
+        # numerators of the images and of Q, so the unknown of basis
+        # element i is its coefficient times Q._den / dens[i]
+        rows_map: Dict[Tuple[int, int], Dict[int, int]] = {}
         for mon, e in _graded_pairs(shapes, degree_bound, order_bound):
             key = _pack(mon), e
             try:
@@ -319,13 +336,15 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
             for row, value in img._flat.items():
                 rows_map.setdefault(row, {})[len(basis)] = value
             basis.append(key)
+            dens.append(img._den)
         keys = sorted(set(rows_map) | set(Q._flat), key=_monomial_order)
         rows = [(rows_map.get(k, {}), Q._flat.get(k, 0)) for k in keys]
         solution = _solve_rational_system(rows)
         if solution is None:
             continue
-        g = DiffPoly._from_flat({basis[i]: _exact(v)
-                                 for i, v in solution.items() if v}, p)
+        flat, den = _over_lcm({basis[i]: v * dens[i] / Q._den
+                               for i, v in solution.items() if v})
+        g = DiffPoly._from_flat(flat, p, den)
         if apply_op(D, g) == Q:
             return g
     return None

@@ -7,14 +7,19 @@ Q[eps]/(eps^(p+1)).  Total derivatives, the Euler operator and the
 homotopy density that inverts it, prolongation and formal integration all
 live here.
 
-Coefficients are stored flat: a polynomial is one map ``{(m, e): c}`` from
-a packed monomial m and an eps degree e <= p to a nonzero rational c.  A
-coefficient is a Python ``int`` whenever it is integral and a ``Fraction``
-with denominator > 1 otherwise, never a float, so the common integer case
-skips Fraction arithmetic.  Every division builds a ``Fraction`` first,
-because ``int / int`` is a float.  Every primitive here works on that map.
-Every sum of products, a single product included, is one ``_dot``: the
-products of terms go into one new map, and degree pairs above p are
+Coefficients are stored flat: a polynomial is one map ``{(m, e): n}`` from
+a packed monomial m and an eps degree e <= p to a nonzero int numerator n,
+over one positive int denominator ``_den`` shared by every term, as FLINT's
+``fmpq_poly`` stores a rational polynomial (Hart, "FLINT: Fast Library for
+Number Theory", ICMS 2010).  The value of a term is n/``_den``, and the form
+is canonical: gcd(``_den``, every numerator) = 1, so ``_den`` is 1 exactly
+when every coefficient is integral and two equal polynomials have equal
+maps and denominators.  Every primitive here runs in int arithmetic on that
+map and divides the content out once per result, which it skips when the
+denominator is 1; a division by k raises the denominator instead of
+building a ``Fraction``.  Every sum of products, a single product included,
+is one ``_dot``: the products of terms go into one new map over the
+product of the operands' denominators, and degree pairs above p are
 dropped before multiplying.  The operator,
 engine, numeric and printing layers read it; the multivector calculus is a
 map ``{wedge: DiffPoly}`` and does all of its arithmetic through DiffPoly.
@@ -41,12 +46,13 @@ ResourceLimit when one is set: an exponent has passed the cap.
 :class:`Monomial` and :class:`~jetflow.ring.EpsPoly` stay the public types:
 ``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping, packed in
 canonical form, and ``DiffPoly.terms`` gives one back, Fraction-valued, as
-a derived read-only view.
+a derived read-only view; no stored coefficient is a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Tuple
 
@@ -152,12 +158,6 @@ def _degree(m: int) -> int:
     return d
 
 
-def _exact(c):
-    """A nonzero rational in stored form: an int when integral, else the
-    Fraction itself."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
 def _accumulate(flat: dict, key, c) -> None:
     """flat[key] += c, deleting the key when the sum cancels."""
     prev = flat.get(key)
@@ -166,43 +166,91 @@ def _accumulate(flat: dict, key, c) -> None:
         if not c:
             del flat[key]
             return
-    flat[key] = _exact(c)
+    flat[key] = c
+
+
+def _reduced(flat: dict, den: int, p: int) -> DiffPoly:
+    """The polynomial of the numerators `flat` over the positive int den,
+    wrapped in canonical form: the content that den shares with every
+    numerator is divided out, in one pass and only when den is not 1."""
+    if den != 1:
+        g = gcd(den, *flat.values())
+        if g != 1:
+            flat = {key: c // g for key, c in flat.items()}
+            den //= g
+    return DiffPoly._from_flat(flat, p, den)
+
+
+def _times(flat: dict, s: int) -> dict:
+    """A new map of the numerators of flat times s: those of the same
+    values over a denominator s times as large."""
+    return {key: c * s for key, c in flat.items()} if s != 1 else dict(flat)
+
+
+def _over_lcm(values: dict) -> tuple:
+    """(numerators, den) of a {key: rational} map of nonzero ints and
+    Fractions, den the lcm of their denominators in lowest terms, over which
+    the form is canonical: a prime of den divides the denominator of some
+    value to the full power, and so not that value's numerator."""
+    den = lcm(*(c.denominator for c in values.values()))
+    return {key: c.numerator * (den // c.denominator)
+            for key, c in values.items()}, den
+
+
+def _quotients(parts):
+    """({key: c*s/k}, s) for the (key, c, k) triples, int c and k >= 1,
+    with s the least positive int that makes every c*s/k an int."""
+    s = lcm(*(k // gcd(c, k) for _, c, k in parts))
+    return {key: c * s // k for key, c, k in parts}, s
 
 
 def _dot(pairs, p: int) -> DiffPoly:
     """sum A*B over the (A, B) pairs of order-p polynomials, accumulated
     into one flat map (Monagan and Pearce, CASC 2007), skipping eps pairs
-    with e1 + e2 > p.  The exponent cap is checked once, on the sum: a
-    single product raises ResourceLimit as before, but a term past the cap
-    that cancels inside the same sum does not, and the result is exact."""
+    with e1 + e2 > p.  The numerators are summed over the lcm of the
+    products of the pairs' denominators: a pair whose product does not
+    divide the denominator so far raises it and rescales the sum, and each
+    term of A is scaled to it once.  The exponent cap is checked once, on
+    the sum: a single product raises ResourceLimit as before, but a term
+    past the cap that cancels inside the same sum does not, and the result
+    is exact."""
     flat: dict = {}
+    den = 1
     for A, B in pairs:
+        d = A._den * B._den
+        if den % d:
+            new = lcm(den, d)
+            flat, den = _times(flat, new // den), new
+        s = den // d
         terms = B._flat.items()
         for (m1, e1), c1 in A._flat.items():
+            if s != 1:
+                c1 *= s
             for (m2, e2), c2 in terms:
                 if e1 + e2 <= p:
                     _accumulate(flat, (m1 + m2, e1 + e2), c1 * c2)
     _checked(_span(flat))
-    return DiffPoly._from_flat(flat, p)
+    return _reduced(flat, den, p)
 
 
 class DiffPoly(_Frozen):
     """A differential polynomial with coefficients in Q[eps]/(eps^(p+1)).
 
     Treated as immutable: every operation returns a new value, and equality
-    is term-map equality.  The terms are stored flat, one rational per
-    (monomial, eps degree) in a private map ``{(m, e): c}``, m a packed
-    monomial, holding nonzero values only, each an int when integral and a
-    Fraction otherwise, so a term of a single eps degree costs one number
-    and a product skips every pair of degrees above p.  ``terms`` groups
-    that map into a read-only ``{Monomial: EpsPoly}`` view, built on each
-    access, for callers outside the package.
+    is equality of the term map and the denominator.  The terms are stored
+    flat, one nonzero int numerator per (monomial, eps degree) in a private
+    map ``{(m, e): n}``, m a packed monomial, over one positive int
+    denominator ``_den`` that shares no factor with every numerator, so a
+    term of a single eps degree costs one int and a product skips every
+    pair of degrees above p.  ``terms`` groups that map into a read-only
+    ``{Monomial: EpsPoly}`` view, built on each access, for callers outside
+    the package.
     """
 
-    __slots__ = ("_flat", "eps_order", "_dx", "_dp")
+    __slots__ = ("_flat", "_den", "eps_order", "_dx", "_dp")
 
     def __init__(self, terms: Mapping[Monomial, EpsPoly], eps_order: int):
-        flat = {}
+        values: dict = {}
         for mon, coeff in terms.items():
             if coeff.order != eps_order:
                 raise OrderMismatch(
@@ -211,23 +259,27 @@ class DiffPoly(_Frozen):
             m = _pack(mon)
             for e, c in enumerate(coeff.coeffs):
                 if c:
-                    _accumulate(flat, (m, e), c)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "eps_order", eps_order)
+                    _accumulate(values, (m, e), c)
+        flat, den = _over_lcm(values)
+        _set_flat(self, flat)
+        _set_den(self, den)
+        _set_order(self, eps_order)
 
     @classmethod
-    def _from_flat(cls, flat: dict, eps_order: int) -> "DiffPoly":
-        """Wrap a {(packed monomial, e): c} map of nonzero stored values as
-        is."""
+    def _from_flat(cls, flat: dict, eps_order: int, den: int = 1) -> "DiffPoly":
+        """Wrap a {(packed monomial, e): n} map of nonzero int numerators
+        over den, already in canonical form, as is."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_flat", flat)
-        object.__setattr__(self, "eps_order", eps_order)
+        _set_flat(self, flat)
+        _set_den(self, den)
+        _set_order(self, eps_order)
         return self
 
     def __reduce__(self):
         # copy and pickle rebuild the terms only; a kept D_x and kept
         # partials are left behind
-        return DiffPoly._from_flat, (dict(self._flat), self.eps_order)
+        return DiffPoly._from_flat, (dict(self._flat), self.eps_order,
+                                     self._den)
 
     def _grouped(self) -> dict:
         """{packed monomial: [value per eps degree, 0 where absent]}, in
@@ -243,7 +295,8 @@ class DiffPoly(_Frozen):
     @property
     def terms(self) -> Mapping[Monomial, EpsPoly]:
         """The terms as a read-only {Monomial: EpsPoly} view."""
-        return MappingProxyType({_unpack(m): EpsPoly(cs)
+        den = self._den
+        return MappingProxyType({_unpack(m): EpsPoly([Fraction(c, den) for c in cs])
                                  for m, cs in self._grouped().items()})
 
     # -- constructors ------------------------------------------------------
@@ -256,9 +309,11 @@ class DiffPoly(_Frozen):
     def constant(cls, value, eps_order: int) -> "DiffPoly":
         if isinstance(value, EpsPoly):
             return cls({ONE_MONOMIAL: value}, eps_order)
-        if type(value) is not int:
-            value = _exact(_as_fraction(value))
-        return cls._from_flat({(0, 0): value} if value else {}, eps_order)
+        if type(value) is int:
+            return cls._from_flat({(0, 0): value} if value else {}, eps_order)
+        r = _as_fraction(value)
+        return cls._from_flat({(0, 0): r.numerator} if r else {}, eps_order,
+                              r.denominator)
 
     # -- queries -----------------------------------------------------------
 
@@ -269,7 +324,7 @@ class DiffPoly(_Frozen):
         """This polynomial as a pure rational number, or None."""
         if any(key != (0, 0) for key in self._flat):
             return None
-        return Fraction(self._flat.get((0, 0), 0))
+        return Fraction(self._flat.get((0, 0), 0), self._den)
 
     def max_jet_order(self) -> int:
         """Highest derivative order present (-1 when jet-free), read from
@@ -285,9 +340,9 @@ class DiffPoly(_Frozen):
 
     def eps_component(self, degree: int) -> "DiffPoly":
         """The coefficient of eps^degree, as a polynomial of the same order."""
-        return DiffPoly._from_flat(
+        return _reduced(
             {(m, 0): c for (m, e), c in self._flat.items() if e == degree},
-            self.eps_order)
+            self._den, self.eps_order)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -306,12 +361,19 @@ class DiffPoly(_Frozen):
 
     def _plus(self, other: "DiffPoly", sign: int) -> "DiffPoly":
         """self + other, or self - other when sign is -1, in one pass over
-        the terms of other."""
+        the terms of other, over the lcm of the two denominators; only a
+        side whose denominator differs from it is scaled."""
         self._check_compat(other)
-        flat = dict(self._flat)
+        den = self._den
+        if den == other._den:
+            flat, s = dict(self._flat), sign
+        else:
+            den = lcm(den, other._den)
+            flat = _times(self._flat, den // self._den)
+            s = sign * (den // other._den)
         for key, c in other._flat.items():
-            _accumulate(flat, key, c if sign > 0 else -c)
-        return DiffPoly._from_flat(flat, self.eps_order)
+            _accumulate(flat, key, c * s)
+        return _reduced(flat, den, self.eps_order)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -321,7 +383,7 @@ class DiffPoly(_Frozen):
 
     def __neg__(self):
         return DiffPoly._from_flat({k: -c for k, c in self._flat.items()},
-                                   self.eps_order)
+                                   self.eps_order, self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -332,9 +394,9 @@ class DiffPoly(_Frozen):
         return NotImplemented if other is None else other._plus(self, -1)
 
     def _scaled(self, r) -> "DiffPoly":
-        r = _exact(r)
-        flat = {k: _exact(c * r) for k, c in self._flat.items()} if r else {}
-        return DiffPoly._from_flat(flat, self.eps_order)
+        """self * r for an int or Fraction r."""
+        flat = _times(self._flat, r.numerator) if r else {}
+        return _reduced(flat, self._den * r.denominator, self.eps_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -364,12 +426,19 @@ class DiffPoly(_Frozen):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.eps_order == other.eps_order and self._flat == other._flat
+        return (self.eps_order == other.eps_order and self._den == other._den
+                and self._flat == other._flat)
 
     def __repr__(self):
         from .printing import format_poly
 
         return f"DiffPoly({format_poly(self)!r}, p={self.eps_order})"
+
+
+# The setters of the slots that a new DiffPoly fills: they skip the blocked
+# __setattr__ at about half the cost of object.__setattr__.
+_set_flat, _set_den, _set_order = (DiffPoly.__dict__[slot].__set__
+                                   for slot in ("_flat", "_den", "eps_order"))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +545,8 @@ def diff_partial(P: DiffPoly, var) -> DiffPoly:
     for (m, e), c in P._flat.items():
         n = m >> shift & _MASK
         if n:  # m -> m - one is one-to-one, so no two terms meet
-            flat[m - one, e] = c if n == 1 else _exact(c * n)
-    return DiffPoly._from_flat(flat, P.eps_order)
+            flat[m - one, e] = c if n == 1 else c * n
+    return _reduced(flat, P._den, P.eps_order)
 
 
 def _jet_partials(P: DiffPoly) -> dict:
@@ -493,9 +562,9 @@ def _jet_partials(P: DiffPoly) -> dict:
             n = rest & _MASK
             if n:  # m -> m - u_k is one-to-one, so no two terms meet
                 flats.setdefault(shift, {})[m - (1 << shift), e] = (
-                    c if n == 1 else _exact(c * n))
+                    c if n == 1 else c * n)
             shift, rest = shift + _W, rest >> _W
-    dp = {shift // _W - 2: DiffPoly._from_flat(flat, P.eps_order)
+    dp = {shift // _W - 2: _reduced(flat, P._den, P.eps_order)
           for shift, flat in sorted(flats.items())}
     object.__setattr__(P, "_dp", dp)
     return dp
@@ -527,9 +596,9 @@ def _dx_monomial(m: int):
 
 
 def _add_dx(flat: dict, terms: dict, sign: int) -> int:
-    """flat += sign * D_x of the {(m, e): c} map `terms`, in place; returns
-    the _span of flat.  An exponent of u_(k+1) may pass the cap: then
-    ResourceLimit is raised."""
+    """flat += sign * D_x of the {(m, e): n} map `terms`, in place, both
+    maps of numerators over one denominator; returns the _span of flat.  An
+    exponent of u_(k+1) may pass the cap: then ResourceLimit is raised."""
     for (m, e), c in terms.items():
         if sign < 0:
             c = -c
@@ -545,7 +614,7 @@ def dx_total(P: DiffPoly) -> DiffPoly:
     if D is None:
         flat: dict = {}
         _add_dx(flat, P._flat, 1)
-        D = DiffPoly._from_flat(flat, P.eps_order)
+        D = _reduced(flat, P._den, P.eps_order)
         object.__setattr__(P, "_dx", D)
     return D
 
@@ -582,16 +651,22 @@ def euler(P: DiffPoly) -> DiffPoly:
     It vanishes exactly on total x-derivatives (Olver, Applications of Lie
     Groups to Differential Equations, 2nd ed., Theorem 4.7).  Evaluated in
     Horner form, acc = dP/du_k - D_x(acc) from the top order down to 0, from
-    the partials kept on P, each step into one new map.
+    the partials kept on P, each step into one new map, all of them over
+    the denominator of P, which every partial's divides.
     """
-    partials = _jet_partials(P)
+    partials, den = _jet_partials(P), P._den
+
+    def numerators(k):  # those of dP/du_k over den, in a new map
+        dP = partials.get(k)
+        return {} if dP is None else _times(dP._flat, den // dP._den)
+
     top = max(partials, default=0)  # a jet-free P has euler(P) = 0
-    acc = partials[top]._flat if partials else {}
+    acc = numerators(top)
     for k in range(top - 1, -1, -1):
-        new = dict(partials[k]._flat) if k in partials else {}
+        new = numerators(k)
         _add_dx(new, acc, -1)
         acc = new
-    return DiffPoly._from_flat(acc, P.eps_order)
+    return _reduced(acc, den, P.eps_order)
 
 
 euler1 = euler  # public alias
@@ -600,10 +675,10 @@ euler1 = euler  # public alias
 def _homotopy_density(g: DiffPoly) -> DiffPoly:
     """h = int_0^1 u*g[lambda*u] d(lambda), termwise u*m/(jet degree of m + 1)."""
     u = _u(0)
-    flat = {(m + u, e): _exact(Fraction(c, _degree(m >> _JETS) + 1))
-            for (m, e), c in g._flat.items()}
+    flat, s = _quotients([((m + u, e), c, _degree(m >> _JETS) + 1)
+                          for (m, e), c in g._flat.items()])
     _checked(_span(flat))
-    return DiffPoly._from_flat(flat, g.eps_order)
+    return _reduced(flat, g._den * s, g.eps_order)
 
 
 def _valuation(P: DiffPoly) -> int:
@@ -644,32 +719,40 @@ def integrate_x(P: DiffPoly) -> DiffPoly:
     of that linear part strictly lowers the top order.  The jet-free
     remainder integrates termwise in x.  A remainder that is not linear in a
     top jet of order at least 1 is not exact, and then neither is P.  The
-    remainder and the result are two maps changed in place: each step scans
-    the remainder once for the terms that hold the top jet, and subtracts
-    the D_x of their antiderivative from it.
+    remainder and the result are two maps of numerators changed in place,
+    over one running denominator: each step scans the remainder once for
+    the terms that hold the top jet, and subtracts the D_x of their
+    antiderivative from it.  A division that the numerators do not allow
+    scales both maps and the denominator up, and the content is divided out
+    once, from the result.
     """
-    rest, result = dict(P._flat), {}
+    rest, result, den = dict(P._flat), {}, P._den
     span = _span(rest)
     while span >> _JETS:
         top = (span.bit_length() - 1) // _W - 2
         shift = _W * (top + 2)
         lift = (1 << shift - _W) - (1 << shift)  # u_top -> u_(top - 1)
-        piece = {}
+        parts = []
         for (m, e), c in rest.items():
             n = m >> shift & _MASK
             if n:
                 if n > 1 or not top:  # nonlinear in u_top, or u_top is u
                     raise NotExact("not a total x-derivative", euler(P))
-                k = m >> shift - _W & _MASK  # the exponent of u_(top - 1)
-                piece[m + lift, e] = _exact(Fraction(c, k + 1)) if k else c
+                # over k + 1, k the exponent of u_(top - 1)
+                parts.append(((m + lift, e), c, (m >> shift - _W & _MASK) + 1))
+        piece, s = _quotients(parts)
         _checked(_span(piece))
+        if s != 1:
+            rest, result, den = _times(rest, s), _times(result, s), den * s
         result.update(piece)  # each piece holds u_(top - 1) and no higher jet
         span = _add_dx(rest, piece, -1)
-    for (m, e), c in rest.items():  # jet-free: termwise in x
-        n = m & _MASK
-        result[m + 1, e] = _exact(Fraction(c, n + 1)) if n else c
+    # jet-free: termwise in x
+    tail, s = _quotients([((m + 1, e), c, (m & _MASK) + 1)
+                          for (m, e), c in rest.items()])
+    result = _times(result, s)
+    result.update(tail)
     _checked(_span(result))
-    return DiffPoly._from_flat(result, P.eps_order)
+    return _reduced(result, den * s, P.eps_order)
 
 
 def _obstruction(P: DiffPoly) -> DiffPoly:

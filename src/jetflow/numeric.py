@@ -135,9 +135,10 @@ class _Evaluator:
         if order > max_order:
             raise Unsupported(f"{what} jet order {order} exceeds {max_order}")
         values: dict = {}
+        den = poly._den
         for (m, e), c in poly._flat.items():
             try:
-                c = float(c)
+                c = c / den  # correctly rounded, as float(Fraction(c, den))
             except OverflowError:
                 raise Unsupported(f"a {what} coefficient does not fit a "
                                   f"float") from None

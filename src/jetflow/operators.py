@@ -10,14 +10,14 @@ ClosureError instead of approximating.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .errors import ClosureError, NotVariational, OrderMismatch
 from .jets import (DiffPoly, EvolutionSystem, Functional, _accumulate, _dot,
-                   _dx_tower, _exact, _homotopy_density, _jet_partials,
-                   _monomial_order, _unpack, _valuation, dt_total, euler,
-                   integrate_x)
+                   _dx_tower, _homotopy_density, _jet_partials,
+                   _monomial_order, _reduced, _unpack, _valuation, dt_total,
+                   euler, integrate_x)
 from .ring import EpsPoly, _Frozen
 
 
@@ -31,39 +31,39 @@ def _normalize_nonlocal(pairs, eps_order):
     (sum c_m*eps^k_m*m)*Dx^-1*b, where b is their common B_m without its
     lowest eps power, scaled to 1 at its smallest key.  The terms are
     ordered by their smallest m.  Zero tests and equality are then exact.
+    Every B_m is kept as int numerators over one common denominator, which
+    the ratio B_m/c_m does not see.
     A local operator, which has no pairs, skips all of it, and so do a
     negation and a sum with a local operator, which keep the form of their
     canonical input (PseudoDiffOp._from_canonical).
     """
     if not pairs:
         return ()
-    right: dict = {}  # m -> B_m as {(n, e): c}
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    right: dict = {}  # m -> the numerators of B_m over den, as {(n, e): c}
     for a, b in pairs:
+        s = den // (a._den * b._den)
         for (m, f), r in a._flat.items():
             B_m = right.setdefault(m, {})
+            r *= s
             for (n, e), c in b._flat.items():
                 if f + e <= eps_order:
                     _accumulate(B_m, (n, f + e), r * c)
-    groups: dict = {}  # b as a frozenset of ((n, e), c) -> {m: (k_m, c_m)}
+    # b as (a frozenset of its ((n, e), numerator), its denominator)
+    # -> {m: (k_m, numerator of c_m over den)}
+    groups: dict = {}
     for m in sorted(right, key=_unpack):
         B = right[m]
         if B:
             k = min(e for _, e in B)
             lead = B[min(B, key=_monomial_order)]
-            b = frozenset(((n, e - k), _ratio(c, lead)) for (n, e), c in B.items())
-            groups.setdefault(b, {})[m] = (k, lead)
+            g = gcd(*B.values()) if lead > 0 else -gcd(*B.values())
+            b = frozenset(((n, e - k), c // g) for (n, e), c in B.items())
+            groups.setdefault((b, lead // g), {})[m] = (k, lead)
     return tuple(
-        (DiffPoly._from_flat({(m, k): c for m, (k, c) in scales.items()},
-                             eps_order),
-         DiffPoly._from_flat(dict(b), eps_order))
-        for b, scales in groups.items())
-
-
-def _ratio(c, lead):
-    """c/lead in stored form, without a Fraction when lead divides c."""
-    if type(c) is int and type(lead) is int and not c % lead:
-        return c // lead
-    return _exact(Fraction(c, lead))
+        (_reduced({(m, k): c for m, (k, c) in scales.items()}, den, eps_order),
+         DiffPoly._from_flat(dict(b), eps_order, b_den))
+        for (b, b_den), scales in groups.items())
 
 
 class PseudoDiffOp(_Frozen):
@@ -149,7 +149,7 @@ class PseudoDiffOp(_Frozen):
         """j when this operator is exactly Dx^j, else None."""
         if len(self.local_terms) == 1 and not self.nonlocal_terms:
             (j, c), = self.local_terms.items()
-            if c._flat == {(0, 0): 1}:
+            if c._flat == {(0, 0): 1} and c._den == 1:
                 return j
         return None
 
@@ -267,7 +267,7 @@ def apply_op(A: PseudoDiffOp, Q: DiffPoly) -> DiffPoly:
 def _eps_shift(P: DiffPoly, k: int) -> DiffPoly:
     """P*eps^k, for a k that keeps every eps degree in 0..p."""
     return DiffPoly._from_flat({(m, e + k): c for (m, e), c in P._flat.items()},
-                               P.eps_order)
+                               P.eps_order, P._den)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,17 @@ def _jet_name(order, latex=False):
     return "u_" + "x" * order if order <= 4 else f"u{{{order}}}"
 
 
-def _frac_str(r, latex=False) -> str:
-    """An int or a Fraction; str(n) == str(Fraction(n)) for an int n."""
-    if latex and r.denominator != 1:
-        sign = "-" if r < 0 else ""
-        return f"{sign}\\frac{{{abs(r.numerator)}}}{{{r.denominator}}}"
-    return str(r)
+def _frac_str(n: int, d: int, latex=False) -> str:
+    """The rational n/d, d > 0, in lowest terms: 'n' or 'n/d' as
+    str(Fraction(n, d)) writes it, or a LaTeX fraction."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if d == 1:
+        return str(n)
+    if latex:
+        sign = "-" if n < 0 else ""
+        return f"{sign}\\frac{{{abs(n)}}}{{{d}}}"
+    return f"{n}/{d}"
 
 
 def _power(base: str, n: int, latex=False) -> str:
@@ -56,20 +61,22 @@ def _join(parts) -> str:
 
 def format_eps_poly(c: EpsPoly, latex=False) -> str:
     """Render an eps polynomial, e.g. '8 + 22*eps' or '3/2'."""
-    return _eps_sum([(i, a) for i, a in enumerate(c.coeffs) if a], latex)
+    return _eps_sum([(i, a.numerator, a.denominator)
+                     for i, a in enumerate(c.coeffs) if a], latex)
 
 
 def _eps_sum(pairs, latex=False) -> str:
-    """The eps polynomial of nonzero (eps degree, value) pairs."""
+    """The eps polynomial of nonzero (eps degree, numerator, denominator)
+    triples."""
     return _join([_row(0, [pair], latex) for pair in sorted(pairs)])
 
 
 def _row(m: int, pairs, latex=False):
-    """The term of packed monomial m with the nonzero (eps degree, value)
-    pairs as (sort key, negated, text without its sign).  The key (x, t,
-    jets) orders as the Monomial of m does.  In LaTeX a lone '\\varepsilon'
-    is followed by a space before a factor, which TeX would otherwise read
-    as part of one control word."""
+    """The term of packed monomial m with the nonzero (eps degree,
+    numerator, denominator) triples as (sort key, negated, text without its
+    sign).  The key (x, t, jets) orders as the Monomial of m does.  In LaTeX
+    a lone '\\varepsilon' is followed by a space before a factor, which TeX
+    would otherwise read as part of one control word."""
     x, t = m & _MASK, m >> _W & _MASK
     factors = []
     if x:
@@ -87,11 +94,11 @@ def _row(m: int, pairs, latex=False):
     if len(pairs) > 1:
         return key, False, _TIMES[latex].join(
             [f"({_eps_sum(pairs, latex)})", *factors])
-    ((deg, val),) = pairs
-    neg = val < 0
+    ((deg, n, d),) = pairs
+    neg = n < 0
     if neg:
-        val = -val
-    pieces = [] if val == 1 and (deg or factors) else [_frac_str(val, latex)]
+        n = -n
+    pieces = [] if n == d and (deg or factors) else [_frac_str(n, d, latex)]
     if deg:
         eps = _power(_EPS[latex], deg, latex)
         pieces.append(eps + " " if latex and deg == 1 and factors else eps)
@@ -100,16 +107,16 @@ def _row(m: int, pairs, latex=False):
 
 def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
-    terms = {}
+    terms, d = {}, P._den
     for (m, e), c in P._flat.items():
-        terms.setdefault(m, []).append((e, c))
+        terms.setdefault(m, []).append((e, c, d))
     # factor a common pure eps^k out front when every term carries it
     degrees = {pairs[0][0] if len(pairs) == 1 else -1 for pairs in terms.values()}
     prefix = ""
     if len(terms) > 1 and len(degrees) == 1 and not degrees & {-1, 0}:
         prefix = (_power(_EPS[latex], degrees.pop(), latex)
                   + ("(" if latex else "*("))
-        terms = {m: [(0, pairs[0][1])] for m, pairs in terms.items()}
+        terms = {m: [(0, *pairs[0][1:])] for m, pairs in terms.items()}
     body = _join(sorted([_row(m, pairs, latex) for m, pairs in terms.items()]))
     return prefix + body + ")" if prefix else body
 
@@ -119,8 +126,8 @@ def _coeff_factor(P: DiffPoly, latex=False):
     polynomial of one monomial is one row, such as '(1 + eps)*u'."""
     mons = {m for m, _ in P._flat}
     if len(mons) == 1:
-        return _row(mons.pop(), [(e, c) for (_, e), c in P._flat.items()],
-                    latex)[1:]
+        return _row(mons.pop(), [(e, c, P._den)
+                                 for (_, e), c in P._flat.items()], latex)[1:]
     return False, f"({format_poly(P, latex)})"
 
 

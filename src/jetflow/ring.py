@@ -6,8 +6,9 @@ truncation order discarded.  :class:`EpsPoly`, one element of it with
 `fractions.Fraction` coefficients, is the public view and constructor
 type: ``DiffPoly`` takes and gives back its coefficients as EpsPoly, and an
 operator can be scaled by one.  A ``DiffPoly`` itself stores them flat, one
-int or Fraction per (monomial, eps degree), and does its arithmetic on that
-map (see the ``jets`` module).
+int numerator per (monomial, eps degree) over one int denominator shared by
+all its terms, and does its arithmetic on those ints (see the ``jets``
+module).
 """
 
 from __future__ import annotations

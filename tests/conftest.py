@@ -37,8 +37,9 @@ def burgers_sys(burgers):
 
 def stored_terms(P):
     """The stored {(monomial, eps degree): value} map of P, each packed
-    monomial decoded into its Monomial."""
-    return {(_unpack(m), e): c for (m, e), c in P._flat.items()}
+    monomial decoded into its Monomial and each numerator n read as the
+    rational n/P._den it stands for."""
+    return {(_unpack(m), e): Fraction(c, P._den) for (m, e), c in P._flat.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ imports.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from jetflow.jets import ONE_MONOMIAL, DiffPoly, Monomial, _unpack
 from jetflow.ring import EpsPoly
@@ -93,7 +94,7 @@ def format_poly(P: DiffPoly, latex=False) -> str:
     """Canonical rendering of a differential polynomial."""
     terms = {}
     for (m, e), c in P._flat.items():
-        terms.setdefault(m, []).append((e, c))
+        terms.setdefault(m, []).append((e, Fraction(c, P._den)))
     terms = {_unpack(m): pairs for m, pairs in terms.items()}
     # factor a common pure eps^k out front when every term carries it
     degrees = {pairs[0][0] if len(pairs) == 1 else -1 for pairs in terms.values()}
@@ -112,7 +113,8 @@ def _coeff_factor(P: DiffPoly, latex=False):
     mons = {m for m, _ in P._flat}
     if len(mons) == 1:
         return _term_str(_unpack(mons.pop()),
-                         [(e, c) for (_, e), c in P._flat.items()], latex)
+                         [(e, Fraction(c, P._den))
+                          for (_, e), c in P._flat.items()], latex)
     return False, f"({format_poly(P, latex)})"
 
 

@@ -777,6 +777,11 @@ def test_hierarchy_second_bracket_not_exact_is_reported(capsys):
 GOLDEN = Path(__file__).parent / "golden"
 DOP_E_STEPS4 = ["hierarchy", "gardner", "--op", "R", "--seed", "Kbar1",
                 "--steps", "4", "--dop", "E", "--format", "json"]
+# five inversions through E at jet order 24, whose ansatz systems are
+# eliminated sparsest row first
+DOP_E_JET24_STEPS5 = ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op",
+                      "R", "--seed", "Kbar1", "--steps", "5", "--dop", "E",
+                      "--format", "json"]
 
 
 def stop_path(seed, steps, dop, fmt):
@@ -801,6 +806,7 @@ def stop_path(seed, steps, dop, fmt):
      ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
       "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"], 0),
     ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4, 0),
+    ("hierarchy_gardner_jet24_R_Kbar1_steps5_dopE.json", DOP_E_JET24_STEPS5, 0),
     # the unbarred hierarchy: O(1) flows, so every pair check multiplies
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
@@ -830,6 +836,7 @@ def stop_path(seed, steps, dop, fmt):
      stop_path("Q2", 1, "E", "text"), 1),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
+        "hierarchy-dopE-jet24-json",
         "hierarchy-Rt-json", "hierarchy-Rt-steps7-json",
         "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
         "print-gardner-Rt", "stop-index0-json", "stop-index1-json",
@@ -840,27 +847,45 @@ def test_golden_stdout(capsys, name, argv, exit_code):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-def test_hierarchy_through_e_matches_magri(capsys):
+def _passing_hierarchy(capsys, argv, checks):
+    """The hierarchy certificate of a run that passes all its checks."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["checks"]) == checks
+    assert all(c["verdict"] == "pass" for c in report["checks"])
+    return report["checks"][0]["certificates"]["hierarchy"]
+
+
+def _assert_magri(through_e, through_d, steps):
     # Flows are R^i(Kbar1) whichever operator inverts them, and R = E * Dxi
     # gives K_i = E(delta H_{i-1}) for the functionals found through D, so
     # functional i through E equals functional i - 1 through D modulo D_x.
-    code, out, _ = run(capsys, *DOP_E_STEPS4)
-    assert code == 0
-    report = json.loads(out)
-    assert len(report["checks"]) == 46
-    assert all(c["verdict"] == "pass" for c in report["checks"])
-    through_e = report["checks"][0]["certificates"]["hierarchy"]
-    through_d = json.loads((GOLDEN / "hierarchy_gardner_R_Kbar1_steps4.json")
-                           .read_text())["checks"][0]["certificates"]["hierarchy"]
+    assert len(through_e["flows"]) == steps + 1
     assert through_e["flows"] == through_d["flows"]
 
     def functional(text):
         return parse_model(f"set eps_order = 1;\ndensity H = {text};"
                            ).densities["H"]
 
-    for i in range(1, 5):
+    for i in range(1, steps + 1):
         assert functional(through_e["functionals"][i]).equivalent(
             functional(through_d["functionals"][i - 1])), i
+
+
+def test_hierarchy_through_e_matches_magri(capsys):
+    through_e = _passing_hierarchy(capsys, DOP_E_STEPS4, 46)
+    through_d = json.loads((GOLDEN / "hierarchy_gardner_R_Kbar1_steps4.json")
+                           .read_text())["checks"][0]["certificates"]["hierarchy"]
+    _assert_magri(through_e, through_d, 4)
+
+
+def test_jet24_hierarchy_through_e_matches_magri(capsys):
+    through_e = _passing_hierarchy(capsys, DOP_E_JET24_STEPS5, 64)
+    dop = DOP_E_JET24_STEPS5.index("--dop") + 1
+    through_d = _passing_hierarchy(
+        capsys, [*DOP_E_JET24_STEPS5[:dop], "D", "--format", "json"], 64)
+    _assert_magri(through_e, through_d, 5)
 
 
 # A LaTeX report may use its own commands, the five that values use (the

@@ -7,7 +7,7 @@ written out by hand or enumerated by brute force, never with the engine's
 helpers.
 """
 
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import pytest
@@ -196,6 +196,41 @@ def test_solver_matches_sympy(rows):
     if solution is not None:
         for row, rhs in rows:
             assert sum(v * solution.get(c, 0) for c, v in row.items()) == rhs
+
+
+@st.composite
+def systems_with_a_combined_row(draw):
+    """(rows, kind): up to four rows of system_rows, then for kind
+    "dependent" a rational combination of two of them, right-hand sides
+    combined alike, which leaves the rank and the solutions as they are,
+    and for kind "inconsistent" the same row with 1 added to its
+    right-hand side, which leaves no solution."""
+    rows = draw(system_rows.filter(lambda rows: len(rows) <= 4))
+    kind = draw(st.sampled_from(["none", "dependent", "inconsistent"]))
+    if kind != "none":
+        (a, ra), (b, rb) = (rows[draw(st.integers(0, len(rows) - 1))]
+                            for _ in range(2))
+        r, s = draw(rationals), draw(rationals)
+        row = {c: r * a.get(c, 0) + s * b.get(c, 0) for c in {*a, *b}}
+        rows = rows + [({c: v for c, v in row.items() if v},
+                        r * ra + s * rb + (kind == "inconsistent"))]
+    return rows, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems_with_a_combined_row())
+def test_solution_does_not_depend_on_row_order(case):
+    # the solver eliminates sparsest rows first; every order of the same
+    # rows has the same pivot columns, so the same solution or None
+    rows, kind = case
+    solution = engine._solve_rational_system(rows)
+    if kind == "inconsistent":
+        assert solution is None
+    if kind == "dependent":
+        assert (solution is None) == (engine._solve_rational_system(
+            rows[:-1]) is None)
+    for order in permutations(rows):
+        assert engine._solve_rational_system(list(order)) == solution
 
 
 def test_nonlocal_recursion_operator_inverts_its_own_images(gardner):

@@ -1,4 +1,4 @@
-from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +11,10 @@ from jetflow import (Context, DiffPoly, EpsPoly, EvolutionSystem,
                      helmholtz_selfadjoint, integrate_x, prolong_apply,
                      reconstruct_density, adjoint, apply_op, frechet,
                      noether_inverse, solve_operator_equation)
-from jetflow.jets import _MAX_EXPONENT, _dx_tower, _jet_partials
+from jetflow.jets import (_MAX_EXPONENT, _dx_tower, _homotopy_density,
+                         _jet_partials)
 
-from conftest import diff_polys, stored_terms
+from conftest import diff_polys, rationals, stored_terms
 
 
 @pytest.fixture(scope="module")
@@ -348,27 +349,35 @@ def test_prolong_apply_matches_frechet_sum_oracle(pair):
         assert expected.is_zero() and not hasattr(fresh, "_dx")
 
 
-# Stored coefficients are canonical: a nonzero int when integral, otherwise
-# a Fraction with denominator > 1, and never a float.  So are the stored
-# monomials: jet orders strictly increasing, every exponent at least 1.
+# Stored coefficients are canonical: nonzero int numerators over one int
+# denominator >= 1 that shares no factor with all of them, so that equal
+# values store equal maps.  So are the stored monomials: jet orders strictly
+# increasing, every exponent at least 1.
 
 def _canonical(P):
-    return all(((type(c) is int and c != 0)
-                or (type(c) is Fraction and c.denominator > 1))
-               and all(e >= 1 for _, e in mon.jets)
-               and all(a < b for (a, _), (b, _) in zip(mon.jets, mon.jets[1:]))
-               for (mon, _), c in stored_terms(P).items())
+    return (all(type(c) is int and c != 0 for c in P._flat.values())
+            and type(P._den) is int and P._den >= 1
+            and gcd(P._den, *P._flat.values()) == 1
+            and all(all(e >= 1 for _, e in mon.jets)
+                    and all(a < b for (a, _), (b, _)
+                            in zip(mon.jets, mon.jets[1:]))
+                    for mon, _ in stored_terms(P)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(diff_polys(), diff_polys(), st.integers(1, 6))
-def test_stored_coefficients_are_canonical(p, q, k):
-    results = [p, p * q, p + q, p - q, k - p, p / k, dx_total(p),
-               diff_partial(p, "x"), diff_partial(p, 1), euler1(p),
-               integrate_x(dx_total(p)),
+@given(diff_polys(), diff_polys(), st.integers(1, 6), rationals.filter(bool))
+def test_stored_coefficients_are_canonical(p, q, k, r):
+    results = [p, p * q, p + q, p - q, -p, k - p, p * r, p / k, p / r,
+               dx_total(p), diff_partial(p, "x"), diff_partial(p, 1),
+               euler1(p), _homotopy_density(p), integrate_x(dx_total(p)),
                reconstruct_density(euler1(p)).density]
     for P in results:
-        assert _canonical(P), P._flat
+        assert _canonical(P), (P._flat, P._den)
+    # two routes to one value store one map over one denominator
+    for left, right in [((p * q) / 2, p * (q / 2)), (p * r - q * r, (p - q) * r),
+                        ((p + q) / k - q / k, p / k),
+                        (dx_total(p / k), dx_total(p) / k)]:
+        assert (left._flat, left._den) == (right._flat, right._den)
 
 
 def test_ansatz_solution_coefficients_are_canonical(gardner):

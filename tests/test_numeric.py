@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -281,7 +283,8 @@ def _textbook_evaluator(poly, grid, eps_value):
     default-norm FFTs and the terms multiplied out into new arrays."""
     values = {}
     for (m, e), c in poly._flat.items():
-        values[m] = values.get(m, 0.0) + float(c) * eps_value ** e
+        values[m] = (values.get(m, 0.0)
+                     + float(Fraction(c, poly._den)) * eps_value ** e)
     terms = [(value, _unpack(m)) for m, value in values.items() if value]
     orders = sorted({o for _, mon in terms for o, _ in mon.jets} - {0})
     m = np.array(orders, dtype=int).reshape(-1, 1)

@@ -5,6 +5,8 @@ A DiffPoly stores each monomial x^a t^b prod u_k^n_k as one int with a
 the way products, D_x and partial derivatives were computed before packing.
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -282,5 +284,5 @@ def test_dot_equals_the_sum_of_its_products(case):
         expected = expected + A * B
     assert found == expected
     assert stored_terms(found) == ref_dot(pairs, p)
-    assert all(c and (type(c) is int or c.denominator != 1)
-               for c in found._flat.values())
+    assert all(type(c) is int and c for c in found._flat.values())
+    assert found._den >= 1 and gcd(found._den, *found._flat.values()) == 1
