@@ -43,10 +43,10 @@ of a key its ``bit_length``; an int has no fixed length, so jet orders are
 unbounded.  Every operation that can raise an exponent (a product, D_x,
 an antiderivative) checks the guard bits of the keys it builds and raises
 ResourceLimit when one is set: an exponent has passed the cap.
-:class:`Monomial` and :class:`~jetflow.ring.EpsPoly` stay the public types:
-``DiffPoly(terms, p)`` accepts a ``{Monomial: EpsPoly}`` mapping, packed in
-canonical form, and ``DiffPoly.terms`` gives one back, Fraction-valued, as
-a derived read-only view; no stored coefficient is a ``Fraction``.
+:class:`Monomial` and the value type :class:`~jetflow.ring.EpsPoly` stay
+public: ``DiffPoly(terms, p)`` packs a ``{Monomial: EpsPoly}`` mapping, and
+``DiffPoly.terms`` gives one back as a derived, Fraction-valued read-only
+view; EpsPoly's ring operations are this arithmetic on DiffPoly constants.
 """
 
 from __future__ import annotations
@@ -453,8 +453,8 @@ class Context:
             raise ValueError("eps_order must be non-negative")
         self.eps_order = eps_order
 
-    def _mono(self, m: int) -> DiffPoly:
-        return DiffPoly._from_flat({(m, 0): 1}, self.eps_order)
+    def _mono(self, m: int, e: int = 0) -> DiffPoly:
+        return DiffPoly._from_flat({(m, e): 1}, self.eps_order)
 
     @property
     def x(self) -> DiffPoly:
@@ -466,7 +466,7 @@ class Context:
 
     @property
     def eps(self) -> DiffPoly:
-        return DiffPoly.constant(EpsPoly.eps(self.eps_order), self.eps_order)
+        return self._mono(0, 1) if self.eps_order else self.zero
 
     def u(self, order: int = 0) -> DiffPoly:
         if order < 0:

@@ -3,16 +3,15 @@
 Every symbolic computation in the package is exact in this ring: rational
 coefficients, with all powers of the perturbation parameter above the
 truncation order discarded.  :class:`EpsPoly`, one element of it with
-`fractions.Fraction` coefficients, is the public view and constructor
-type: ``DiffPoly`` takes and gives back its coefficients as EpsPoly, and an
-operator can be scaled by one.  A ``DiffPoly`` itself stores them flat, one
-int numerator per (monomial, eps degree) over one int denominator shared by
-all its terms, and does its arithmetic on those ints (see the ``jets``
-module).
+`fractions.Fraction` coefficients, is the public value type: ``DiffPoly``
+takes and gives back its coefficients as EpsPoly, and an operator can be
+scaled by one.  Its ring operations are ``DiffPoly.constant`` arithmetic
+(see the ``jets`` module), the one implementation of the ring.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import OrderMismatch
@@ -40,8 +39,10 @@ class EpsPoly(_Frozen):
     """A truncated polynomial in eps with Fraction coefficients.
 
     Immutable.  `coeffs[i]` is the coefficient of eps^i; the tuple always has
-    length `order + 1`.  Multiplication silently discards degrees above the
-    truncation order, which is what makes eps nilpotent.
+    length `order + 1`.  A ring operation is DiffPoly constant arithmetic,
+    so products discard degrees above the truncation order, which makes eps
+    nilpotent, and mixed orders raise OrderMismatch.  Each keeps its own
+    name here because the benchmark's per-layer tracer wraps it by name.
     """
 
     __slots__ = ("coeffs",)
@@ -75,10 +76,7 @@ class EpsPoly(_Frozen):
         """eps^power as a ring element (zero when power exceeds the order)."""
         if power < 0:
             raise ValueError("eps powers must be non-negative")
-        coeffs = [Fraction(0)] * (order + 1)
-        if power <= order:
-            coeffs[power] = Fraction(1)
-        return cls(coeffs)
+        return cls((0,) * power + (1,) if power <= order else (), order=order)
 
     # -- basic queries -----------------------------------------------------
 
@@ -91,98 +89,69 @@ class EpsPoly(_Frozen):
 
     def lowest_coefficient(self) -> Fraction:
         """First nonzero coefficient by increasing eps degree (0 if zero)."""
-        for c in self.coeffs:
-            if c != 0:
-                return c
-        return Fraction(0)
+        return next((c for c in self.coeffs if c), Fraction(0))
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not the blocked setattr
         return EpsPoly, (self.coeffs,)
 
-    # -- ring operations ---------------------------------------------------
+    # -- ring operations: DiffPoly constant arithmetic ----------------------
 
-    def _check_order(self, other: "EpsPoly") -> None:
-        if self.order != other.order:
-            raise OrderMismatch(
-                f"mixed truncation orders {self.order} and {other.order}"
-            )
+    def _apply(self, op, *operands):
+        """op on this value and the operands, each EpsPoly lifted to a
+        DiffPoly constant at its own order; a DiffPoly result is read back
+        as an EpsPoly.  An operand outside the ring gives NotImplemented."""
+        from .jets import ONE_MONOMIAL, DiffPoly
 
-    def _coerce(self, other):
-        if isinstance(other, EpsPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return EpsPoly.from_rational(other, self.order)
-        return None
+        if not all(isinstance(v, (EpsPoly, int, Fraction)) for v in operands):
+            return NotImplemented
+        result = op(*(DiffPoly.constant(v, v.order) if isinstance(v, EpsPoly)
+                      else v for v in (self, *operands)))
+        if not isinstance(result, DiffPoly):
+            return result  # the bool of ==
+        return result.terms.get(ONE_MONOMIAL) or EpsPoly.zero(self.order)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_order(other)
-        return EpsPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._apply(operator.add, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return EpsPoly(tuple(-a for a in self.coeffs))
+        return self._apply(operator.neg)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._apply(operator.sub, other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return self._apply(lambda a, b: b - a, other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b != 0:
-                    out[i + j] += a * b
-        return EpsPoly(tuple(out))
+        return self._apply(operator.mul, other)
 
     __rmul__ = __mul__
 
     def scale(self, r) -> "EpsPoly":
-        r = _as_fraction(r)
-        return EpsPoly(tuple(r * a for a in self.coeffs))
+        return self._apply(operator.mul, _as_fraction(r))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1, 1) / _as_fraction(other))
+            return self._apply(operator.truediv, other)
         return NotImplemented
 
     def truncate(self, q: int) -> "EpsPoly":
         """Drop coefficients of degree above q; the result has order q."""
         if q < 0 or q > self.order:
-            raise OrderMismatch(
-                f"cannot truncate an order-{self.order} value to order {q}"
-            )
+            raise OrderMismatch(f"cannot truncate an order-{self.order} "
+                                f"value to order {q}")
         return EpsPoly(self.coeffs[: q + 1])
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self._apply(operator.eq, other)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a value equal to a rational hashes as that rational does
+        head, *rest = self.coeffs
+        return hash(self.coeffs) if any(rest) else hash(head)
 
     def __repr__(self):
         from .printing import format_eps_poly

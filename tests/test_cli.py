@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -947,13 +948,47 @@ def test_tex_faults_finds_unescaped_labels_and_run_on_control_words():
                           "residual $= 6\\varepsilon u_x$\n  \\\\ max\\_drift: $1$")
 
 
+def perfbench_module(name):
+    """The benchmark's module perfbench/<name>.py, loaded by path."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def verify_catalogue():
     """The commands of the benchmark's `verify` workload."""
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [argv for argv, *_ in workloads.CATALOGUE]
+    return [argv for argv, *_ in perfbench_module("workloads").CATALOGUE]
+
+
+def test_tracer_restores_every_name_it_wraps():
+    # the traced benchmark wraps the public functions of every layer and
+    # the methods it names on classes, so each method it names must exist
+    tracer = perfbench_module("tracer")
+    modules = {layer: importlib.import_module(name)
+               for layer, name in tracer.LAYERS.items()}
+    wrapped = [(getattr(modules[layer], cls), attr)
+               for layer, classes in tracer.METHODS.items()
+               for cls, attrs in classes.items() for attr in attrs]
+    originals = [vars(cls)[attr] for cls, attr in wrapped]
+    owners = [module for name, module in sorted(sys.modules.items())
+              if name == "jetflow" or name.startswith("jetflow.")]
+    owners += list(dict.fromkeys(cls for cls, _ in wrapped))
+    before = [dict(vars(owner)) for owner in owners]
+    dx_total = modules["jets"].dx_total
+    traced = tracer.Tracer()
+    try:
+        traced.install()
+        for (cls, attr), original in zip(wrapped, originals):
+            assert vars(cls)[attr] is not original, (cls, attr)
+        assert modules["jets"].dx_total is not dx_total
+    finally:
+        traced.uninstall()
+    for owner, names in zip(owners, before):
+        now = dict(vars(owner))
+        assert now.keys() == names.keys(), owner
+        assert all(now[name] is value for name, value in names.items()), owner
 
 
 def test_latex_reports_are_well_formed(capsys):

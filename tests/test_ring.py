@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetflow import Context, EpsPoly, MultiVector, OrderMismatch, PseudoDiffOp
 
-from conftest import eps_polys
+from conftest import eps_polys, rationals
 
 
 def ep(*coeffs):
@@ -116,3 +117,40 @@ def test_eps_nilpotent(a):
 def test_higher_order_ring(a, b):
     assert a * b == b * a
     assert (a * b).truncate(1) == a.truncate(1) * b.truncate(1)
+
+
+def _cauchy(a, b):
+    """The product of two coefficient lists of one length, truncated to it."""
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+                 for k in range(len(a)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda p: st.tuples(eps_polys(p), eps_polys(p))),
+       rationals)
+def test_ring_operations_match_a_coefficient_list_reference(pair, r):
+    # an oracle that shares no code with DiffPoly: plain Fraction lists
+    a, b = pair
+    x, y = a.coeffs, b.coeffs
+    assert (a + b).coeffs == tuple(s + t for s, t in zip(x, y))
+    assert (a - b).coeffs == tuple(s - t for s, t in zip(x, y))
+    assert (-a).coeffs == tuple(-s for s in x)
+    assert (a * b).coeffs == _cauchy(x, y)
+    assert (a + r).coeffs == (x[0] + r, *x[1:])
+    assert (r - a).coeffs == (r - x[0], *(-s for s in x[1:]))
+    assert (r * a).coeffs == a.scale(r).coeffs == tuple(r * s for s in x)
+    if r:
+        assert (a / r).coeffs == tuple(s / r for s in x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2).flatmap(eps_polys), rationals)
+def test_equal_values_hash_equally(a, r):
+    # x == y implies hash(x) == hash(y), for an int or Fraction y as well
+    constant = EpsPoly.from_rational(r, a.order)
+    others = (r, int(r), a, constant, EpsPoly(a.coeffs))
+    for x in (a, constant):
+        for y in others:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert constant == r and r in {constant}
