@@ -37,13 +37,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Union
 
 from .errors import ClosureError, ParseError, ResourceLimit, UnknownName
 from .jets import (_MAX_EXPONENT, Context, DiffPoly, EvolutionSystem,
-                   Functional, Monomial, _accumulate, _checked, _degree,
-                   _pack, _reduced, _u)
+                   Functional, Monomial, _checked, _degree, _pack, _u)
 from .operators import PseudoDiffOp
 from .printing import format_operator, format_poly
 
@@ -90,9 +89,11 @@ _SPELT_JET = re.compile(r"u_x+")
 
 # A product of atoms is folded into one term, a plain tuple (n, d, m, e)
 # standing for n/d*m*eps^e with m a packed monomial and n/d in lowest terms,
-# d > 0; a zero term is n = 0 over d = 1.  It becomes a DiffPoly only where
-# it meets a sum, an operator, a named value or any other product, and it
-# costs the caps what that DiffPoly would.
+# d > 0; a zero term is n = 0 over d = 1.  The tuple serves products,
+# powers, quotients and negation alone.  It becomes a DiffPoly where it
+# meets a sum, an operator, a named value or any other product, and it costs
+# the caps what that DiffPoly would; a sum is DiffPoly or PseudoDiffOp
+# arithmetic.
 Value = Union[DiffPoly, PseudoDiffOp, tuple]
 _ONE, _ZERO = (1, 1, 0, 0), (0, 1, 0, 0)
 _ATOMS = {"x": (1, 1, _pack(Monomial(1, 0, ())), 0),
@@ -116,15 +117,6 @@ def _size(value: Value) -> int:
                       for j, c in value.local_terms.items())
                + sum(len(a._flat) + len(b._flat)
                      for a, b in value.nonlocal_terms))
-
-
-def _items(value: Value):
-    """The ((packed monomial, e), numerator) pairs of a term or a
-    polynomial, and the denominator they share."""
-    if type(value) is tuple:
-        n, d, m, e = value
-        return (((m, e), n),) if n else (), d
-    return value._flat.items(), value._den
 
 
 def _bits(value: Value) -> int:
@@ -449,18 +441,10 @@ class _Parser:
                                    self.model.eps_order, d)
 
     def add(self, left: Value, right: Value, negate: bool) -> Value:
-        """left + right, or left - right when `negate`; polynomials and terms
-        are summed into one new map, over the lcm of their denominators."""
-        if isinstance(left, PseudoDiffOp) or isinstance(right, PseudoDiffOp):
-            left, right = self.poly(left), self.poly(right)
-            return left - right if negate else left + right
-        (left, d1), (right, d2) = _items(left), _items(right)
-        den = d1 if d1 == d2 else lcm(d1, d2)
-        s1, s2 = den // d1, -(den // d2) if negate else den // d2
-        flat = dict(left) if s1 == 1 else {key: c * s1 for key, c in left}
-        for key, c in right:
-            _accumulate(flat, key, c * s2)
-        return _reduced(flat, den, self.model.eps_order)
+        """left + right, or left - right when `negate`: a term is made a
+        DiffPoly, and the sum is DiffPoly or PseudoDiffOp arithmetic."""
+        left, right = self.poly(left), self.poly(right)
+        return left - right if negate else left + right
 
     def divide(self, left: Value, right: Value) -> Value:
         """left / right for a nonzero rational constant right; an error is

@@ -12,8 +12,8 @@ from .dsl import DEFAULT_MAX_JET_ORDER, _Record
 from .errors import (ClosureError, NotASymmetry, NotExact, NotInImage,
                      NotVariational, ResourceLimit)
 from .jets import (DiffPoly, EvolutionSystem, Functional, Monomial,
-                   _monomial_order, _obstruction, _over_lcm, _pack, _unpack,
-                   dt_total, integrate_x, prolong_apply)
+                   _obstruction, _over_lcm, _pack, _unpack, dt_total,
+                   integrate_x, prolong_apply)
 from .operators import (PseudoDiffOp, apply_op, commutator, compose,
                         frechet, op_time_derivative, reconstruct_density)
 
@@ -213,20 +213,16 @@ def _graded_pairs(shapes: list, degree_bound: int, top: int) -> list:
 def _echelon(rows):
     """Sparse fraction-free Gaussian elimination over Q (Bareiss 1968).
 
-    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->rational,
-    each rational an int or a Fraction.  Returns the pivot rows
-    [(col, lead, row, rhs)], where row holds the other columns, or None when
-    the system is inconsistent.  Each row is scaled to integers and kept
-    primitive, so elimination runs in int arithmetic.  A pivot row holds no
-    earlier pivot's column.
+    `rows` is an iterable of (coeff_map, rhs) with coeff_map: index->int
+    and an int rhs.  Returns the pivot rows [(col, lead, row, rhs)], where
+    row holds the other columns, or None when the system is inconsistent.
+    Each row is copied and kept primitive, so elimination runs in int
+    arithmetic.  A pivot row holds no earlier pivot's column.
     """
     pivots: List[Tuple[int, int, Dict[int, int], int]] = []
     pivot_cols: Dict[int, int] = {}
     for coeffs, rhs in rows:
-        scale = math.lcm(rhs.denominator,
-                         *(v.denominator for v in coeffs.values()))
-        row = {c: int(v * scale) for c, v in coeffs.items()}
-        rhs = int(rhs * scale)
+        row = dict(coeffs)
         for col, position in pivot_cols.items():
             factor = row.pop(col, 0)
             if factor:
@@ -269,7 +265,7 @@ def _back_substitute(pivots, free_values) -> Dict[int, Fraction]:
 
 
 def _solve_rational_system(rows):
-    """A solution of the rational system `rows` (see _echelon) with free
+    """A solution of the integer system `rows` (see _echelon) with free
     variables at zero, or None when it is inconsistent.
 
     The rows are eliminated sparsest first, ties in the given order, which
@@ -337,8 +333,9 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
                 rows_map.setdefault(row, {})[len(basis)] = value
             basis.append(key)
             dens.append(img._den)
-        keys = sorted(set(rows_map) | set(Q._flat), key=_monomial_order)
-        rows = [(rows_map.get(k, {}), Q._flat.get(k, 0)) for k in keys]
+        # rows in build order, then an empty one per key only Q holds
+        rows = [(row, Q._flat.get(k, 0)) for k, row in rows_map.items()]
+        rows += [({}, c) for k, c in Q._flat.items() if k not in rows_map]
         solution = _solve_rational_system(rows)
         if solution is None:
             continue
@@ -363,7 +360,7 @@ def noether_inverse(Q: DiffPoly, D: PseudoDiffOp) -> Functional:
 def _noether_pair(Q: DiffPoly, D: PseudoDiffOp) -> Tuple[DiffPoly, Functional]:
     """(g, H) for noether_inverse: the preimage g of Q under D, which is
     the Euler derivative of H's density."""
-    if D == PseudoDiffOp.dx(D.eps_order):
+    if D._dx_power() == 1:
         try:
             g = integrate_x(Q)
         except NotExact as err:

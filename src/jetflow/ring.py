@@ -99,7 +99,7 @@ class EpsPoly(_Frozen):
 
     def _apply(self, op, *operands):
         """op on this value and the operands, each EpsPoly lifted to a
-        DiffPoly constant at its own order; a DiffPoly result is read back
+        DiffPoly constant at its own order; the DiffPoly result is read back
         as an EpsPoly.  An operand outside the ring gives NotImplemented."""
         from .jets import ONE_MONOMIAL, DiffPoly
 
@@ -107,8 +107,6 @@ class EpsPoly(_Frozen):
             return NotImplemented
         result = op(*(DiffPoly.constant(v, v.order) if isinstance(v, EpsPoly)
                       else v for v in (self, *operands)))
-        if not isinstance(result, DiffPoly):
-            return result  # the bool of ==
         return result.terms.get(ONE_MONOMIAL) or EpsPoly.zero(self.order)
 
     def __add__(self, other):
@@ -145,13 +143,27 @@ class EpsPoly(_Frozen):
                                 f"value to order {q}")
         return EpsPoly(self.coeffs[: q + 1])
 
+    def _trimmed(self) -> tuple:
+        """The coefficients without their trailing zeros."""
+        coeffs = self.coeffs
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        return coeffs
+
     def __eq__(self, other):
-        return self._apply(operator.eq, other)
+        # coefficients up to trailing zeros, so that values of any orders
+        # and rationals compare transitively
+        if isinstance(other, EpsPoly):
+            return self._trimmed() == other._trimmed()
+        if isinstance(other, (int, Fraction)):
+            return self._trimmed() == ((other,) if other else ())
+        return NotImplemented
 
     def __hash__(self):
-        # a value equal to a rational hashes as that rational does
-        head, *rest = self.coeffs
-        return hash(self.coeffs) if any(rest) else hash(head)
+        # hashes the trimmed coefficients; a value with one coefficient
+        # hashes as its rational does
+        trimmed = self._trimmed()
+        return hash(trimmed) if len(trimmed) > 1 else hash(sum(trimmed))
 
     def __repr__(self):
         from .printing import format_eps_poly

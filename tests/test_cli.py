@@ -808,6 +808,11 @@ def stop_path(seed, steps, dop, fmt):
       "Kbar1", "--steps", "10", "--dop", "D", "--format", "json"], 0),
     ("hierarchy_gardner_R_Kbar1_steps4_dopE.json", DOP_E_STEPS4, 0),
     ("hierarchy_gardner_jet24_R_Kbar1_steps5_dopE.json", DOP_E_JET24_STEPS5, 0),
+    # six inversions: the 1352 x 570 system of step 6 is the largest that
+    # the ansatz cap admits
+    ("hierarchy_gardner_jet24_R_Kbar1_steps6_dopE.json",
+     ["hierarchy", str(GOLDEN / "gardner_jet24.jf"), "--op", "R", "--seed",
+      "Kbar1", "--steps", "6", "--dop", "E", "--format", "json"], 0),
     # the unbarred hierarchy: O(1) flows, so every pair check multiplies
     ("hierarchy_gardner_Rt_jet24_Rt_Q1_steps6.json",
      ["hierarchy", str(GOLDEN / "gardner_Rt_jet24.jf"), "--op", "Rt", "--seed",
@@ -837,7 +842,7 @@ def stop_path(seed, steps, dop, fmt):
      stop_path("Q2", 1, "E", "text"), 1),
 ], ids=["hierarchy-json", "noether-latex", "check-pair-text",
         "hierarchy-deep-json", "hierarchy-cap-json", "hierarchy-dopE-json",
-        "hierarchy-dopE-jet24-json",
+        "hierarchy-dopE-jet24-json", "hierarchy-dopE-jet24-steps6-json",
         "hierarchy-Rt-json", "hierarchy-Rt-steps7-json",
         "hierarchy-Rt-eps3-json", "print-gardner", "print-potential-burgers",
         "print-gardner-Rt", "stop-index0-json", "stop-index1-json",

@@ -411,7 +411,8 @@ def parsed_op(expression):
 
 
 # The parser multiplies terms, Dx powers and functions times operators
-# without the general algebra; each value must equal the public API's.
+# without the general algebra, and sums through it; each value must equal
+# the public API's.
 @settings(max_examples=100, deadline=None)
 @given(terms(), terms(), diff_polys(max_terms=2, max_degree=2),
        nonlocal_ops(), rationals.filter(bool), st.integers(0, 3),
@@ -425,6 +426,10 @@ def test_parser_products_equal_the_algebra(t1, t2, f, A, r, j, n):
     assert parsed(f"{text1}/({r})") == T1 * (1 / Fraction(r))
     assert parsed(f"{text1} + {text2}") == T1 + T2
     assert parsed(f"{text1} - ({text2})") == T1 - T2
+    assert parsed(f"({format_poly(f)}) + {text1}") == f + T1
+    assert parsed(f"{text1} - ({format_poly(f)})") == T1 - f
+    assert (parsed_op(f"({format_operator(A)}) + {text1}")
+            == A + PseudoDiffOp.from_poly(T1))
     assert parsed(f"({text1})*({format_poly(f)})") == T1 * f
     assert parsed(f"({format_poly(f)})*({text1})") == f * T1
     assert (parsed_op(f"({format_poly(f)})*({format_operator(A)})")

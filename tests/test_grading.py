@@ -7,6 +7,7 @@ written out by hand or enumerated by brute force, never with the engine's
 helpers.
 """
 
+import math
 from itertools import permutations, product
 from unittest import mock
 
@@ -185,13 +186,26 @@ system_rows = st.lists(
     min_size=1, max_size=6)
 
 
+def integer_rows(rows):
+    """Each row, right-hand side included, times the lcm of its
+    denominators: the solver takes int rows, and scaling a row changes
+    neither the solution set nor the pivot columns."""
+    scaled = []
+    for row, rhs in rows:
+        scale = math.lcm(rhs.denominator,
+                         *(v.denominator for v in row.values()))
+        scaled.append(({c: int(v * scale) for c, v in row.items()},
+                       int(rhs * scale)))
+    return scaled
+
+
 @settings(max_examples=200, deadline=None)
 @given(system_rows)
 def test_solver_matches_sympy(rows):
     A = sympy.Matrix([[sympy.Rational(row.get(c, 0)) for c in range(4)]
                       for row, _ in rows])
     b = sympy.Matrix([sympy.Rational(rhs) for _, rhs in rows])
-    solution = engine._solve_rational_system(rows)
+    solution = engine._solve_rational_system(integer_rows(rows))
     assert (solution is not None) == (A.rank() == A.row_join(b).rank())
     if solution is not None:
         for row, rhs in rows:
@@ -223,6 +237,7 @@ def test_solution_does_not_depend_on_row_order(case):
     # the solver eliminates sparsest rows first; every order of the same
     # rows has the same pivot columns, so the same solution or None
     rows, kind = case
+    rows = integer_rows(rows)
     solution = engine._solve_rational_system(rows)
     if kind == "inconsistent":
         assert solution is None

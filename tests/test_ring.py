@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -144,13 +145,24 @@ def test_ring_operations_match_a_coefficient_list_reference(pair, r):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2).flatmap(eps_polys), rationals)
-def test_equal_values_hash_equally(a, r):
-    # x == y implies hash(x) == hash(y), for an int or Fraction y as well
+@given(st.integers(0, 2).flatmap(eps_polys), st.integers(3, 4).flatmap(eps_polys),
+       rationals)
+def test_equal_values_hash_equally(a, b, r):
+    # x == y implies hash(x) == hash(y), for an int or Fraction y and for a
+    # value b at another order as well; equality is transitive, through a
+    # rational too, so the size of a set does not depend on insertion order
     constant = EpsPoly.from_rational(r, a.order)
-    others = (r, int(r), a, constant, EpsPoly(a.coeffs))
-    for x in (a, constant):
+    constant_b = EpsPoly.from_rational(r, b.order)
+    others = (r, int(r), a, constant, EpsPoly(a.coeffs), b, constant_b)
+    for x in (a, constant, b, constant_b):
         for y in others:
             if x == y:
                 assert hash(x) == hash(y), (x, y)
+    for x, y, z in product(others, repeat=3):
+        if x == y and y == z:
+            assert x == z, (x, y, z)
     assert constant == r and r in {constant}
+    assert constant == constant_b and hash(constant) == hash(constant_b)
+    sizes = {len(set(order)) for order in permutations((r, a, b, constant,
+                                                        constant_b))}
+    assert len(sizes) == 1, sizes
