@@ -288,6 +288,11 @@ def solve_operator_equation(D: PseudoDiffOp, Q: DiffPoly) -> Optional[DiffPoly]:
     The candidate space is spanned by eps^e times monomials in x, t and the
     jets, of total degree at most deg(Q) + 1, in two tiers of jet order,
     and a third of order one more than Q's when D has no local part.
+    The first tier bounds the jet order by order(Q) - max_local_order(D).
+    When D's top coefficient is O(eps), D can raise the jet order by less
+    than that, so the second tier goes up to order(Q): with D = Dx +
+    eps*Dx^3 at p = 1, eps*u{5} has the preimage eps*u_xxxx
+    (tests/test_engine.py).
     Each term's feature f = (s - a, b, e, d) (jet weight minus x degree, t
     degree, eps degree, jet degree) gains exactly (1, 0, 0, 0) under D_x, so
     every grading w under which D and Q are both homogeneous splits D g = Q

@@ -112,6 +112,18 @@ def test_solve_operator_equation_through_dxi(v):
     assert solve_operator_equation(Dxi, v.eps * v.u3) == v.eps * v.u4
 
 
+def test_solve_operator_equation_second_jet_order_tier(v):
+    # D = Dx + eps*Dx^3 has local order 3, so the first tier bounds the
+    # preimage of an order-5 image to jet order 2; but its top coefficient
+    # is O(eps), and on eps*g at p = 1 it acts as Dx alone, so the
+    # preimages have jet order 4 and only the second tier, up to order 5,
+    # holds them
+    D = PseudoDiffOp.dx(1) + v.eps * PseudoDiffOp.dx(1, 3)
+    assert solve_operator_equation(D, v.eps * v.u5) == v.eps * v.u4
+    assert solve_operator_equation(D, v.eps * v.u * v.u5) == v.eps * (
+        v.u * v.u4 - v.u1 * v.u3 + v.u2 ** 2 / 2)
+
+
 def test_hierarchy_step_cap(gardner, gardner_sys, monkeypatch):
     R, D = gardner.operators["R"], gardner.operators["D"]
     seed = gardner.characteristics["Kbar1"]

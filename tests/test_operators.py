@@ -263,8 +263,8 @@ def test_adding_and_subtracting_returns_the_operator(A, B):
 @settings(max_examples=100, deadline=None)
 @given(nonlocal_ops(), local_ops(), diff_polys(max_terms=2))
 def test_negations_and_sums_with_a_local_side_are_canonical(A, L, f):
-    # these skip the nonlocal normal form, so normalising what they build
-    # must change nothing
+    # what they build is already in the nonlocal normal form, so
+    # normalising it again must change nothing
     for op in (-A, A + L, L + A, A - L, L - A, A + f, f - A,
                PseudoDiffOp.from_poly(f)):
         assert op == PseudoDiffOp(op.local_terms, op.nonlocal_terms, P)
